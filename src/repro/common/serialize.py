@@ -18,9 +18,11 @@ constructor instead:
   through its hash-consing ``__new__``;
 * value/message singletons (``VUndef``, ``TAU``, ``EntAtom``,
   ``ExtAtom``) decode to the receiver's singletons;
-* language cores and frames restore via ``object.__setattr__`` with
-  cached ``_hash`` slots dropped (they all recompute lazily), so a
-  decoded core can never carry a stale hash.
+* language cores and their frames restore via ``object.__setattr__``
+  with cached ``_hash`` slots dropped (they all recompute lazily), so a
+  decoded core can never carry a stale hash. Worlds never take this
+  path: ``World.make`` recomputes ``_tx`` and the hash from the decoded
+  components.
 
 Since schema version 2 the transport is *stateful per channel*. A
 directed channel (one sender, one receiver, FIFO delivery — exactly
@@ -248,7 +250,11 @@ def _all_slots(cls):
     return names
 
 
-#: Lazily-recomputed cache slots that must not cross the wire.
+#: Cache slots that must not cross the wire. The classes registered
+#: through :func:`register_slots` recompute them lazily; ``World``,
+#: ``Frame``, ``Memory`` and ``Footprint`` have their own reducers and
+#: are rebuilt through their constructors (a world computes ``_tx`` and
+#: its hash eagerly there), so no cached slot is ever decoded.
 _CACHE_SLOTS = frozenset({"_hash", "_locs", "_merged"})
 
 
@@ -257,7 +263,8 @@ def register_slots(cls):
 
     Only sound for classes whose cached slots are recomputed lazily via
     the ``try/except AttributeError`` pattern (every language core and
-    frame — see e.g. ``CImpCore.__hash__``). Static-segment members
+    language-level frame — see e.g. ``CImpCore.__hash__``); never for
+    ``World``, whose hash is set at construction. Static-segment members
     reduce to their table index instead (one dict lookup, paid only on
     an object's first encode per channel epoch — pickle's memo handles
     repeats).

@@ -1,9 +1,10 @@
 """Heap and interning telemetry: measure the hash-consed state heap.
 
-The ROADMAP's "interning wall" item says wall-clock is now dominated by
-``_intern_world`` / ``World.__hash__`` — this module turns that from a
-profiler anecdote into numbers that can be gated and compared across
-runs:
+Exploration is bounded by world identity: building, hashing and
+interning worlds. Worlds now hash incrementally at construction and the
+world table is keyed by that int (:mod:`repro.semantics.world`); this
+module measures what the hash-consed state heap costs, in numbers that
+can be gated and compared across runs:
 
 * :func:`intern_census` — per intern table: live size, cumulative
   hit rate, capacity evictions (``clears``), peak occupancy and a

@@ -552,105 +552,78 @@ def _record_explore_metrics(graph, frontier_hwm, sp):
     )
 
 
-def _is_silent_label(label):
-    return label is None or label == SW
-
-
 def _progress_divergent_states(graph):
-    """States lying on a silent cycle that contains a thread step.
+    """States that can diverge: silently reach a silent cycle that
+    contains a thread step.
 
-    Uses Tarjan's SCC on the silent-edge subgraph; an SCC diverges when
-    it contains an internal non-switch silent edge (real thread
-    progress) on some cycle. Then every state that silently reaches a
-    divergent SCC can diverge.
+    Runs Tarjan's SCC algorithm on the silent-edge subgraph (τ and
+    switch edges), over lists and bytearrays indexed by sid. An SCC
+    diverges when one of its τ edges (real thread progress, not a
+    switch) stays inside it. Tarjan completes every SCC a component
+    can reach before the component itself, so whether it silently
+    reaches a divergent SCC is known when it is popped. Returns a
+    bytearray holding 1 at each state that can diverge.
     """
     n = graph.state_count()
-    silent = {
-        sid: [
-            d
-            for (lbl, d) in graph.edges.get(sid, [])
-            if d != ABORT_DST and _is_silent_label(lbl)
-        ]
+    edges_get = graph.edges.get
+    silent = [
+        [d for lbl, d in edges_get(sid, ()) if lbl is None or lbl == SW]
         for sid in range(n)
-    }
-    index = {}
-    lowlink = {}
-    on_stack = set()
+    ]
+    index = [-1] * n
+    low = [0] * n
+    owner = [-1] * n
+    on_stack = bytearray(n)
+    div = bytearray(n)
     stack = []
-    counter = [0]
-    sccs = []
-
-    def strongconnect(v):
-        # Iterative Tarjan to survive deep graphs.
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = counter[0]
-                lowlink[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(pi, len(silent[node])):
-                w = silent[node][i]
-                if w not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[node] = min(lowlink[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
-
-    div_core = set()
-    for comp in sccs:
-        comp_set = set(comp)
-        internal_cycle = len(comp) > 1 or any(
-            d == comp[0] for d in silent[comp[0]]
-        )
-        if not internal_cycle:
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        has_progress = any(
-            lbl is None and d in comp_set
-            for sid in comp
-            for (lbl, d) in graph.edges.get(sid, [])
-            if d != ABORT_DST and _is_silent_label(lbl)
-        )
-        if has_progress:
-            div_core |= comp_set
-
-    # Backward closure over silent edges.
-    rev = {sid: [] for sid in range(n)}
-    for sid in range(n):
-        for d in silent[sid]:
-            rev[d].append(sid)
-    div = set(div_core)
-    queue = deque(div_core)
-    while queue:
-        node = queue.popleft()
-        for pred in rev[node]:
-            if pred not in div:
-                div.add(pred)
-                queue.append(pred)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        # Iterative DFS: the path, and each path node's edge iterator.
+        path = [root]
+        iters = [iter(silent[root])]
+        while path:
+            node = path[-1]
+            for w in iters[-1]:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    path.append(w)
+                    iters.append(iter(silent[w]))
+                    break
+                if on_stack[w] and index[w] < low[node]:
+                    low[node] = index[w]
+            else:
+                path.pop()
+                iters.pop()
+                if low[node] == index[node]:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    owner[w] = node
+                    comp = [w]
+                    while w != node:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        owner[w] = node
+                        comp.append(w)
+                    if any(
+                        lbl is None and owner[d] == node
+                        for s in comp
+                        for lbl, d in edges_get(s, ())
+                    ) or any(div[d] for s in comp for d in silent[s]):
+                        for s in comp:
+                            div[s] = 1
+                if path:
+                    parent = path[-1]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
     return div
 
 
@@ -676,14 +649,44 @@ def behaviours(graph, max_events=10, max_nodes=200000, strict=False):
     return result
 
 
+#: Behaviour ends by code: a found behaviour is ``trace_id * 4 + code``.
+_ENDS = (Behaviour.DONE, Behaviour.ABORT, Behaviour.SILENT_DIV,
+         Behaviour.CUT)
+_DONE, _ABORT, _DIV, _CUT = range(4)
+
+#: Per-state flag bits of ``_behaviours`` (``_F_DIV`` is the 1 that
+#: ``_progress_divergent_states`` stores).
+_F_DIV, _F_TRUNC, _F_STUCK, _F_DONE = 1, 2, 4, 8
+
+
 def _behaviours(graph, max_events, max_nodes, strict):
-    div_states = _progress_divergent_states(graph)
-    result = set()
+    """BFS over ``(sid, trace)`` nodes, each packed into one int.
+
+    A trace is a node of a trie, ``{(trace_id, event): trace_id}``,
+    with ``traces[trace_id]`` its event tuple; id 0 is the empty trace.
+    Equal traces get one id, so the node ``trace_id * n + sid`` names
+    the pair exactly, and a found behaviour is the int
+    ``trace_id * 4 + end code``.
+    """
+    n = graph.state_count()
+    flags = _progress_divergent_states(graph)
+    for sid in graph.truncated:
+        flags[sid] |= _F_TRUNC
+    for sid in graph.stuck:
+        flags[sid] |= _F_STUCK
+    for sid in graph.done:
+        flags[sid] |= _F_DONE
+    edges_get = graph.edges.get
+    traces = [()]
+    trie = {}
+    found = set()
     visited = set()
     queue = deque()
     for sid in graph.initial:
-        queue.append((sid, ()))
-        visited.add((sid, ()))
+        queue.append(sid)
+        visited.add(sid)
+    popleft = queue.popleft
+    append = queue.append
 
     while queue:
         if len(visited) > max_nodes:
@@ -702,35 +705,48 @@ def _behaviours(graph, max_events, max_nodes, strict):
             )
             if obs.enabled:
                 obs.inc("behaviours.truncated_nodes", len(queue))
-            for sid, trace in queue:
-                result.add(Behaviour(trace, Behaviour.CUT))
+            for node in queue:
+                found.add(node // n * 4 + _CUT)
             break
-        sid, trace = queue.popleft()
-        if sid in graph.done:
-            result.add(Behaviour(trace, Behaviour.DONE))
-            continue
-        if sid in graph.stuck:
-            result.add(Behaviour(trace, Behaviour.ABORT))
-            continue
-        if sid in graph.truncated:
-            result.add(Behaviour(trace, Behaviour.CUT))
-        if sid in div_states:
-            result.add(Behaviour(trace, Behaviour.SILENT_DIV))
-        for label, dst in graph.edges.get(sid, []):
+        node = popleft()
+        tid = node // n
+        sid = node - tid * n
+        f = flags[sid]
+        if f:
+            if f & _F_DONE:
+                found.add(tid * 4 + _DONE)
+                continue
+            if f & _F_STUCK:
+                found.add(tid * 4 + _ABORT)
+                continue
+            if f & _F_TRUNC:
+                found.add(tid * 4 + _CUT)
+            if f & _F_DIV:
+                found.add(tid * 4 + _DIV)
+        base = node - sid
+        for label, dst in edges_get(sid, ()):
             if dst == ABORT_DST:
-                result.add(Behaviour(trace, Behaviour.ABORT))
+                found.add(tid * 4 + _ABORT)
                 continue
             if isinstance(label, EventMsg):
-                if len(trace) >= max_events:
-                    result.add(Behaviour(trace, Behaviour.CUT))
-                    continue
-                nxt = (dst, trace + (label,))
+                key = (tid, label)
+                child = trie.get(key)
+                if child is None:
+                    trace = traces[tid]
+                    if len(trace) >= max_events:
+                        found.add(tid * 4 + _CUT)
+                        continue
+                    child = trie[key] = len(traces)
+                    traces.append(trace + (label,))
+                nxt = child * n + dst
             else:
-                nxt = (dst, trace)
+                nxt = base + dst
             if nxt not in visited:
                 visited.add(nxt)
-                queue.append(nxt)
-    return frozenset(result)
+                append(nxt)
+    return frozenset(
+        Behaviour(traces[code >> 2], _ENDS[code & 3]) for code in found
+    )
 
 
 def program_behaviours(ctx, semantics, max_states=50000, max_events=10,

@@ -11,14 +11,21 @@ as graph nodes. Module declarations are referenced by index into the
 :class:`GlobalContext`, which carries the (immutable, but unhashable)
 program structure out-of-band.
 
-Hot-path machinery: frames and worlds cache their hash lazily (cores
-and memories are hashed once per object, not once per lookup) and are
-*hash-consed* through bounded intern tables — the canonical constructors
-(:meth:`Frame.make`, every ``World``-producing method) return pointer-
-equal objects for equal states, so ``graph.ids`` lookups and dedup-set
-membership in the explorer short-circuit on identity. Direct
-``Frame(...)``/``World(...)`` construction stays valid (tests use it):
-interning is an optimization, structural ``__eq__`` is the truth.
+Hot-path machinery: frames cache their hash lazily and worlds compute
+theirs once, at construction, incrementally. A world keeps ``_tx``, the
+XOR of one code per thread (``hash((tid, frames))``); a successor that
+changes one thread's stack rehashes only that stack, the way
+:class:`~repro.common.memory.Memory` keeps its Zobrist hash, and the
+world hash mixes ``_tx`` with ``(cur, bits, mem)`` (the memory's hash
+is cached in the memory). Both are *hash-consed* through bounded intern
+tables — the canonical constructors (:meth:`Frame.make`, every
+``World``-producing method) return pointer-equal objects for equal
+states, so ``graph.ids`` lookups and dedup-set membership in the
+explorer short-circuit on identity. The world table is keyed by the
+world's int hash, and a hit is accepted only after comparing all four
+components; on a hash collision the new world is returned un-interned.
+Direct ``Frame(...)``/``World(...)`` construction stays valid (tests use
+it): interning is an optimization, structural ``__eq__`` is the truth.
 """
 
 from repro import obs
@@ -57,20 +64,59 @@ def _intern_frame(mod_idx, flist, core):
     return frame
 
 
-def _intern_world(threads, cur, bits, mem):
-    """The canonical world for these components (see ``_intern_frame``)."""
-    key = (threads, cur, bits, mem)
+def _thread_code(tid, frames):
+    """The code thread ``tid`` with stack ``frames`` XORs into ``_tx``."""
+    return hash((tid, frames))
+
+
+def _threads_code(threads):
+    """``_tx`` of a whole thread pool, computed from scratch."""
+    tx = 0
+    for tid, frames in enumerate(threads):
+        tx ^= _thread_code(tid, frames)
+    return tx
+
+
+def _new_world(threads, cur, bits, mem, tx, h):
+    """A world from its components, ``_tx`` and hash (not interned)."""
+    world = object.__new__(World)
+    object.__setattr__(world, "threads", threads)
+    object.__setattr__(world, "cur", cur)
+    object.__setattr__(world, "bits", bits)
+    object.__setattr__(world, "mem", mem)
+    object.__setattr__(world, "_tx", tx)
+    object.__setattr__(world, "_hash", h)
+    return world
+
+
+def _intern_world(threads, cur, bits, mem, tx):
+    """The canonical world for these components, ``tx`` their ``_tx``.
+
+    The table is keyed by the world hash. A hit counts only when all
+    four components match (``is`` first, then ``==``); a different
+    world under the same hash is a collision, and the new world is
+    returned without being interned.
+    """
+    h = hash((tx, cur, bits, mem))
     table = _WORLDS.table
-    world = table.get(key)
+    world = table.get(h)
     if world is not None:
-        _WORLDS.hits += 1
-        return world
+        if (
+            world.cur == cur
+            and (world.bits is bits or world.bits == bits)
+            and (world.mem is mem or world.mem == mem)
+            and (world.threads is threads or world.threads == threads)
+        ):
+            _WORLDS.hits += 1
+            return world
+        _WORLDS.misses += 1
+        return _new_world(threads, cur, bits, mem, tx, h)
     _WORLDS.misses += 1
     if len(table) >= _WORLDS.max_size:
         _WORLDS.clears += 1
         table.clear()
-    world = World(threads, cur, bits, mem)
-    table[key] = world
+    world = _new_world(threads, cur, bits, mem, tx, h)
+    table[h] = world
     if len(table) > _WORLDS.peak_size:
         _WORLDS.peak_size = len(table)
     return world
@@ -160,18 +206,24 @@ class World:
     Fig. 7; the non-preemptive semantics uses the full map ``𝕕``).
     """
 
-    __slots__ = ("threads", "cur", "bits", "mem", "_hash")
+    __slots__ = ("threads", "cur", "bits", "mem", "_tx", "_hash")
 
-    def __init__(self, threads, cur, bits, mem):
-        object.__setattr__(self, "threads", tuple(threads))
-        object.__setattr__(self, "cur", cur)
-        object.__setattr__(self, "bits", tuple(bits))
-        object.__setattr__(self, "mem", mem)
+    def __new__(cls, threads, cur, bits, mem):
+        """A world built from scratch, not interned."""
+        threads = tuple(threads)
+        bits = tuple(bits)
+        tx = _threads_code(threads)
+        return _new_world(
+            threads, cur, bits, mem, tx, hash((tx, cur, bits, mem))
+        )
 
     @classmethod
     def make(cls, threads, cur, bits, mem):
         """The canonical (interned) world for these components."""
-        return _intern_world(tuple(threads), cur, tuple(bits), mem)
+        threads = tuple(threads)
+        return _intern_world(
+            threads, cur, tuple(bits), mem, _threads_code(threads)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("World is immutable")
@@ -188,12 +240,7 @@ class World:
         )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.threads, self.cur, self.bits, self.mem))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __repr__(self):
         return "World(cur={}, bits={}, live={})".format(
@@ -252,19 +299,29 @@ class World:
         """A world scheduled on thread ``cur``."""
         if cur == self.cur:
             return self
-        return _intern_world(self.threads, cur, self.bits, self.mem)
+        return _intern_world(
+            self.threads, cur, self.bits, self.mem, self._tx
+        )
 
     def add_thread(self, frame):
         """A world with a freshly spawned thread appended."""
+        threads = self.threads
+        stack = (frame,)
         return _intern_world(
-            self.threads + ((frame,),),
+            threads + (stack,),
             self.cur,
             self.bits + (0,),
             self.mem,
+            self._tx ^ _thread_code(len(threads), stack),
         )
 
     def _update(self, tid, frames, mem, bit, cur):
         threads = list(self.threads)
+        tx = (
+            self._tx
+            ^ _thread_code(tid, threads[tid])
+            ^ _thread_code(tid, frames)
+        )
         threads[tid] = frames
         bits = self.bits
         if bit is not None:
@@ -276,6 +333,7 @@ class World:
             self.cur if cur is None else cur,
             bits,
             self.mem if mem is None else mem,
+            tx,
         )
 
 

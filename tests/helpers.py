@@ -5,6 +5,8 @@ programs, MiniC systems, compiled pipelines, and the canonical program
 suite used by integration tests and benchmarks.
 """
 
+import os
+
 from repro.common.values import VInt
 from repro.lang.module import GlobalEnv, ModuleDecl, Program
 from repro.langs.cimp import CIMP, parse_module as parse_cimp
@@ -213,3 +215,60 @@ void thread2() {
   print(r2);
 }
 """
+
+
+EXAMPLES_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples"
+)
+
+_CIMP_SPAWN = (
+    "main(){ spawn mid; print(1); }"
+    "mid(){ spawn leaf; [C] := 2; print(2); }"
+    "leaf(){ x := [C]; print(x); }"
+)
+_CIMP_SPIN = "t1(){ x := 0; while(x == 0){ skip; } } t2(){ print(7); }"
+
+
+def _example_file(name, entries, use_lock=False):
+    from repro.framework.build import ClientSystem
+
+    with open(os.path.join(EXAMPLES_DIR, name)) as handle:
+        source = handle.read()
+    return ClientSystem(
+        [source], entries, use_lock=use_lock
+    ).source_program()
+
+
+def example_programs():
+    """Named whole programs at every language level: the MiniC suite,
+    the ``examples/`` files, the 2-thread lock counter as source,
+    x86-SC and x86-TSO programs, Example 2.2, Peterson on x86-SC and
+    x86-TSO, and CImp programs with spawns and a spin loop."""
+    from repro.framework.build import ClientSystem, lock_counter_system
+    from repro.langs.x86 import X86SC, X86TSO
+
+    from tests.langs.test_peterson import peterson_program
+
+    lock2 = lock_counter_system(2)
+    progs = {
+        "minic-" + name: minic_program([src], ["main"])[0]
+        for name, src in sorted(SUITE.items())
+    }
+    progs.update({
+        "quickstart.c": _example_file("quickstart.c", ["main"]),
+        "racy.c": _example_file("racy.c", ["t1", "t2"]),
+        "counter.c": _example_file(
+            "counter.c", ["inc", "inc"], use_lock=True
+        ),
+        "lock-counter-source": lock2.source_program(),
+        "lock-counter-sc": lock2.sc_program(),
+        "lock-counter-tso": lock2.tso_program(),
+        "example-2-2": ClientSystem(
+            [EXAMPLE_2_2], ["thread1", "thread2"], use_lock=True
+        ).source_program(),
+        "peterson-sc": peterson_program(X86SC, fenced=False),
+        "peterson-tso": peterson_program(X86TSO, fenced=False),
+        "cimp-spawn": cimp_program(_CIMP_SPAWN, ["main"]),
+        "cimp-spin": cimp_program(_CIMP_SPIN, ["t1", "t2"]),
+    })
+    return progs

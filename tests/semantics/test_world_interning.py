@@ -4,16 +4,22 @@ determinism under the interned representation.
 Interning is an optimization layered under the structural semantics:
 these tests check the canonical constructors return pointer-equal
 objects for equal states, that directly-constructed (un-interned)
-objects remain fully interoperable, and that whole-suite behaviour
-sets are unaffected.
+objects remain fully interoperable, that the incrementally maintained
+world hash always equals the from-scratch one, that forced hash
+collisions in the int-keyed world table change nothing, and that
+whole-suite behaviour sets are unaffected.
 """
+
+import hashlib
 
 import pytest
 
 from repro.common.errors import SemanticsError
 from repro.common.freelist import FreeList
 from repro.common.memory import Memory
+from repro.common.serialize import ChannelDecoder, ChannelEncoder
 from repro.common.values import VInt
+from repro.framework.build import lock_counter_system
 from repro.lang.module import GlobalEnv, ModuleDecl, Program
 from repro.langs.cimp import CIMP, parse_module as parse_cimp
 from repro.semantics import (
@@ -23,9 +29,10 @@ from repro.semantics import (
     behaviours,
     explore,
 )
-from repro.semantics.world import Frame, World
+from repro.semantics import world as world_mod
+from repro.semantics.world import Frame, World, reset_intern_tables
 
-from tests.helpers import CELL, cimp_program, events_of
+from tests.helpers import CELL, cimp_program, events_of, example_programs
 
 
 def _frame_parts():
@@ -160,3 +167,106 @@ class TestExplorationDeterminism:
                                 graph.state_count(), behs))
         assert results[0] == results[2]
         assert results[1] == results[3]
+
+
+def _fingerprint(behs):
+    digest = hashlib.sha256()
+    for line in sorted(repr(b) for b in behs):
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()[:16]
+
+
+@pytest.fixture
+def cold_tables():
+    reset_intern_tables()
+    yield
+    reset_intern_tables()
+
+
+#: Full exploration of the n-thread lock counter, POR off: (worlds,
+#: behaviour fingerprint), the answers the benchmarks pin.
+_LOCK_COUNTER = {
+    2: (796, "a6ab29594cb0b2fa"),
+    3: (20868, "50e1ab6d869c3910"),
+}
+
+
+class TestForcedCollisions:
+    @pytest.mark.parametrize("nthreads", sorted(_LOCK_COUNTER))
+    def test_constant_thread_codes_keep_the_graph(
+        self, monkeypatch, cold_tables, nthreads
+    ):
+        # Every thread stack codes to 0, so worlds that differ only in
+        # their threads share one hash: most table probes land on a
+        # different world and must be refused by the component check.
+        monkeypatch.setattr(
+            world_mod, "_thread_code", lambda tid, frames: 0
+        )
+        misses0 = world_mod._WORLDS.misses
+        graph = explore(
+            GlobalContext(lock_counter_system(nthreads).source_program()),
+            PreemptiveSemantics(),
+            max_states=100000,
+            reduce=False,
+        )
+        behs = behaviours(graph, max_events=12, max_nodes=8_000_000)
+        assert (
+            graph.state_count(), _fingerprint(behs)
+        ) == _LOCK_COUNTER[nthreads]
+        # Collisions really happened: worlds were built, not interned.
+        table = world_mod._WORLDS.table
+        assert world_mod._WORLDS.misses - misses0 > 2 * len(table)
+        assert len({hash(w) for w in graph.states}) == len(table)
+
+
+_PROGRAMS = example_programs()
+_MODES = {
+    "preemptive": (PreemptiveSemantics, False),
+    "preemptive-por": (PreemptiveSemantics, True),
+    "nonpreemptive": (NonPreemptiveSemantics, False),
+}
+
+
+def _assert_hash_from_scratch(worlds):
+    for w in worlds:
+        fresh = World(w.threads, w.cur, w.bits, w.mem)
+        assert hash(w) == hash(fresh)
+        assert w._tx == fresh._tx
+        assert w == fresh
+
+
+class TestIncrementalHash:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("name", sorted(_PROGRAMS))
+    def test_reached_worlds_hash_as_if_built_from_scratch(
+        self, cold_tables, name, mode
+    ):
+        sem, reduce = _MODES[mode]
+        graph = explore(
+            GlobalContext(_PROGRAMS[name]), sem(), max_states=20000,
+            reduce=reduce,
+        )
+        assert graph.state_count() > 1
+        _assert_hash_from_scratch(graph.states)
+
+    @pytest.mark.parametrize(
+        "name", ["lock-counter-source", "lock-counter-tso", "cimp-spawn"]
+    )
+    def test_channel_round_trip_keeps_the_hash(self, cold_tables, name):
+        graph = explore(
+            GlobalContext(_PROGRAMS[name]), PreemptiveSemantics(),
+            max_states=20000,
+        )
+        sent = list(graph.states)
+        enc = ChannelEncoder(stateless=False)
+        dec = ChannelDecoder(stateless=False)
+        for start in range(0, len(sent), 64):
+            batch = sent[start:start + 64]
+            epoch, data = enc.encode_worlds(batch)
+            # Decode against empty tables, so every world is rebuilt.
+            reset_intern_tables()
+            back = dec.decode(epoch, data)
+            assert back == batch
+            assert [hash(w) for w in back] == [hash(w) for w in batch]
+            _assert_hash_from_scratch(back)
