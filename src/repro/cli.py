@@ -75,6 +75,7 @@ non-zero.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -505,6 +506,25 @@ def cmd_compare(args):
 
 
 def make_parser():
+    """The CLI's argument parser, built once per process.
+
+    Building the tree costs milliseconds, a visible share of a small
+    verdict, so every command reuses one. Each call refreshes the one
+    environment-derived default (``--jobs`` from ``REPRO_JOBS``), so
+    the shared tree parses exactly like a freshly built one; every
+    ``parse_args`` call returns a new namespace.
+    """
+    parser, jobs_actions = _parser_tree()
+    jobs = default_jobs()
+    for action in jobs_actions:
+        action.default = jobs
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser_tree():
+    """``(parser, --jobs actions)``; built on the first call only."""
+    jobs_actions = []
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CASCompCert reproduction: compile, run, validate "
@@ -615,13 +635,13 @@ def make_parser():
         )
 
     def jobs_flag(p):
-        p.add_argument(
-            "-j", "--jobs", type=int, default=default_jobs(),
+        jobs_actions.append(p.add_argument(
+            "-j", "--jobs", type=int, default=1,
             metavar="N",
             help="shard the exploration across N forked worker "
             "processes (default: REPRO_JOBS env setting or 1 = "
             "sequential)",
-        )
+        ))
 
     p = sub.add_parser("run", help="enumerate behaviours")
     common(p)
@@ -859,7 +879,7 @@ def make_parser():
         "identical inputs)",
     )
     p.set_defaults(func=cmd_compare)
-    return parser
+    return parser, tuple(jobs_actions)
 
 
 def main(argv=None):

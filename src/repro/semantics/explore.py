@@ -24,6 +24,17 @@ its default so existing graph consumers always see the full graph; the
 whole-program property entry points (:func:`program_behaviours`,
 ``drf``/``npdrf``) default to the ``REPRO_POR`` environment setting.
 
+Both loops are *keyed* (:mod:`repro.semantics.keyspace`): a world's
+identity is one packed int built from per-thread stack ids and atomic
+bits, a memory id and ``cur``, and each thread move is computed once
+per ``(cur, stack, bit, memory)`` in a per-run move memo. A candidate
+edge costs an XOR and one int dict probe; a ``World`` is built only for
+a key seen for the first time, and ``StateGraph.ids`` (world → id) only
+when a caller asks for it. The graphs are exactly those of the
+semantics' ``successors`` (state order, edges, done/stuck/truncated),
+which ``tests/semantics/test_keyspace.py`` and the golden digests of
+``tests/semantics/test_graph_golden.py`` pin.
+
 Pure scheduler livelock (a cycle of switch edges with no thread
 progress) exists in every multi-threaded world under both semantics; it
 is not reported as divergence, so that ``silent_div`` marks *program*
@@ -39,7 +50,8 @@ from repro.lang import closure as _closure
 from repro.lang.messages import EventMsg
 from repro.obs import heap as _heap
 from repro.obs import status as _status
-from repro.semantics.engine import SW, GAbort
+from repro.semantics.engine import SW
+from repro.semantics.keyspace import KeySpace
 from repro.semantics.por import AmpleReducer, default_reduce
 
 #: States expanded between heartbeat clock checks. The heartbeat's own
@@ -99,11 +111,15 @@ class StateGraph:
     a prefix, not the full reachable set), with ``halted_sid`` the id of
     the world the observer halted at — the witness-capture machinery's
     entry point into the graph (:mod:`repro.semantics.witness`).
+
+    ``ids`` (world → id) is built on first use: the exploration loops
+    dedup by packed-int key (:mod:`repro.semantics.keyspace`) and
+    never need it.
     """
 
     def __init__(self):
         self.states = []
-        self.ids = {}
+        self._ids = {}
         self.edges = {}
         self.initial = []
         self.done = set()
@@ -112,20 +128,22 @@ class StateGraph:
         self.halted = False
         self.halted_sid = None
 
+    @property
+    def ids(self):
+        """``{world: sid}``, caught up with ``states`` on each access."""
+        ids = self._ids
+        states = self.states
+        for sid in range(len(ids), len(states)):
+            ids[states[sid]] = sid
+        return ids
+
     def state_count(self):
         return len(self.states)
 
     def add(self, world):
-        """Intern a world known to be absent; the single append path.
-
-        Both exploration loops go through this method (bound to a local
-        in the hot loops), so the id table and state list can never
-        drift apart between expansion sites.
-        """
-        sid = len(self.states)
+        """Append a world known to be absent; returns its id."""
         self.states.append(world)
-        self.ids[world] = sid
-        return sid
+        return len(self.states) - 1
 
     def intern(self, world):
         sid = self.ids.get(world)
@@ -271,23 +289,41 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     return graph
 
 
-def _explore_full(ctx, semantics, max_states, strict, observer):
-    """The classical BFS over every interleaving (no reduction)."""
-    graph = StateGraph()
-    queue = deque()
+def _keyed_roots(ctx, semantics, graph, ks):
+    """Add the initial worlds to ``graph``: ``(keys, kid)``, the key of
+    each state and the id of each key, for the loops to extend."""
+    keys = []
+    kid = {}
     for world in semantics.initial_worlds(ctx):
-        sid = graph.intern(world)
+        k = ks.key(world)
+        sid = kid.get(k)
+        if sid is None:
+            sid = kid[k] = len(graph.states)
+            graph.states.append(world)
+            keys.append(k)
         graph.initial.append(sid)
-        queue.append(sid)
+    return keys, kid
+
+
+def _explore_full(ctx, semantics, max_states, strict, observer):
+    """The classical BFS over every interleaving (no reduction), keyed.
+
+    Dedup is one int dict probe per candidate edge (``kid``: key →
+    sid); a ``World`` is built only for a key seen for the first time.
+    """
+    graph = StateGraph()
+    ks = KeySpace(ctx, semantics)
+    keys, kid = _keyed_roots(ctx, semantics, graph, ks)
+    states = graph.states
+    queue = deque(range(len(states)))
     frontier_hwm = len(queue)
 
     # Locals hoisted out of the loop: every line below runs once per
     # dequeued state or per candidate edge.
-    states = graph.states
-    ids = graph.ids
-    add = graph.add
     all_edges = graph.edges
-    successors = semantics.successors
+    entry_of = ks.entry
+    expand = ks.expand
+    world_for = ks.world_for
     track = obs.enabled
     hb = _status.writer
     # -1 sentinel decrements forever without hitting 0 when no writer
@@ -310,17 +346,18 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
             graph.halted = True
             graph.halted_sid = sid
             break
-        outs = successors(ctx, world)
+        k = keys[sid]
+        outs = expand(world, k, entry_of(world, k))
         if not outs:
             graph.stuck.add(sid)
             all_edges[sid] = []
             continue
         edges = []
-        for out in outs:
-            if isinstance(out, GAbort):
+        for label, _, nk, how in outs:
+            if nk is None:
                 edges.append((Behaviour.ABORT, ABORT_DST))
                 continue
-            dst = ids.get(out.world)
+            dst = kid.get(nk)
             if dst is None:
                 if len(states) >= max_states:
                     if strict:
@@ -329,9 +366,11 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
                         )
                     graph.truncated.add(sid)
                     continue
-                dst = add(out.world)
+                dst = kid[nk] = len(states)
+                states.append(world_for(world, how))
+                keys.append(nk)
                 queue.append(dst)
-            edges.append((out.label, dst))
+            edges.append((label, dst))
         all_edges[sid] = edges
     return graph, frontier_hwm
 
@@ -348,18 +387,20 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     "ignoring problem" (a thread spinning through private states would
     otherwise never yield to the others) and keeps ``silent_div``
     detection and behaviour extraction exact on the reduced graph.
+
+    Keyed like :func:`_explore_full`. The ample decision
+    (:meth:`~repro.semantics.por.AmpleReducer.decide`) is taken once per
+    move-memo entry (:class:`~repro.semantics.keyspace.KeySpace`).
     """
     graph = StateGraph()
     reducer = AmpleReducer()
-    for world in semantics.initial_worlds(ctx):
-        graph.initial.append(graph.intern(world))
-
+    ks = KeySpace(ctx, semantics, reducer)
+    keys, kid = _keyed_roots(ctx, semantics, graph, ks)
     states = graph.states
-    ids = graph.ids
-    add = graph.add
     all_edges = graph.edges
-    successors = semantics.successors
-    decide = reducer.decide
+    entry_of = ks.entry
+    expand = ks.expand
+    world_for = ks.world_for
 
     on_stack = set()
     # Stack entries: [sid, successor-iterator | None, sleep set the
@@ -409,18 +450,32 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 stack.pop()
                 continue
             on_stack.add(sid)
-            outs, results, ample = decide(ctx, world)
-            if observer is not None and observer(world, outs):
+            k = keys[sid]
+            cur = world.cur
+            # The ample decision steps the thread before the observer
+            # runs, except inside an atomic block, where it does not
+            # step and the observer sees no outcomes.
+            if world.bits[cur] == 0:
+                mentry = entry_of(world, k)
+                seen = mentry[0]
+            else:
+                mentry = None
+                seen = None
+            if observer is not None and observer(world, seen):
                 graph.halted = True
                 graph.halted_sid = sid
                 halted = True
                 break
+            if mentry is None:
+                mentry = entry_of(world, k)
             edges = []
             children = []
             child_sleep = _NO_SLEEP
+            ample = mentry[1]
             if ample:
-                for res in results:
-                    dst = ids.get(res.world)
+                for mv in mentry[2]:
+                    nk = k ^ mv[2]
+                    dst = kid.get(nk)
                     if dst is None:
                         if len(states) >= max_states:
                             if strict:
@@ -431,7 +486,9 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                                 )
                             graph.truncated.add(sid)
                             continue
-                        dst = add(res.world)
+                        dst = kid[nk] = len(states)
+                        states.append(world_for(world, mv))
+                        keys.append(nk)
                     elif dst in on_stack:
                         # Cycle proviso (C3): this reduction would close
                         # a cycle of reduced states — expand fully.
@@ -446,7 +503,6 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                     if pruned > 0:
                         reducer.ample_worlds += 1
                         reducer.steps_avoided += pruned
-                        cur = world.cur
                         child_sleep = frozenset(
                             t for t in live if t != cur
                         )
@@ -461,20 +517,18 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 reducer.full_expansions += 1
                 edges = []
                 children = []
-                outs_full = successors(
-                    ctx, world, outs, thread_results=results
-                )
-                if not outs_full:
+                outs = expand(world, k, mentry)
+                if not outs:
                     graph.stuck.add(sid)
                     all_edges[sid] = []
                     on_stack.discard(sid)
                     stack.pop()
                     continue
-                for out in outs_full:
-                    if isinstance(out, GAbort):
+                for label, _, nk, how in outs:
+                    if nk is None:
                         edges.append((Behaviour.ABORT, ABORT_DST))
                         continue
-                    dst = ids.get(out.world)
+                    dst = kid.get(nk)
                     if dst is None:
                         if len(states) >= max_states:
                             if strict:
@@ -485,8 +539,10 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                                 )
                             graph.truncated.add(sid)
                             continue
-                        dst = add(out.world)
-                    edges.append((out.label, dst))
+                        dst = kid[nk] = len(states)
+                        states.append(world_for(world, how))
+                        keys.append(nk)
+                    edges.append((label, dst))
                     children.append(dst)
             all_edges[sid] = edges
             entry[1] = iter(children)

@@ -1,0 +1,272 @@
+"""Packed-int world keys and the move memo behind both exploration loops.
+
+Deduplicating a successor used to mean building, hashing and interning
+a whole :class:`~repro.semantics.world.World` per candidate edge. Yet a
+world ``(T, t, 𝕕, σ)`` is a handful of per-thread states plus one shared
+memory, and an exploration meets few of each (the 3-thread lock counter
+has 20,868 worlds but 79 thread stacks and 105 memories). Each
+exploration run therefore owns a :class:`KeySpace`:
+
+* **Ids.** Every thread stack and every memory the run meets gets an
+  exact small-int id (dicts keyed by the structural value, so equal
+  stacks or memories share an id whatever path built them). Stack id 0
+  is reserved for "no thread": the key of a pool with ``n`` threads has
+  a non-zero field at position ``n - 1`` and zero fields above, so keys
+  of different thread counts never alias.
+* **Keys.** A world's key is one int. From the low bits up:
+
+  - ``cur`` in :data:`CUR_BITS` bits;
+  - the memory id in :data:`MEM_BITS` bits;
+  - one field per thread position ``t``, :data:`STACK_BITS` + 1 bits
+    wide, holding ``stack id << 1 | atomic bit``.
+
+  The key names the world exactly, so dedup is one int dict probe. An
+  id that does not fit its field raises :class:`OverflowError`; it never
+  wraps into a neighbouring field.
+* **Move memo.** A thread step depends only on ``(cur, stack, bit,
+  memory)`` — never on the other threads — except a spawn, whose new
+  thread's position and freelist depend on the pool size. The memo is
+  keyed by ``key & mask[cur]``, which keeps exactly those fields. An
+  entry holds the raw local outcomes (for the race observer), the POR
+  ample flag, whether Switch edges follow, and one move per global
+  step: its label, footprint, key XOR delta, the new stack, atomic bit
+  (``None`` when unchanged) and memory, the ``_tx`` delta
+  (:mod:`repro.semantics.world`) and, non-preemptively, the label of
+  the switches bundled with a sync point. A successor's key is then
+  ``k ^ delta`` and a Switch edge's ``k ^ cur ^ t``; a ``World`` is
+  built only when a key is new.
+
+Entries are filled by the engine's own expansion
+(:func:`~repro.semantics.engine.thread_expansion`), so the memo adds no
+second definition of stepping. A move that changes the thread count (a
+spawn) marks its entry *slow*: worlds matching it are expanded with the
+semantics' ``successors`` and their successors' keys computed from
+scratch. ``semantics.successors`` stays the reference definition, and
+``tests/semantics/test_keyspace.py`` holds every decoded expansion
+equal to it.
+"""
+
+from repro.semantics.engine import SW, GAbort, SyncPoint, thread_expansion
+from repro.semantics.nonpreemptive import NonPreemptiveSemantics
+
+#: Width of the ``cur`` field: at most ``2 ** CUR_BITS`` threads.
+CUR_BITS = 8
+#: Width of the memory-id field.
+MEM_BITS = 24
+#: Width of a stack id; each thread field is one bit wider (the atomic
+#: bit sits below the id).
+STACK_BITS = 24
+
+
+class KeySpace:
+    """One exploration run's ids, key layout and move memo.
+
+    The semantics selects which scheduling rule the expansion adds on
+    top of the thread moves: free Switch edges after the moves when the
+    current thread is outside an atomic block (preemptive), or switches
+    bundled with each sync point (non-preemptive). ``reducer`` (an
+    :class:`~repro.semantics.por.AmpleReducer`) turns on the ample
+    decision stored in each entry: the reducer's own ``decide``, taken
+    once per entry.
+    """
+
+    __slots__ = (
+        "ctx", "semantics", "preemptive", "reducer", "stacks", "mems",
+        "memo", "masks", "cur_bits", "mem_bits", "stack_bits", "low_bits",
+        "slot_bits",
+    )
+
+    def __init__(self, ctx, semantics, reducer=None):
+        self.ctx = ctx
+        self.semantics = semantics
+        self.preemptive = not isinstance(semantics, NonPreemptiveSemantics)
+        self.reducer = reducer
+        self.stacks = {}
+        self.mems = {}
+        self.memo = {}
+        self.masks = []
+        # Read per run, so a test can narrow the fields.
+        self.cur_bits = CUR_BITS
+        self.mem_bits = MEM_BITS
+        self.stack_bits = STACK_BITS
+        self.low_bits = CUR_BITS + MEM_BITS
+        self.slot_bits = STACK_BITS + 1
+
+    # -- ids and keys ------------------------------------------------
+
+    def stack_id(self, frames):
+        sid = self.stacks.get(frames)
+        if sid is None:
+            sid = len(self.stacks) + 1
+            if sid >> self.stack_bits:
+                raise OverflowError(
+                    "more than {} thread stacks in one exploration".format(
+                        (1 << self.stack_bits) - 1
+                    )
+                )
+            self.stacks[frames] = sid
+        return sid
+
+    def mem_id(self, mem):
+        mid = self.mems.get(mem)
+        if mid is None:
+            mid = len(self.mems)
+            if mid >> self.mem_bits:
+                raise OverflowError(
+                    "more than {} memories in one exploration".format(
+                        1 << self.mem_bits
+                    )
+                )
+            self.mems[mem] = mid
+        return mid
+
+    def shift(self, tid):
+        """Bit offset of thread ``tid``'s field."""
+        return self.low_bits + tid * self.slot_bits
+
+    def key(self, world):
+        """``world``'s key, computed from scratch."""
+        threads = world.threads
+        n = len(threads)
+        if n > 1 << self.cur_bits:
+            raise OverflowError(
+                "{} threads exceed the {}-bit thread field".format(
+                    n, self.cur_bits
+                )
+            )
+        masks = self.masks
+        while len(masks) < n:
+            t = len(masks)
+            masks.append(
+                (1 << self.low_bits) - 1
+                | ((1 << self.slot_bits) - 1) << self.shift(t)
+            )
+        k = world.cur | self.mem_id(world.mem) << self.cur_bits
+        for t, frames in enumerate(threads):
+            k |= (
+                self.stack_id(frames) << 1 | world.bits[t]
+            ) << self.shift(t)
+        return k
+
+    # -- the move memo -----------------------------------------------
+
+    def entry(self, world, k):
+        """The memo entry of ``world`` (key ``k``), filling it on a miss:
+        ``(outcomes, ample, moves, switches, slow)``."""
+        mkey = k & self.masks[world.cur]
+        entry = self.memo.get(mkey)
+        if entry is None:
+            entry = self.memo[mkey] = self._fill(world, k)
+        return entry
+
+    def _fill(self, world, k):
+        cur = world.cur
+        shift = self.shift(cur)
+        field = k >> shift & ((1 << self.slot_bits) - 1)
+        bit = field & 1
+        mid = k >> self.cur_bits & ((1 << self.mem_bits) - 1)
+        reducer = self.reducer
+        ample = False
+        if reducer is not None and bit == 0:
+            outs, results, ample = reducer.decide(self.ctx, world)
+        else:
+            outs, results = thread_expansion(self.ctx, world)
+        results = results or ()
+        n = len(world.threads)
+        tx = world._tx
+        preemptive = self.preemptive
+        # One move per global step: (label, fp, key delta, new stack,
+        # new bit or None, new memory, _tx delta, bundled-switch label
+        # or None). An abort is (None, GAbort, None, ...).
+        moves = []
+        for res in results:
+            if isinstance(res, GAbort):
+                moves.append((None, res, None, None, None, None, 0, None))
+                continue
+            nworld = res.world
+            if len(nworld.threads) != n:
+                return (outs, False, (), False, True)
+            stack = nworld.threads[cur]
+            nbit = nworld.bits[cur]
+            nmem = nworld.mem
+            nfield = self.stack_id(stack) << 1 | nbit
+            delta = (field ^ nfield) << shift ^ (
+                mid ^ self.mem_id(nmem)
+            ) << self.cur_bits
+            swlabel = None
+            if not preemptive and isinstance(res, SyncPoint):
+                swlabel = res.label if res.label else SW
+            moves.append((
+                res.label, res.fp, delta, stack,
+                None if nbit == bit else nbit, nmem, nworld._tx ^ tx,
+                swlabel,
+            ))
+        return (outs, ample, tuple(moves), preemptive and bit == 0, False)
+
+    # -- expansion ---------------------------------------------------
+
+    def expand(self, world, k, entry):
+        """The full successor list of ``world`` as ``(label, fp, key,
+        how)`` items, in ``semantics.successors`` order.
+
+        ``key`` is ``None`` for an abort (``fp`` then holds the
+        :class:`~repro.semantics.engine.GAbort`); otherwise ``how``
+        tells :meth:`world_for` how to build the successor should its
+        key be new.
+        """
+        if entry[4]:
+            out = []
+            for res in self.semantics.successors(self.ctx, world):
+                if isinstance(res, GAbort):
+                    out.append((None, res, None, None))
+                else:
+                    out.append((res.label, res.fp, self.key(res.world),
+                                res.world))
+            return out
+        cur = world.cur
+        others = None
+        out = []
+        append = out.append
+        for mv in entry[2]:
+            delta = mv[2]
+            if delta is None:
+                append((None, mv[1], None, None))
+                continue
+            nk = k ^ delta
+            swlabel = mv[7]
+            if swlabel is None:
+                append((mv[0], mv[1], nk, mv))
+                continue
+            # A non-preemptive sync point: the step staying on this
+            # thread (while it lives, or when it ends the program),
+            # then the step bundled with a switch to each other live
+            # thread.
+            if others is None:
+                others = [
+                    t for t, frames in enumerate(world.threads)
+                    if frames and t != cur
+                ]
+            if mv[3] or not others:
+                append((mv[0], mv[1], nk, mv))
+            nk ^= cur
+            for t in others:
+                append((swlabel, mv[1], nk ^ t, (mv, t)))
+        if entry[3]:
+            k ^= cur
+            for t, frames in enumerate(world.threads):
+                if frames and t != cur:
+                    append((SW, None, k ^ t, t))
+        return out
+
+    def world_for(self, world, how):
+        """The successor of ``world`` that an expansion item describes."""
+        if type(how) is int:
+            return world.with_current(how)
+        if type(how) is not tuple:
+            return how
+        if len(how) == 2:
+            mv, t = how
+            return world._with_move(mv[3], mv[4], mv[5], mv[6]).with_current(
+                t
+            )
+        return world._with_move(how[3], how[4], how[5], how[6])

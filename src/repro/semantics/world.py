@@ -20,12 +20,19 @@ world hash mixes ``_tx`` with ``(cur, bits, mem)`` (the memory's hash
 is cached in the memory). Both are *hash-consed* through bounded intern
 tables — the canonical constructors (:meth:`Frame.make`, every
 ``World``-producing method) return pointer-equal objects for equal
-states, so ``graph.ids`` lookups and dedup-set membership in the
-explorer short-circuit on identity. The world table is keyed by the
+states, so equal stacks and memories share one object and dict probes
+on them short-circuit on identity. The world table is keyed by the
 world's int hash, and a hit is accepted only after comparing all four
 components; on a hash collision the new world is returned un-interned.
 Direct ``Frame(...)``/``World(...)`` construction stays valid (tests use
 it): interning is an optimization, structural ``__eq__`` is the truth.
+
+The exploration loops do not dedup by ``World`` at all: they key each
+world by a packed int of per-thread stack ids, atomic bits, a memory id
+and ``cur`` (:mod:`repro.semantics.keyspace`), and build a world only
+for a key seen for the first time — through :meth:`World._with_move`
+(a memoised thread move: stack, bit, memory and ``_tx`` delta) or
+:meth:`World.with_current` (a switch), both interned as above.
 """
 
 from repro import obs
@@ -125,8 +132,11 @@ def reset_intern_tables():
     """Empty the frame/world intern tables.
 
     Interning is an optimization (structural ``__eq__`` is the truth),
-    so this is always safe. The parallel explorer calls it at the
-    start of every run: a previous stateless-decode run
+    so this is always safe, also between keyed explorations: their
+    stack and memory ids are per run and keyed by structural equality
+    (:mod:`repro.semantics.keyspace`), so no id outlives a clear or
+    depends on which object was canonical. The parallel explorer calls
+    it at the start of every run: a previous stateless-decode run
     (``REPRO_WIRE_STATELESS=1``) interns worlds whose memories were
     rebuilt with private base dicts, and a later channel run in the
     same process would otherwise inherit those canonical worlds and
@@ -313,6 +323,27 @@ class World:
             self.bits + (0,),
             self.mem,
             self._tx ^ _thread_code(len(threads), stack),
+        )
+
+    def _with_move(self, frames, bit, mem, txd):
+        """The world after a memoised move of the current thread.
+
+        Its stack becomes ``frames``, its atomic bit ``bit`` (``None``:
+        unchanged) and the memory ``mem``; ``txd`` is the move's
+        ``_tx`` delta, so no thread code is recomputed. Equal to the
+        ``_update`` the engine made when the move was first computed.
+        """
+        cur = self.cur
+        threads = self.threads
+        bits = self.bits
+        if bit is not None:
+            bits = bits[:cur] + (bit,) + bits[cur + 1:]
+        return _intern_world(
+            threads[:cur] + (frames,) + threads[cur + 1:],
+            cur,
+            bits,
+            mem,
+            self._tx ^ txd,
         )
 
     def _update(self, tid, frames, mem, bit, cur):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, make_parser
 
 CLIENT = """
 extern void lock();
@@ -49,6 +49,41 @@ def racy_file(tmp_path):
     path = tmp_path / "racy.c"
     path.write_text(RACY)
     return str(path)
+
+
+class TestParserMemo:
+    def test_one_tree_per_process(self):
+        assert make_parser() is make_parser()
+
+    def test_main_twice_with_different_commands(
+        self, seq_file, racy_file, capsys
+    ):
+        assert main(["run", seq_file]) == 0
+        assert "print:10" in capsys.readouterr().out.replace(" ", "")
+        assert main(["drf", racy_file, "--threads", "t1,t2"]) == 1
+        assert "DRF: False" in capsys.readouterr().out
+        assert main(["compile", seq_file]) == 0
+        assert "Cshmgen" in capsys.readouterr().out
+
+    def test_namespaces_are_independent(self, seq_file, racy_file):
+        parser = make_parser()
+        first = parser.parse_args(["drf", racy_file, "--threads", "t1,t2"])
+        second = parser.parse_args(["run", seq_file, "--max-states", "7"])
+        assert first is not second
+        assert first.command == "drf" and second.command == "run"
+        assert first.threads == "t1,t2" and second.threads == "main"
+        assert first.max_states == 400000 and second.max_states == 7
+        first.threads = "changed"
+        third = parser.parse_args(["drf", racy_file])
+        assert third.threads == "main"
+
+    def test_jobs_default_follows_env_on_every_call(
+        self, seq_file, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert make_parser().parse_args(["run", seq_file]).jobs == 3
+        monkeypatch.delenv("REPRO_JOBS")
+        assert make_parser().parse_args(["run", seq_file]).jobs == 1
 
 
 class TestCompile:
