@@ -378,8 +378,8 @@ def main():
     repo_root = os.path.abspath(
         os.path.join(os.path.dirname(__file__), "..")
     )
-    # Scaling first, from the cleanest process state (same reasoning
-    # as bench_pr8: forked workers inherit the whole live heap).
+    # Scaling first, from the cleanest process state: forked workers
+    # inherit the whole live heap.
     scaling = [
         _bench_workload(n, red)
         for n in THREAD_COUNTS

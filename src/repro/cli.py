@@ -56,11 +56,7 @@ footprint-directed partial-order reduction (default: the ``REPRO_POR``
 environment setting, on unless set to ``0``), ``--jobs N`` to
 shard the exploration across ``N`` forked worker processes (default:
 the ``REPRO_JOBS`` environment setting, 1 = sequential; see
-:mod:`repro.semantics.parallel`), and
-``--closure-compile/--no-closure-compile`` to control closure
-compilation of the step interpreters (default: the ``REPRO_CLOSURE``
-environment setting, on unless set to ``0``; see
-:mod:`repro.lang.closure`).
+:mod:`repro.semantics.parallel`).
 
 Exit codes are uniform across commands: **0** — success (program is
 DRF, behaviours printed, validation passed, replay reproduced);
@@ -81,7 +77,6 @@ import sys
 
 from repro import obs
 from repro.common.serialize import ENV_STATELESS
-from repro.lang import closure
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
@@ -198,7 +193,6 @@ def _note_run_config(args, result, entries):
         name
         for name, on in (
             ("por", bool(por)),
-            ("closure", closure.enabled()),
             ("stateless-wire", bool(os.environ.get(ENV_STATELESS))),
             ("heap-profile", heap.enabled()),
         )
@@ -210,7 +204,6 @@ def _note_run_config(args, result, entries):
         lock=bool(args.lock),
         optimize=bool(args.optimize),
         por=bool(por),
-        closure_compile=closure.enabled(),
         jobs=getattr(args, "jobs", 1),
         max_states=getattr(args, "max_states", None),
         max_atomic_steps=getattr(args, "max_atomic_steps", None),
@@ -625,15 +618,6 @@ def _parser_tree():
             "setting, on unless set to 0)",
         )
 
-    def closure_flag(p):
-        p.add_argument(
-            "--closure-compile",
-            action=argparse.BooleanOptionalAction, default=None,
-            help="closure-compile the step interpreters before "
-            "exploring (default: REPRO_CLOSURE env setting, on "
-            "unless set to 0)",
-        )
-
     def jobs_flag(p):
         jobs_actions.append(p.add_argument(
             "-j", "--jobs", type=int, default=1,
@@ -647,7 +631,6 @@ def _parser_tree():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument(
         "--threads", default="main",
@@ -669,7 +652,6 @@ def _parser_tree():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument("--threads", default="main")
     p.add_argument("--max-states", type=int, default=400000)
@@ -695,7 +677,6 @@ def _parser_tree():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument("--threads", default="main")
     p.add_argument("--max-states", type=int, default=400000)
@@ -922,10 +903,6 @@ def main(argv=None):
     show_summary = getattr(args, "metrics", False) or os.environ.get(
         obs.ENV_METRICS, ""
     ).strip().lower() in ("1", "true", "yes", "on")
-    # --closure-compile/--no-closure-compile layers on REPRO_CLOSURE
-    # the same way --por layers on REPRO_POR: an explicit flag wins,
-    # an omitted one defers to the environment.
-    closure.set_enabled(getattr(args, "closure_compile", None))
     code = 2
     try:
         result = args.func(args)

@@ -1,108 +1,58 @@
-"""Closure compilation of the step interpreters (staging).
+"""The step-outcome memo in front of the step interpreters.
 
-Exploration spends its life inside ``lang.step``: every call walks the
-same immutable AST/IR nodes through an ``isinstance`` ladder,
-re-destructures their fields, and re-resolves operator tables and
-symbol addresses. The step relation of Fig. 4 is a *per-module,
-per-node* function, so all of that work can be done **once per
-module**: at staging time each language compiles its nodes into nested
-closures with the dispatch, the operator lookups, the flattened branch
-continuations and — where the accessed locations are static — the
-footprints already resolved. The hot loop then runs a chain of direct
-calls.
+Each language's ``step`` is the paper's module-local small-step
+relation (Fig. 4), and the only definition of stepping there is.
+Exploration calls it for the same thread-local configuration many
+times over: every world that reaches the same ``(core, mem, flist)``
+of a module asks for the same outcome list. ``step`` is pure (the
+:class:`~repro.lang.interface.ModuleLanguage` contract), so this module
+keeps one bounded memo per ``(language, module)`` and answers repeats
+from it:
 
-This module is the language-independent half of that machinery:
-
-* :func:`enabled` — the ``REPRO_CLOSURE`` gate (``0``/``false``/...
-  falls back to the interpretive path; the CLI's
-  ``--no-closure-compile`` sets the override).
-* :func:`stage` — the compile cache, keyed on ``(language, module)``
-  identity. Each entry is a :class:`StagedModule` holding the compiled
-  step function plus a bounded memo of step outcomes: ``step`` is pure
-  (the :class:`~repro.lang.interface.ModuleLanguage` contract), so the
-  outcome list for ``(core, mem, flist)`` can be shared between every
-  world that reaches the same thread-local configuration.
+* :func:`stage` — the per-``(language, module)`` :class:`StagedModule`.
 * :func:`step_outcomes` — the drop-in the exploration layers call
-  instead of ``decl.lang.step``; routes through the staged artifact
-  when compilation is on and the interpreter when it is off.
-* :func:`prime` — compiles every module of a context up front so the
-  cost lands in its own obs span/phase instead of the first expansion.
+  instead of ``decl.lang.step``.
+* :func:`prime` — stages every module of a context up front.
 
-Languages opt in by overriding
-:meth:`~repro.lang.interface.ModuleLanguage.stage_module` to return a
-``(step, nodes_compiled)`` pair; the default ``None`` keeps the
-interpreter (counted in ``closure.fallbacks``). Compiled cores, konts
-and frames are **unchanged** — closures live in side tables keyed by
-node, never inside the state, so hashing, interning, pickling and the
-cross-shard wire format are untouched.
-
-Counters: ``closure.modules_staged``, ``closure.nodes_compiled``,
-``closure.compile_seconds``, ``closure.fallbacks``,
-``closure.memo_hits``, ``closure.memo_misses``.
+Counters: ``closure.modules_staged``, ``closure.memo_hits``,
+``closure.memo_misses``.
 """
 
-import os
-from time import perf_counter
-
 from repro import obs
-
-#: Environment switch: unset or truthy → compile; ``0``/``false``/
-#: ``off``/``no``/empty → interpretive path end-to-end.
-ENV_CLOSURE = "REPRO_CLOSURE"
-
-_OFF_VALUES = frozenset({"0", "false", "off", "no", ""})
-
-#: CLI override (``--no-closure-compile``): ``None`` defers to the
-#: environment, a bool wins outright.
-_override = None
 
 #: Step-outcome memo bound per staged module; outcome lists are small,
 #: so this caps worst-case growth around a few hundred MB before the
 #: table self-clears (same policy as the intern tables).
 MEMO_MAX = 1 << 20
 
-#: Compile-cache bound: entries hold strong references to language and
+#: Stage-cache bound: entries hold strong references to language and
 #: module, so long test sessions staging thousands of throwaway
-#: modules must not accumulate them forever. Recompiles are cheap.
+#: modules must not accumulate them forever.
 CACHE_MAX = 512
 
 
-def set_enabled(value):
-    """Override the env gate (CLI); ``None`` restores env control."""
-    global _override
-    _override = value
+def enabled():
+    """Always True: the memo is the only stepping path.
 
-
-def enabled(environ=None):
-    """True iff the staged path should be used."""
-    if _override is not None:
-        return _override
-    env = os.environ if environ is None else environ
-    value = env.get(ENV_CLOSURE)
-    if value is None:
-        return True
-    return value.strip().lower() not in _OFF_VALUES
+    Kept because benchmark workers record it in their run config.
+    """
+    return True
 
 
 class StagedModule:
-    """One module's compiled artifact + step-outcome memo.
+    """One module's step-outcome memo.
 
-    ``step(core, mem, flist)`` closes over the module; ``compiled`` is
-    False when the language kept the interpreter. The memo is sound
-    because ``step`` is pure and total in ``(core, mem, flist)``; the
-    returned lists are shared, so callers must not mutate them (none
-    do — the engine, POR and the race predictor only read).
+    The memo is sound because ``lang.step`` is pure and total in
+    ``(core, mem, flist)``; the returned lists are shared, so callers
+    must not mutate them (none do — the engine, POR and the race
+    predictor only read).
     """
 
-    __slots__ = ("lang", "module", "step", "compiled", "nodes_compiled",
-                 "memo")
+    __slots__ = ("lang", "module", "memo")
 
-    def __init__(self, lang, module, step, compiled, nodes_compiled):
+    def __init__(self, lang, module):
         self.lang = lang
         self.module = module
-        self.step = step
-        self.compiled = compiled
-        self.nodes_compiled = nodes_compiled
         self.memo = {}
 
     def outcomes(self, core, mem, flist):
@@ -110,7 +60,7 @@ class StagedModule:
         key = (core, mem, flist)
         outs = memo.get(key)
         if outs is None:
-            outs = self.step(core, mem, flist)
+            outs = self.lang.step(self.module, core, mem, flist)
             if len(memo) >= MEMO_MAX:
                 memo.clear()
             memo[key] = outs
@@ -121,77 +71,40 @@ class StagedModule:
         return outs
 
 
-#: The process-wide compile cache: ``(id(lang), id(module)) →
+#: The process-wide stage cache: ``(id(lang), id(module)) →
 #: StagedModule``. Keying on the *language instance* too keeps x86-SC
-#: and x86-TSO artifacts apart when they stage the same module (the
-#: TSO subclass overrides the memory hooks the closures bind). Strong
-#: references inside StagedModule keep the ids stable for the life of
-#: each entry.
+#: and x86-TSO outcomes apart when they step the same module (the TSO
+#: subclass overrides the memory hooks). Strong references inside
+#: StagedModule keep the ids stable for the life of each entry.
 _cache = {}
 
 
-def _interp_step(lang, module):
-    def step(core, mem, flist):
-        return lang.step(module, core, mem, flist)
-    return step
-
-
 def stage(lang, module):
-    """Compile (or fetch the cached artifact for) one module."""
+    """The memo for one module, created on first use."""
     key = (id(lang), id(module))
     staged = _cache.get(key)
-    if staged is not None:
-        return staged
-    start = perf_counter()
-    # getattr: test doubles duck-type ModuleLanguage without
-    # subclassing it; no hook means no compiler.
-    hook = getattr(lang, "stage_module", None)
-    artifact = hook(module) if hook is not None else None
-    elapsed = perf_counter() - start
-    if artifact is None:
-        staged = StagedModule(lang, module, _interp_step(lang, module),
-                              False, 0)
-    else:
-        step, nodes = artifact
-        staged = StagedModule(lang, module, step, True, nodes)
-    if len(_cache) >= CACHE_MAX:
-        _cache.clear()
-    _cache[key] = staged
-    if obs.enabled:
-        obs.inc("closure.modules_staged")
-        obs.inc("closure.compile_seconds", elapsed)
-        if staged.compiled:
-            obs.inc("closure.nodes_compiled", staged.nodes_compiled)
-        else:
-            obs.inc("closure.fallbacks")
+    if staged is None:
+        staged = StagedModule(lang, module)
+        if len(_cache) >= CACHE_MAX:
+            _cache.clear()
+        _cache[key] = staged
+        if obs.enabled:
+            obs.inc("closure.modules_staged")
     return staged
 
 
 def clear_cache():
-    """Drop every staged artifact (tests; never required for soundness)."""
+    """Drop every memo (tests; never required for soundness)."""
     _cache.clear()
 
 
 def step_outcomes(decl, core, mem, flist):
-    """All outcomes of one local step of ``decl``'s language.
-
-    The staged, memoized equivalent of ``decl.lang.step(decl.code,
-    core, mem, flist)`` — and exactly that call when compilation is
-    disabled.
-    """
-    if not enabled():
-        return decl.lang.step(decl.code, core, mem, flist)
+    """All outcomes of one local step of ``decl``'s language: the
+    memoized ``decl.lang.step(decl.code, core, mem, flist)``."""
     return stage(decl.lang, decl.code).outcomes(core, mem, flist)
 
 
 def prime(ctx):
-    """Stage every module of ``ctx`` (a GlobalContext) up front.
-
-    No-op when compilation is off. Exploration calls this inside its
-    own ``closure_compile`` span so compile time is attributed as a
-    phase of its own rather than booked against expansion.
-    """
-    if not enabled():
-        return
+    """Stage every module of ``ctx`` (a GlobalContext) up front."""
     for decl in ctx.modules:
         stage(decl.lang, decl.code)

@@ -12,6 +12,10 @@ the well-definedness checker:
   freelist allocation indices, TSO store buffers.
 * **``step`` is pure.** It returns every outcome of one transition from
   ``(core, mem)`` under freelist ``flist``; it never mutates its inputs.
+  ``step`` is the only definition of a local step: exploration calls it
+  through the step-outcome memo of :mod:`repro.lang.closure`, which
+  relies on this purity to share one outcome list between every world
+  that reaches the same ``(core, mem, flist)``.
 * **Footprints are honest.** Every memory read appears in ``fp.rs`` and
   every write/allocation in ``fp.ws`` — the well-definedness checker
   (Def. 1) verifies this extensionally by perturbing memory outside the
@@ -57,20 +61,6 @@ class ModuleLanguage(ABC):
         if functions is None:
             return None
         return functions.keys()
-
-    def stage_module(self, module):
-        """Closure-compile ``module``'s step relation (staging hook).
-
-        Returns ``(step, nodes_compiled)`` where ``step(core, mem,
-        flist)`` behaves exactly like :meth:`step` with ``module``
-        bound — same outcome lists, same footprints, same aborts — or
-        ``None`` to keep the interpreter. The default keeps the
-        interpreter; see :mod:`repro.lang.closure` for the cache, the
-        ``REPRO_CLOSURE`` gate and the soundness contract (compiled
-        closures live in side tables keyed by node, never inside
-        cores, so state hashing/pickling is unaffected).
-        """
-        return None
 
     def after_external(self, core, retval):
         """Resume a core that emitted ``CallMsg`` with the callee's result.

@@ -281,12 +281,6 @@ class CImpLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        # Lazy: the compiler imports cores/markers from this module.
-        from repro.langs.cimp import compile as ccompile
-
-        return ccompile.stage_module(self, module)
-
 
 #: Shared language instance (the class is stateless).
 CIMP = CImpLang()

@@ -480,13 +480,5 @@ class CshmLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        # Lazy: the compiler imports this module's nodes and cores.
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_stmt_module(
-            self, module, CshmCore, EAddrLocal
-        )
-
 
 CSHARPMINOR = CshmLang()

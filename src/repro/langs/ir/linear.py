@@ -441,10 +441,5 @@ class LinearLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_linear_module(self, module)
-
 
 LINEAR = LinearLang()

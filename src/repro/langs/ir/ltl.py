@@ -475,10 +475,5 @@ class LTLLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_ltl_module(self, module)
-
 
 LTL = LTLLang()

@@ -458,13 +458,5 @@ class X86SCLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        # Lazy: the compiler imports this module's helpers. The TSO
-        # subclass inherits the hook; the compiled closures bind the
-        # instance's memory hooks, so its overrides stay in force.
-        from repro.langs.x86 import compile as xcompile
-
-        return xcompile.stage_x86_module(self, module)
-
 
 X86SC = X86SCLang()

@@ -2,7 +2,7 @@
 
 ``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) makes every ``repro``
 command write one ``run.json`` manifest on exit: the fully *resolved*
-configuration (POR/closure/jobs/wire gates — what actually ran, not
+configuration (POR/jobs/wire gates — what actually ran, not
 what was typed), the hash seed, a content hash of the input program
 plus the pass pipeline, per-phase wall times, the final metrics
 snapshot, the behaviour fingerprint, the verdict and the exit status.

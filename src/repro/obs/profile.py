@@ -14,10 +14,10 @@ run leaves behind —
 and renders four sections:
 
 1. **Per-shard phase breakdown** — for every worker, the wall-clock
-   split into compile / expand / encode / decode / idle (from the
+   split into expand / encode / decode / idle (from the
    ``parallel.worker.phases`` event each worker appends to its own
    trace), with a coverage column showing how much of the worker's
-   wall the five phases explain, plus the coordinator's merge cost.
+   wall the four phases explain, plus the coordinator's merge cost.
 2. **Top spans by self-time** — span durations minus their children's,
    aggregated by name across all trace files, so inclusive parents
    (``explore``, ``race.find``) don't drown the leaves that actually
@@ -57,10 +57,10 @@ _RAMP = ("·", "░", "▒", "▓", "█")
 #: Buckets in a utilization bar.
 _TIMELINE_WIDTH = 48
 
-#: The worker-side phases, in display order. ``compile`` is the
-#: up-front closure compilation of every module (see
-#: :mod:`repro.lang.closure`); old traces without it read as zero.
-_PHASES = ("compile", "expand", "encode", "decode", "idle")
+#: The worker-side phases, in display order. Other ``*_seconds``
+#: keys of a phase event (an old trace's ``compile_seconds``) are
+#: ignored.
+_PHASES = ("expand", "encode", "decode", "idle")
 
 
 def worker_trace_paths(trace_path):

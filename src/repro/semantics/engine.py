@@ -26,7 +26,7 @@ from repro.lang.messages import (
     SpawnMsg,
     is_silent,
 )
-from repro.lang.steps import Step, StepAbort
+from repro.lang.steps import StepAbort
 from repro.semantics.world import Frame
 
 #: Context-switch label.
@@ -103,55 +103,15 @@ class SyncPoint:
         self.world = world
 
 
-#: Successor-template entry kinds (see ``_build_template``). Small
-#: ints, matched with ``==`` in the assembly loop.
-_T_TAU = 0
-_T_ENT = 1
-_T_EXT = 2
-_T_EVENT = 3
-_T_RET = 4
-_T_CALL = 5
-_T_SPAWN = 6
-_T_ABORT = 7
-
-#: Bound on each context's (frame, mem) → template table; cleared and
-#: rebuilt on overflow, like the intern tables.
-TEMPLATE_MAX = 1 << 19
-
-
-def thread_successors(ctx, world, outcomes=None):
+def thread_successors(ctx, world):
     """Execute one step of the current thread; no scheduling decisions.
 
     Returns a list of :class:`GStep` / :class:`GAbort` /
     :class:`SyncPoint`. SyncPoints are steps at which the non-preemptive
     semantics switches; the preemptive semantics converts them to plain
     GSteps (it has its own free Switch rule instead).
-
-    ``outcomes`` lets a caller that already ran the local step function
-    for this world (the POR ample decision) pass the raw outcome list
-    in, so full expansions after a refused reduction don't step twice.
     """
-    if outcomes is None:
-        return thread_expansion(ctx, world)[1] or []
-    frame = world.top_frame()
-    if frame is None:
-        return []
-    decl = ctx.module(frame.mod_idx)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, StepAbort):
-            results.append(GAbort(outcome.reason))
-            continue
-        results.append(_process_step(ctx, world, frame, decl, outcome))
-    if obs.enabled:
-        # One flag test on the disabled path; detailed edge-kind
-        # accounting happens post-hoc in the explorer.
-        obs.inc("engine.expansions")
-        obs.inc("engine.outcomes", len(results))
-        for r in results:
-            if isinstance(r, GAbort):
-                obs.inc("engine.aborts")
-    return results
+    return thread_expansion(ctx, world)[1] or []
 
 
 def thread_expansion(ctx, world):
@@ -160,181 +120,33 @@ def thread_expansion(ctx, world):
     The one-call expansion both exploration drivers use. Returns
     ``(None, None)`` when the current thread has terminated.
 
-    With closure compilation on, the local step goes through the
-    staged module (:mod:`repro.lang.closure`) and the message
-    processing through a **successor template** cached per
-    ``(frame, mem)`` on the context: everything world-independent —
-    the stepped frame, the successor memory, footprints, ent/ext
-    purity validation — is computed once, and per-world assembly only
-    splices in what actually depends on the world (atomic-bit checks,
-    freelists, stack pops, thread creation). Both caches key on
-    immutable interned values, so equal states hit regardless of the
-    path that produced them.
+    The local step is the language's interpreter behind the
+    step-outcome memo (:mod:`repro.lang.closure`); each outcome's
+    message is then processed by :func:`_process_step` against this
+    world.
     """
     frame = world.top_frame()
     if frame is None:
         return None, None
-    if ctx.staging:
-        cache = ctx.succ_templates
-        key = (frame, world.mem)
-        entry = cache.get(key)
-        if entry is None:
-            decl = ctx.module(frame.mod_idx)
-            outcomes = _closure.step_outcomes(
-                decl, frame.core, world.mem, frame.flist
-            )
-            entry = (outcomes, _build_template(frame, world.mem, outcomes))
-            if len(cache) >= TEMPLATE_MAX:
-                cache.clear()
-            cache[key] = entry
-        outcomes, template = entry
-        # Fast path: the overwhelmingly common deterministic silent
-        # step (one τ entry) skips the assembly loop.
-        if len(template) == 1 and template[0][0] == _T_TAU:
-            e = template[0]
-            results = [
-                GStep(None, e[1], world.replace_top(e[2], mem=e[3]))
-            ]
+    decl = ctx.module(frame.mod_idx)
+    outcomes = _closure.step_outcomes(
+        decl, frame.core, world.mem, frame.flist
+    )
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, StepAbort):
+            results.append(GAbort(outcome.reason))
         else:
-            results = _assemble(ctx, world, template)
-    else:
-        decl = ctx.module(frame.mod_idx)
-        outcomes = decl.lang.step(
-            decl.code, frame.core, world.mem, frame.flist
-        )
-        results = []
-        for outcome in outcomes:
-            if isinstance(outcome, StepAbort):
-                results.append(GAbort(outcome.reason))
-            else:
-                results.append(
-                    _process_step(ctx, world, frame, decl, outcome)
-                )
+            results.append(_process_step(ctx, world, frame, decl, outcome))
     if obs.enabled:
+        # One flag test on the disabled path; detailed edge-kind
+        # accounting happens post-hoc in the explorer.
         obs.inc("engine.expansions")
         obs.inc("engine.outcomes", len(results))
         for r in results:
             if isinstance(r, GAbort):
                 obs.inc("engine.aborts")
     return outcomes, results
-
-
-def _build_template(frame, mem, outcomes):
-    """Precompile one step's outcomes into world-independent entries.
-
-    Each entry is a small tuple headed by a ``_T_*`` kind; the
-    world-dependent residue (bit checks, freelist allocation, caller
-    resumption) is left to :func:`_assemble`, which replicates
-    :func:`_process_step` exactly. Purity violations of the atomic
-    boundary messages are world-independent, so they surface here — at
-    the same expansion that would have raised interpretively.
-    """
-    entries = []
-    for step in outcomes:
-        if isinstance(step, StepAbort):
-            entries.append((_T_ABORT, step.reason))
-            continue
-        msg = step.msg
-        nframe = frame.with_core(step.core)
-        if is_silent(msg):
-            entries.append((_T_TAU, step.fp, nframe, step.mem))
-        elif msg is ENT_ATOM:
-            if not step.fp.is_empty() or step.mem != mem:
-                raise SemanticsError("EntAtom must be pure (Fig. 7 EntAt)")
-            entries.append((_T_ENT, step.fp, nframe))
-        elif msg is EXT_ATOM:
-            if not step.fp.is_empty() or step.mem != mem:
-                raise SemanticsError("ExtAtom must be pure (Fig. 7 ExtAt)")
-            entries.append((_T_EXT, step.fp, nframe))
-        elif isinstance(msg, EventMsg):
-            entries.append((_T_EVENT, msg, step.fp, nframe, step.mem))
-        elif isinstance(msg, RetMsg):
-            entries.append((_T_RET, step.fp, nframe, step.mem, msg.value))
-        elif isinstance(msg, CallMsg):
-            entries.append(
-                (_T_CALL, step.fp, nframe, step.mem, msg.fname, msg.args)
-            )
-        elif isinstance(msg, SpawnMsg):
-            entries.append((_T_SPAWN, step.fp, nframe, step.mem, msg.fname))
-        else:
-            raise SemanticsError("unknown message {!r}".format(msg))
-    return entries
-
-
-def _assemble(ctx, world, template):
-    """Instantiate a successor template at one world."""
-    results = []
-    append = results.append
-    cur = world.cur
-    for entry in template:
-        kind = entry[0]
-        if kind == _T_TAU:
-            append(GStep(
-                None, entry[1], world.replace_top(entry[2], mem=entry[3])
-            ))
-        elif kind == _T_RET:
-            _, fp, nframe, nmem, value = entry
-            popped = world.replace_top(nframe, mem=nmem).pop_frame()
-            if popped.threads[cur]:
-                caller = popped.top_frame()
-                rcache = ctx.resume_cache
-                rkey = (caller, value)
-                resumed = rcache.get(rkey)
-                if resumed is None:
-                    caller_decl = ctx.module(caller.mod_idx)
-                    resumed = caller.with_core(
-                        caller_decl.lang.after_external(caller.core, value)
-                    )
-                    rcache[rkey] = resumed
-                append(GStep(None, fp, popped.replace_top(resumed)))
-            else:
-                append(SyncPoint("term", None, fp, popped))
-        elif kind == _T_CALL:
-            _, fp, nframe, nmem, fname, args = entry
-            resolved = ctx.resolve(fname, args)
-            if resolved is None:
-                append(GAbort("unresolved external {!r}".format(fname)))
-            else:
-                mod_idx, core = resolved
-                callee = Frame.make(mod_idx, ctx.next_flist(world), core)
-                append(GStep(
-                    None, fp,
-                    world.replace_top(nframe, mem=nmem).push_frame(callee),
-                ))
-        elif kind == _T_EVENT:
-            _, msg, fp, nframe, nmem = entry
-            append(SyncPoint(
-                "event", msg, fp, world.replace_top(nframe, mem=nmem)
-            ))
-        elif kind == _T_ENT:
-            if world.bits[cur] != 0:
-                raise SemanticsError("nested atomic block")
-            append(SyncPoint(
-                "ent", None, entry[1],
-                world.replace_top(entry[2], bit=1),
-            ))
-        elif kind == _T_EXT:
-            if world.bits[cur] != 1:
-                raise SemanticsError("ExtAtom outside an atomic block")
-            append(SyncPoint(
-                "ext", None, entry[1],
-                world.replace_top(entry[2], bit=0),
-            ))
-        elif kind == _T_SPAWN:
-            _, fp, nframe, nmem, fname = entry
-            resolved = ctx.resolve(fname, ())
-            if resolved is None:
-                append(GAbort("spawn of unresolved {!r}".format(fname)))
-            else:
-                mod_idx, core = resolved
-                child = Frame.make(mod_idx, ctx.spawn_flist(world), core)
-                append(SyncPoint(
-                    "spawn", None, fp,
-                    world.replace_top(nframe, mem=nmem).add_thread(child),
-                ))
-        else:  # _T_ABORT
-            append(GAbort(entry[1]))
-    return results
 
 
 def _process_step(ctx, world, frame, decl, step):

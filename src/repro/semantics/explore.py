@@ -213,12 +213,7 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
             por=use_por,
             budget=max_states,
         )
-    ctx.staging = _closure.enabled()
-    if ctx.staging:
-        # Stage every module up front, in its own span: compile time is
-        # a phase of its own, never booked against expansion.
-        with obs.span("closure_compile"):
-            _closure.prime(ctx)
+    _closure.prime(ctx)
     with obs.span(
         "explore",
         semantics=type(semantics).__name__,

@@ -37,8 +37,11 @@ exploration run therefore owns a :class:`KeySpace`:
   built only when a key is new.
 
 Entries are filled by the engine's own expansion
-(:func:`~repro.semantics.engine.thread_expansion`), so the memo adds no
-second definition of stepping. A move that changes the thread count (a
+(:func:`~repro.semantics.engine.thread_expansion`): the language's
+step interpreter behind the step-outcome memo of
+:mod:`repro.lang.closure`, then the engine's message processing. The
+memo therefore adds no second definition of stepping; the interpreters
+stay the only one. A move that changes the thread count (a
 spawn) marks its entry *slow*: worlds matching it are expanded with the
 semantics' ``successors`` and their successors' keys computed from
 scratch. ``semantics.successors`` stays the reference definition, and

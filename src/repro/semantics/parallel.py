@@ -130,7 +130,6 @@ from repro.semantics.explore import (
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.por import AmpleReducer
 from repro.semantics.race import RaceWitness, _RaceChecker
-from repro.lang import closure
 from repro.semantics.world import reset_intern_tables
 
 #: Environment variable the CLI's ``--jobs`` defaults from.
@@ -272,16 +271,6 @@ class _Worker:
         self.expand_seconds = 0.0
         self.encode_seconds = 0.0
         self.decode_seconds = 0.0
-        # Stage every module before the first expansion, so closure
-        # compilation shows up as its own phase instead of being
-        # booked against the first expand tick of each shard (no-op
-        # when compilation is off). Refresh the hoisted gate first —
-        # the context was built in the parent, possibly before the
-        # CLI override or env var was in force.
-        ctx.staging = closure.enabled()
-        t0 = time.monotonic()
-        closure.prime(ctx)
-        self.compile_seconds = time.monotonic() - t0
         self.bytes_out = 0
         self.bytes_in = 0
         self.rec_bytes = 0
@@ -626,7 +615,7 @@ class _Worker:
                 continue
             self.reducer.full_expansions += 1
             outs_full = self.successors(
-                self.ctx, world, outs, thread_results=results
+                self.ctx, world, thread_results=results
             )
             if not outs_full:
                 self.record(world, _STUCK, ())
@@ -663,7 +652,6 @@ class _Worker:
             "cross_worlds": self.cross_worlds,
             "batches": self.batches_out,
             "idle_seconds": round(self.idle_seconds, 6),
-            "compile_seconds": round(self.compile_seconds, 6),
             "expand_seconds": round(self.expand_seconds, 6),
             "encode_seconds": round(self.encode_seconds, 6),
             "decode_seconds": round(self.decode_seconds, 6),
@@ -706,9 +694,6 @@ class _Worker:
             obs.inc("parallel.wire.{}".format(key), value)
         obs.observe("parallel.worker.wall_seconds", wall_seconds)
         obs.observe(
-            "parallel.worker.compile_seconds", self.compile_seconds
-        )
-        obs.observe(
             "parallel.worker.expand_seconds", self.expand_seconds
         )
         obs.observe(
@@ -742,7 +727,6 @@ class _Worker:
         """The per-shard phase/wire numbers, for the trace event the
         profiler's phase-breakdown table is built from."""
         out = {
-            "compile_seconds": round(self.compile_seconds, 6),
             "expand_seconds": round(self.expand_seconds, 6),
             "encode_seconds": round(self.encode_seconds, 6),
             "decode_seconds": round(self.decode_seconds, 6),

@@ -382,6 +382,10 @@ class GlobalContext:
     a language cannot enumerate its entries
     (:meth:`~repro.lang.interface.ModuleLanguage.entry_names` returns
     ``None``), resolution falls back to probing, memoized per name.
+
+    A context carries no stepping caches: step outcomes are memoized per
+    ``(language, module)`` in :mod:`repro.lang.closure`, and thread
+    moves per exploration run in :mod:`repro.semantics.keyspace`.
     """
 
     def __init__(self, program):
@@ -394,19 +398,6 @@ class GlobalContext:
         # every call site; sharing also makes the interned callee
         # frames pointer-equal.
         self._core_cache = {}
-        # Engine-side staging caches (see semantics.engine): successor
-        # templates keyed (frame, mem) and external-return resumptions
-        # keyed (caller_frame, retval). Per-context, not global —
-        # ``Frame.mod_idx`` is program-relative, so templates must
-        # never leak between programs.
-        self.succ_templates = {}
-        self.resume_cache = {}
-        # Hoisted REPRO_CLOSURE gate: one env read per context instead
-        # of one per expansion. explore() refreshes it per run, so
-        # toggling the env between runs over a shared context works.
-        from repro.lang import closure as _closure
-
-        self.staging = _closure.enabled()
 
     def _build_resolve_table(self):
         table = {}

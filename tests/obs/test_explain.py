@@ -167,7 +167,7 @@ class TestSniffAndInspect:
             "content_hash": "abc123", "fingerprint": "feedbeef",
             "states": 5028, "states_per_second": 1778.9,
             "config": {"por": True, "jobs": 2},
-            "phases": {"explore": 1.2, "closure_compile": 0.1},
+            "phases": {"explore": 1.2, "compile": 0.1},
         }))
         assert sniff_artifact(str(path)) == "run-manifest"
         text = inspect_path(str(path))

@@ -100,6 +100,21 @@ def test_phase_rows_and_coverage(synthetic):
     assert totals["idle"] == pytest.approx(1.0)
 
 
+def test_old_compile_seconds_is_ignored(synthetic):
+    """Traces written while modules were compiled up front carry a
+    ``compile_seconds`` phase; it is neither a column nor an error."""
+    path = str(synthetic) + ".w0"
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle]
+    records[-1]["attrs"]["compile_seconds"] = 0.3
+    _write_jsonl(path, records)
+    profile = prof.load_profile(str(synthetic))
+    rows, _totals = prof.phase_rows(profile)
+    assert "compile" not in rows[0]
+    assert rows[0]["coverage"] == pytest.approx(1.0)
+    assert "Compile" not in prof.render_profile(profile)
+
+
 def test_self_time_subtracts_children(synthetic):
     profile = prof.load_profile(str(synthetic))
     agg = prof.self_times(profile)
@@ -173,14 +188,9 @@ class TestProfileCLI:
             ["profile", str(trace), "--metrics-in", str(mpath)]
         ) == 0
 
-    def test_compile_phase_and_closure_counters(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Closure compilation surfaces as its own phase column and
-        its counters flow through the worker metrics merge."""
-        # Pin staging on: this test meters the compile phase, so it
-        # must compile even on the REPRO_CLOSURE=0 CI leg.
-        monkeypatch.setenv("REPRO_CLOSURE", "1")
+    def test_compile_phase_and_closure_counters(self, tmp_path, capsys):
+        """There is no compile phase column, and the step memo's
+        counters flow through the worker metrics merge."""
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         trace = tmp_path / "run.jsonl"
@@ -194,10 +204,10 @@ class TestProfileCLI:
         capsys.readouterr()
         assert main(["profile", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "Compile" in out
+        assert "Compile" not in out
+        assert "Expand" in out
         counters = json.loads(mpath.read_text())["counters"]
         assert counters.get("closure.modules_staged", 0) > 0
-        assert counters.get("closure.nodes_compiled", 0) > 0
 
     def test_profile_prom_output(self, tmp_path, capsys):
         src = tmp_path / "racy.c"

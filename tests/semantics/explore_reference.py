@@ -124,7 +124,7 @@ def explore_reduced(ctx, semantics, max_states, strict=False,
             if not ample:
                 edges = []
                 full = semantics.successors(
-                    ctx, world, outs, thread_results=results
+                    ctx, world, thread_results=results
                 )
                 if not full:
                     graph.stuck.add(sid)
