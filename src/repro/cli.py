@@ -62,7 +62,8 @@ Exit codes are uniform across commands: **0** — success (program is
 DRF, behaviours printed, validation passed, replay reproduced);
 **1** — an analysis *finding* (a race was found, a validation pass
 failed, a replay diverged); **2** — usage or internal error (bad
-flags, unknown thread entries, unreadable files, crashes);
+flags, unknown thread entries, unreadable files, crashes, a forked
+worker that died, which ends the run within seconds);
 **130** — interrupted (Ctrl-C / SIGINT), the conventional 128+signal
 code, after the run ledger and heartbeat have been finalized and any
 forked workers reaped. Scripts can therefore distinguish "the tool
@@ -76,7 +77,6 @@ import os
 import sys
 
 from repro import obs
-from repro.common.serialize import ENV_STATELESS
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
@@ -193,7 +193,6 @@ def _note_run_config(args, result, entries):
         name
         for name, on in (
             ("por", bool(por)),
-            ("stateless-wire", bool(os.environ.get(ENV_STATELESS))),
             ("heap-profile", heap.enabled()),
         )
         if on
@@ -207,7 +206,6 @@ def _note_run_config(args, result, entries):
         jobs=getattr(args, "jobs", 1),
         max_states=getattr(args, "max_states", None),
         max_atomic_steps=getattr(args, "max_atomic_steps", None),
-        stateless_wire=bool(os.environ.get(ENV_STATELESS)),
         heap_profile=heap.enabled(),
     )
     ledger.note(

@@ -94,17 +94,10 @@ into a differently-seeded interpreter would silently scramble shard
 ownership. The parallel explorer forks its workers (seed inherited),
 making the probe a tripwire, not a tax; batches are transport-only and
 must never be persisted.
-
-Setting :data:`ENV_STATELESS` (``REPRO_WIRE_STATELESS=1``) degrades
-every channel to the schema-v1 behaviour — a fresh pickler per
-message, no deltas, no static refs. It exists for benchmarking the
-transport against its former self (``benchmarks/bench_pr7.py``), not
-for production use.
 """
 
 import copyreg
 import io
-import os
 import pickle
 import time
 
@@ -126,10 +119,6 @@ SERIAL_SCHEMA_VERSION = 2
 #: interpreter launches unless ``PYTHONHASHSEED`` is pinned.
 _SEED_PROBE = hash("repro.common.serialize:seed-probe")
 
-#: Environment switch: degrade channels to the stateless v1 behaviour
-#: (fresh pickler per message, no deltas/static refs). Benchmark-only.
-ENV_STATELESS = "REPRO_WIRE_STATELESS"
-
 #: Encoded bytes after which a sender resets its channel epoch.
 CHANNEL_BYTES_LIMIT = 64 << 20
 #: Registered memory bases after which a sender resets its channel.
@@ -140,10 +129,6 @@ CHANNEL_SENT_LIMIT = 1 << 18
 
 class SerializationError(Exception):
     """A batch could not be encoded or decoded."""
-
-
-def _stateless_default():
-    return bool(os.environ.get(ENV_STATELESS))
 
 
 # ----- the static segment ---------------------------------------------------
@@ -336,9 +321,8 @@ def _restore_memory(items):
 def _reduce_memory(m):
     """Delta-encode against the active channel's base cache.
 
-    Outside a channel encode (``_CURRENT_ENCODER`` is None — plain
-    ``copy.deepcopy`` or a stateless channel) memories dump in full,
-    exactly the v1 format.
+    Outside a channel encode (``_CURRENT_ENCODER`` is None, e.g. plain
+    ``copy.deepcopy``) memories dump in full.
     """
     idx = _STATIC_IDS.get(id(m))
     if idx is not None:
@@ -543,11 +527,8 @@ class ChannelEncoder:
     message so the receiver can re-sync (see the module docstring).
     """
 
-    def __init__(self, stateless=None):
+    def __init__(self):
         _registered()
-        self.stateless = (
-            _stateless_default() if stateless is None else stateless
-        )
         self.epoch = 0
         self.resets = 0
         self.delta_hits = 0
@@ -585,10 +566,7 @@ class ChannelEncoder:
         self._fresh()
 
     def over_budget(self):
-        """True when the channel state warrants a reset (never in
-        stateless mode — there is no state to bound)."""
-        if self.stateless:
-            return False
+        """True when the channel state warrants a reset."""
         return (
             self._epoch_bytes >= CHANNEL_BYTES_LIMIT
             or len(self._base_keep) >= CHANNEL_BASES_LIMIT
@@ -604,11 +582,8 @@ class ChannelEncoder:
         serializes once per epoch (the persistent memo); memories
         delta-encode against the base cache. When observability is on,
         every encode lands in the wire-cost metrics:
-        ``serialize.encode.calls`` / ``.bytes`` counters, a
-        ``serialize.encode.seconds`` histogram, and a
-        ``serialize.encode.memo_entries`` histogram (distinct objects
-        the channel's memo held after the message — the sharing the
-        channel buys over per-world dumps).
+        ``serialize.encode.calls`` / ``.bytes`` counters and a
+        ``serialize.encode.seconds`` histogram.
         """
         global _CURRENT_ENCODER
         from repro import obs
@@ -621,18 +596,11 @@ class ChannelEncoder:
         try:
             buf.seek(0)
             buf.truncate()
-            if self.stateless:
-                pickler = pickle.Pickler(
-                    buf, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                pickler.dump(envelope)
-            else:
-                pickler = self._pickler
-                _CURRENT_ENCODER = self
-                try:
-                    pickler.dump(envelope)
-                finally:
-                    _CURRENT_ENCODER = None
+            _CURRENT_ENCODER = self
+            try:
+                self._pickler.dump(envelope)
+            finally:
+                _CURRENT_ENCODER = None
             data = buf.getvalue()
         except Exception as exc:
             # The memo may be half-written: poison this epoch so the
@@ -648,19 +616,6 @@ class ChannelEncoder:
             obs.observe(
                 "serialize.encode.seconds", time.monotonic() - t0
             )
-            if self.stateless:
-                # Per-batch sharing bought by the (throwaway) memo.
-                # Persistent channels skip this: the C pickler's memo
-                # proxy has no __len__, and copying a memo that holds
-                # every object of the epoch costs more than the
-                # encode itself.
-                memo = getattr(pickler, "memo", None)
-                if memo is not None:
-                    try:
-                        size = len(memo)
-                    except TypeError:
-                        size = len(memo.copy())
-                    obs.observe("serialize.encode.memo_entries", size)
         return self.epoch, data
 
     def encode_worlds(self, worlds):
@@ -669,14 +624,10 @@ class ChannelEncoder:
 
         Steady-state worlds — every component already in this
         channel's tables — cost 4-8 wire bytes each (varint indexes);
-        only novel components are pickled, once per epoch. Falls back
-        to a plain :meth:`encode` of the list in stateless mode. The
+        only novel components are pickled, once per epoch. The
         receiver's :meth:`ChannelDecoder.decode` returns the list of
-        (re-interned) worlds either way.
+        (re-interned) worlds.
         """
-        worlds = list(worlds)
-        if self.stateless:
-            return self.encode(worlds)
         novel = []
         packed = bytearray()
         tt = self._threads_tab
@@ -717,11 +668,8 @@ class ChannelDecoder:
     state, an older epoch raises.
     """
 
-    def __init__(self, stateless=None):
+    def __init__(self):
         _registered()
-        self.stateless = (
-            _stateless_default() if stateless is None else stateless
-        )
         self.epoch = 0
         self.resets = 0
         self._fresh()
@@ -791,8 +739,6 @@ class ChannelDecoder:
 
         global _CURRENT_DECODER
         self.reset_to(epoch)
-        if self.stateless:
-            self._fresh()
         track = obs.enabled
         if track:
             t0 = time.monotonic()

@@ -20,25 +20,25 @@ in the corpus's findings log; races are auto-minimized
 round/wall-clock budget) into replayable witness artifacts that
 ``repro replay`` re-executes against the corpus program file.
 
-Execution scales across a forked worker pool (``jobs > 1``): workers
-regenerate their inputs deterministically from ``(kind, seed, index)``
-— nothing but small task/result dicts crosses the queues — and only
-the coordinator touches the corpus directory, so no file needs
+Execution scales across the fork pool of :mod:`repro.common.pool`
+(``jobs > 1``), the one the parallel explorer uses: workers are
+metered, traced and heartbeat-sharded like explorer shards, and
+regenerate their inputs deterministically from ``(kind, seed,
+index)`` — nothing but small task/result tuples crosses the queues.
+Only the coordinator touches the corpus directory, so no file needs
 cross-process locking. The checkpoint is rewritten atomically after
 *every* absorbed result: ``kill -9`` at any instant loses at most the
 in-flight inputs, and the next run resumes past everything finished.
-Worker reaping lives in a ``finally`` so a Ctrl-C mid-campaign cannot
-leak forked processes (the same contract as
-:mod:`repro.semantics.parallel`).
+A worker that dies ends the campaign with an error within seconds;
+the pool reaps the rest, on Ctrl-C too.
 """
 
-import multiprocessing
 import os
 import time
 import traceback
-from queue import Empty
 
 from repro import obs
+from repro.common import pool as _pool
 from repro.common.values import VInt
 from repro.compiler import compile_minic
 from repro.lang.module import GlobalEnv, ModuleDecl, Program
@@ -75,8 +75,8 @@ _CELL = 100
 #: huge; the witness of record is the corpus program, not the log).
 _SAMPLE = 8
 
-#: Coordinator receive timeout: worker-liveness check cadence.
-_POOL_TIMEOUT = 1.0
+#: Tasks outstanding per worker: one running, one queued behind it.
+_PER_WORKER = 2
 
 
 class CampaignConfig:
@@ -358,163 +358,71 @@ def execute_input(inp, cfg):
 # ----- the worker pool -------------------------------------------------------
 
 
-def _pool_worker(wid, cfg, status_path, status_interval, task_q,
-                 result_q):
-    """One forked executor: regenerate, execute, ship the result.
-
-    Fork-inherited obs/heartbeat state belongs to the parent: reset it,
-    then (when the parent has a heartbeat) write this shard's own
-    ``FILE.w<wid>`` snapshot so a stuck worker is visible from outside.
-    """
-    obs.reset()
-    _status.reset()
-    if status_path:
-        _status.configure(
-            _status.shard_path(status_path, wid),
-            interval=status_interval, wid=wid,
-        )
+def _pool_worker(pool, wid, cfg):
+    """One forked executor: regenerate, execute, ship the result."""
+    inbox = pool.inboxes[wid]
     hb = _status.writer
-    if hb is not None:
-        hb.force(states=0, frontier=0, phase="fuzz")
     executed = 0
-    try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                break
-            index, kind, seed = task
-            inp = generate(kind, seed, index=index)
-            result_q.put(execute_input(inp, cfg))
-            executed += 1
-            if hb is not None:
-                hb.beat(states=executed, frontier=0)
-    except (KeyboardInterrupt, EOFError, OSError):
-        pass
-    finally:
-        _status.finalize()
-        try:
-            result_q.put(("bye", wid))
-        except (OSError, ValueError):
-            pass
-        task_q.cancel_join_thread()
+    while True:
+        task = inbox.get()
+        if task == _pool.HALT:
+            break
+        index, kind, seed = task
+        inp = generate(kind, seed, index=index)
+        pool.coord.put(("res", wid, execute_input(inp, cfg)))
+        executed += 1
+        if hb is not None:
+            hb.beat(states=executed, frontier=0)
+    return {"executed": executed}
 
 
-def _run_pool(cfg, pending, admit, absorb, deadline, hb):
+def _run_pool(cfg, pending, admit, absorb, deadline):
     """Coordinator for ``jobs`` forked executors.
 
-    Tasks are fed incrementally (at most ``2 * jobs`` outstanding) so a
+    Each worker has at most :data:`_PER_WORKER` tasks outstanding, and
+    the worker whose result just came back is refilled, so a
     ``--duration`` budget stops admitting new work promptly; the
     checkpoint marks only *absorbed* results, so anything in flight at
-    an interrupt simply reruns next time. All worker reaping happens in
-    the ``finally``: a KeyboardInterrupt out of the wait loop must not
-    leak forked processes.
+    an interrupt simply reruns next time. The workers' metrics dumps
+    are merged into this process's registry after the reap.
     """
-    mp_ctx = multiprocessing.get_context("fork")
-    task_q = mp_ctx.Queue()
-    result_q = mp_ctx.Queue()
-    status_path = hb.path if hb is not None else None
-    status_interval = hb.interval if hb is not None else None
-    procs = []
-    for wid in range(cfg.jobs):
-        p = mp_ctx.Process(
-            target=_pool_worker,
-            args=(wid, cfg, status_path, status_interval, task_q,
-                  result_q),
-            daemon=True,
-        )
-        p.start()
-        procs.append(p)
-
     stopped = "done"
     queue_it = iter(pending)
-    inflight = 0
+    inflight = [0] * cfg.jobs
     exhausted = False
 
-    def over_deadline():
-        return deadline is not None and time.monotonic() >= deadline
-
-    def feed():
-        nonlocal inflight, exhausted, stopped
-        while not exhausted and inflight < cfg.jobs * 2:
-            if over_deadline():
+    def feed(pool, wid):
+        nonlocal exhausted, stopped
+        while not exhausted and inflight[wid] < _PER_WORKER:
+            if deadline is not None and time.monotonic() >= deadline:
                 stopped = "duration"
                 exhausted = True
                 break
-            try:
-                index = next(queue_it)
-            except StopIteration:
+            index = next(queue_it, None)
+            if index is None:
                 exhausted = True
                 break
             inp = admit(index)
-            task_q.put((index, inp.kind, inp.seed))
-            inflight += 1
+            pool.inboxes[wid].put((index, inp.kind, inp.seed))
+            inflight[wid] += 1
 
-    def merge_beat():
-        if hb is not None and hb.due():
-            _status.merge_shards(
-                hb, cfg.jobs,
-                alive={
-                    wid: p.is_alive() for wid, p in enumerate(procs)
-                },
-                phase="fuzz",
-            )
-
-    try:
-        feed()
-        while inflight > 0:
-            merge_beat()
-            try:
-                msg = result_q.get(timeout=_POOL_TIMEOUT)
-            except Empty:
-                if over_deadline():
-                    stopped = "duration"
-                    exhausted = True
-                dead = [
-                    wid for wid, p in enumerate(procs)
-                    if not p.is_alive()
-                ]
-                if dead:
-                    # A dead executor's in-flight task will never come
-                    # back; fail loudly — the checkpoint preserves all
-                    # absorbed progress for the resume.
+    with _pool.Pool(cfg.jobs, _pool_worker, (cfg,), phase="fuzz") as pool:
+        for wid in range(cfg.jobs):
+            feed(pool, wid)
+        if any(inflight):
+            for msg in pool.messages():
+                if msg[0] == "err":
                     raise RuntimeError(
-                        "fuzz worker(s) {} died mid-campaign".format(
-                            dead
-                        )
+                        "fuzz campaign failed: {}".format(msg[2][1])
                     )
-                continue
-            if isinstance(msg, tuple):
-                continue  # a stray early bye
-            inflight -= 1
-            absorb(msg)
-            feed()
-        if not exhausted:
-            feed()
-    finally:
-        # Reap unconditionally: sentinels first (a healthy worker
-        # exits its loop), then bounded joins, then terminate anything
-        # still alive — Ctrl-C here must not orphan forked children.
-        for _ in procs:
-            try:
-                task_q.put(None)
-            except (OSError, ValueError):
-                pass
-        for p in procs:
-            p.join(timeout=5)
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5)
-        task_q.cancel_join_thread()
-        task_q.close()
-        result_q.cancel_join_thread()
-        result_q.close()
-        if hb is not None:
-            _status.merge_shards(
-                hb, cfg.jobs,
-                alive={wid: False for wid in range(cfg.jobs)},
-                phase="fuzz",
-            )
+                wid = msg[1]
+                inflight[wid] -= 1
+                absorb(msg[2])
+                feed(pool, wid)
+                if not any(inflight):
+                    break
+    for stats in pool.byes.values():
+        obs.merge_dump((stats or {}).get("metrics"))
     return stopped
 
 
@@ -621,7 +529,7 @@ def run_campaign(cfg):
         "fuzz.campaign", count=cfg.count, jobs=cfg.jobs,
         pending=len(pending),
     ):
-        if cfg.jobs <= 1 or not _fork_available():
+        if cfg.jobs <= 1 or not _pool.available():
             for index in pending:
                 if deadline is not None and \
                         time.monotonic() >= deadline:
@@ -636,7 +544,7 @@ def run_campaign(cfg):
                     )
         else:
             stats.stopped = _run_pool(
-                cfg, pending, admit, absorb, deadline, hb
+                cfg, pending, admit, absorb, deadline
             )
     stats.elapsed_seconds = round(time.monotonic() - t0, 6)
     save_checkpoint()
@@ -657,7 +565,3 @@ def run_campaign(cfg):
             phase="fuzz",
         )
     return stats
-
-
-def _fork_available():
-    return "fork" in multiprocessing.get_all_start_methods()

@@ -186,15 +186,24 @@ def write_atomic(path, doc, tmp=None, raw=False):
     The temp file lives in the same directory (``os.replace`` must not
     cross filesystems), so a concurrent reader of ``path`` always sees
     a complete document. With ``raw=True``, ``doc`` is written as-is
-    (an already-serialized string) instead of being JSON-encoded.
+    (an already-serialized string) instead of being JSON-encoded. A
+    failed write (a full disk, say) removes the temp file, leaves
+    ``path`` as it was, and re-raises.
     """
     path = str(path)
     if tmp is None:
         tmp = "{}.{}.tmp".format(path, os.getpid())
     data = doc if raw else json.dumps(doc, sort_keys=True) + "\n"
-    with open(tmp, "w") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def cleanup_artifacts(path):

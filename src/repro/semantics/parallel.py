@@ -69,19 +69,15 @@ Differences from the sequential explorer, by design:
   consume budget faster. A world cut by the bound is recorded as
   truncated *itself* (the sequential explorer marks the parent), so
   ``cut`` behaviours still appear at the boundary.
-* **Observability composes across the fork.** Each worker resets the
-  inherited obs state (the parent's sinks must not be written from
-  two processes), then re-enables a *private* registry when the
-  parent collects metrics and a *per-worker* trace file
-  (``<trace>.w<wid>``, every record stamped with a ``wid`` attr) when
-  the parent traces to a path — concurrent workers can never
-  interleave JSONL lines into one file. Workers meter their own
-  phases (``parallel.worker.{expand,encode,decode,idle,wall}_seconds``
-  histograms), wire costs (``parallel.wire.*`` bytes, batch-size and
-  per-world-size histograms, send-memo hit rate) and everything the
-  shared engine instrumentation records, and ship their **entire**
-  metrics snapshot to the coordinator in the ``bye`` message; the
-  coordinator folds the dumps in generically
+* **Observability composes across the fork.** The worker lifecycle
+  (fork, per-worker obs and heartbeat shards, liveness, reaping) is
+  :mod:`repro.common.pool`'s, shared with the fuzz campaign. Workers
+  meter their own phases (``parallel.worker.{expand,encode,decode,
+  idle,wall}_seconds`` histograms), wire costs (``parallel.wire.*``
+  bytes, batch-size and per-world-size histograms, send-memo hit
+  rate) and everything the shared engine instrumentation records; the
+  pool ships each worker's **entire** metrics snapshot in its ``bye``
+  and the coordinator folds the dumps in generically
   (:meth:`~repro.obs.metrics.MetricsRegistry.merge` — counters add,
   gauges max, histograms merge), so a new worker-side metric needs no
   coordinator change. Coordinator-side costs surface as the
@@ -92,7 +88,9 @@ Differences from the sequential explorer, by design:
 Workers are **forked**, never spawned: the string-hash seed is
 inherited, which is what makes ``hash(world) % jobs`` agree across
 processes (the serialize envelope's seed probe double-checks this).
-Platforms without ``fork`` fall back to the sequential explorer.
+Platforms without ``fork`` fall back to the sequential explorer. A
+worker error, or a worker the pool finds dead, fails the run at once;
+the pool's exit halts and reaps the others.
 
 Termination uses cumulative message counters (a Mattern-style
 four-counter scheme): a worker going idle reports how many batches it
@@ -102,18 +100,17 @@ batches sent to it (by the coordinator's seeding plus all peers)
 equal the batches it has received.
 """
 
-import multiprocessing
 import os
 import time
-import traceback
 from collections import deque
 from queue import Empty
 
 from repro import obs
+from repro.common import pool as _pool
+from repro.common.pool import available
 from repro.obs import heap as _heap
 from repro.obs import status as _status
 from repro.common.serialize import (
-    ENV_STATELESS,
     ChannelDecoder,
     ChannelEncoder,
     clear_static_table,
@@ -141,24 +138,6 @@ _BATCH_WORLDS = 128
 #: Expansion records per flush to the coordinator.
 _REC_BATCH = 256
 
-#: Coordinator receive timeout (liveness check cadence), seconds.
-#: With a heartbeat active the coordinator shortens this to the beat
-#: interval so shard merges stay fresh.
-_GET_TIMEOUT = 15.0
-
-#: After a halt broadcast: how long a worker may go without either
-#: sending its bye or advancing the shared state counter before the
-#: coordinator declares it wedged and terminates it. Generous — the
-#: only post-halt work is flushing records — but finite: a worker
-#: stuck on a torn queue message must fail the run loudly, not hang
-#: it forever.
-_HALT_GRACE = 30.0
-
-#: How long an exiting worker keeps draining its own inbox after its
-#: bye, so peers' queue feeder threads can finish in-flight writes
-#: (see ``_drain_inbox``).
-_EXIT_DRAIN = 1.0
-
 #: Worker-loop iterations between heartbeat clock checks (mirrors
 #: ``explore._HB_STRIDE``).
 _HB_STRIDE = 64
@@ -173,11 +152,6 @@ _DONE = "done"
 _STUCK = "stuck"
 _CUT = "cut"
 _RANK = {_CUT: 0, _AMPLE: 1, _FULL: 2, _DONE: 2, _STUCK: 2}
-
-
-def available():
-    """True iff the platform can fork workers (see module docstring)."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def default_jobs(environ=None):
@@ -744,92 +718,18 @@ class _Worker:
         return out
 
 
-def _configure_worker_obs(wid, cfg):
-    """Reset fork-inherited obs state, then re-enable private sinks.
-
-    The fork inherited the parent's obs state; its sinks (trace file
-    descriptors, the metrics registry) belong to the parent process.
-    Reset, then re-enable a *private* registry when the parent
-    collects metrics, and a *per-worker* trace file when the parent
-    traces to a path — never the parent's sink. An unwritable worker
-    trace must not kill the search — and must not silently discard the
-    worker's *metrics* with it: retry with the trace disabled so the
-    worker stays metered, and warn once.
-    """
-    obs.reset()
-    # Same fork rule for the heartbeat: the inherited parent writer
-    # points at the main status file; replace it with this shard's own
-    # ``FILE.w<wid>`` writer (the coordinator merges the shard files).
-    _status.reset()
-    status_path = cfg.get("status_path")
-    if status_path:
-        _status.configure(
-            _status.shard_path(status_path, wid),
-            interval=cfg.get("status_interval"),
-            wid=wid,
-        )
-    trace_path = cfg.get("trace_path")
-    if trace_path:
-        trace_path = "{}.w{}".format(trace_path, wid)
-    metrics = cfg.get("metrics", False)
-    if not (metrics or trace_path):
-        return
-    try:
-        obs.configure(
-            metrics=metrics,
-            trace=trace_path,
-            trace_base_attrs={"wid": wid},
-        )
-    except OSError as exc:
-        obs.reset()
-        if metrics:
-            obs.configure(metrics=True)
-        obs.warn(
-            "worker {} trace file {!r} is unwritable ({}); continuing "
-            "metered, without a trace".format(wid, trace_path, exc),
-            wid=wid,
-        )
-
-
-def _drain_inbox(inbox, deadline):
-    """Keep reading (and discarding) the inbox until it goes quiet.
-
-    An exiting worker must not stop reading the instant it halts:
-    peers' queue feeder threads may still be mid-write into this pipe
-    (uncounted reset control messages, or batches dropped by a
-    race/err halt), and a process exit on the *writer* side kills its
-    feeder mid-message — leaving a torn record that would block this
-    reader's next ``recv`` forever. Draining until the pipe is quiet
-    lets those feeders complete, so nobody ever tears a message into a
-    live reader. Bounded by ``deadline`` as a backstop; a torn message
-    already in the pipe surfaces as a blocked ``get`` that the
-    coordinator's post-halt watchdog resolves by terminating us.
-    """
-    while time.monotonic() < deadline:
-        try:
-            inbox.get(timeout=0.05)
-        except Empty:
-            return
-        except (OSError, EOFError, ValueError):
-            return
-
-
-def _worker_main(wid, jobs, ctx, semantics, cfg, counter, inboxes,
-                 coord_q):
-    _configure_worker_obs(wid, cfg)
+def _worker_main(pool, wid, ctx, semantics, cfg, counter):
+    """One shard's pool target: expand until halted, then report."""
     t0 = time.monotonic()
     worker = _Worker(
-        wid, jobs, ctx, semantics, cfg, counter, inboxes, coord_q
+        wid, pool.jobs, ctx, semantics, cfg, counter, pool.inboxes,
+        pool.coord,
     )
     with obs.span("parallel.worker.run", wid=wid):
         try:
             worker.run()
         except _Limit as exc:
-            coord_q.put(("err", wid, ("limit", str(exc))))
-        except BaseException:
-            coord_q.put(
-                ("err", wid, ("crash", traceback.format_exc()))
-            )
+            pool.coord.put(("err", wid, ("limit", str(exc))))
     stats = worker.stats()
     stats["wall_seconds"] = round(time.monotonic() - t0, 6)
     worker.publish_metrics(stats["wall_seconds"])
@@ -839,28 +739,13 @@ def _worker_main(wid, jobs, ctx, semantics, cfg, counter, inboxes,
             wall_seconds=stats["wall_seconds"],
             **worker.phases()
         )
-    metrics_dump = obs.dump()
-    if metrics_dump is not None:
-        stats["metrics"] = metrics_dump
     # Final shard beat before the bye: the merged status must show this
-    # worker's full state count and ``phase: done``, not a stale beat.
+    # worker's full state count, not a stale beat.
     if _status.writer is not None:
         _status.writer.force(
             states=len(worker.recorded), frontier=0
         )
-    _status.finalize()
-    coord_q.put(("bye", wid, stats))
-    # Stay a reader a moment longer so peers' in-flight queue writes
-    # complete instead of tearing (see ``_drain_inbox``).
-    _drain_inbox(inboxes[wid], time.monotonic() + _EXIT_DRAIN)
-    # Flush and close the per-worker sinks before the queues wind down.
-    obs.shutdown()
-    # Exit must not block on feeder threads draining batches into
-    # queues of peers that have already halted; the coordinator queue
-    # is NOT cancelled — the bye above has to arrive.
-    for shard in range(jobs):
-        if shard != wid:
-            inboxes[shard].cancel_join_thread()
+    return stats
 
 
 def _merge_record(records, world, kind, edges):
@@ -918,260 +803,38 @@ def _merge_graph(initial, records):
 def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
                   race_cfg):
     """Coordinator: fork workers, seed shards, merge, terminate."""
-    # Start from empty intern tables: worlds interned by a previous
-    # run in this process — in particular a stateless-decode run whose
-    # memories were rebuilt around private base dicts — would
-    # otherwise become this run's canonical representatives and defeat
-    # the wire encoder's id-matched delta cache (see
-    # ``reset_intern_tables``). Must happen before
-    # ``initial_worlds``, which interns.
+    # Start from empty intern tables, so this run's canonical worlds
+    # are its own: worlds an earlier run decoded off the wire carry
+    # memories rebuilt around private base dicts, and inheriting them
+    # would defeat the encoder's id-matched delta cache (see
+    # ``reset_intern_tables``). Must happen before ``initial_worlds``,
+    # which interns.
     reset_intern_tables()
-    mp_ctx = multiprocessing.get_context("fork")
-    inboxes = [mp_ctx.Queue() for _ in range(jobs)]
-    coord_q = mp_ctx.Queue()
-    counter = mp_ctx.Value("l", 0)
+    counter = _pool.shared_counter()
     cfg = {
         "use_por": use_por,
         "strict": strict,
         "max_states": max_states,
         "race": race_cfg,
-        # Worker-side observability: a private registry when the
-        # parent meters, per-worker trace files when it traces to a
-        # path (file-like sinks cannot be suffixed — workers then run
-        # untraced).
-        "metrics": obs.metrics_enabled(),
-        "trace_path": obs.trace_path,
-        # Heartbeat: workers derive their shard file from the main
-        # status path (None when no heartbeat is active).
-        "status_path": (
-            _status.writer.path if _status.writer is not None else None
-        ),
-        "status_interval": (
-            _status.writer.interval
-            if _status.writer is not None
-            else None
-        ),
     }
-    if obs.tracer is not None:
-        # Empty the sink's userspace buffer before forking: children
-        # inherit it, and a child GC-ing its copy would flush the same
-        # bytes again into the shared descriptor (torn/duplicate JSONL
-        # lines in the parent's trace).
-        obs.tracer.flush()
     # The static segment must exist *before* forking: every worker
     # inherits the same table and resolves static refs against its own
-    # pointer-identical copy. Stateless mode (the benchmark's "before"
-    # baseline) runs without one.
+    # pointer-identical copy.
     initial = list(semantics.initial_worlds(ctx))
-    if os.environ.get(ENV_STATELESS):
-        static_count = 0
-    else:
-        static_count = install_static_table(
-            collect_static_objects(ctx, initial)
-        )
+    static_count = install_static_table(
+        collect_static_objects(ctx, initial)
+    )
     try:
-        return _run_forked(
-            ctx, semantics, jobs, max_states, mp_ctx, inboxes,
-            coord_q, counter, cfg, initial, static_count,
-        )
+        with _pool.Pool(
+            jobs, _worker_main, (ctx, semantics, cfg, counter),
+            peers=True, progress=lambda: counter.value,
+        ) as pool:
+            coord_sent, records, race_payload, coord_decode = \
+                _coordinate(pool, initial)
     finally:
         clear_static_table()
 
-
-def _run_forked(ctx, semantics, jobs, max_states, mp_ctx,
-                inboxes, coord_q, counter, cfg, initial, static_count):
-    procs = []
-    for wid in range(jobs):
-        p = mp_ctx.Process(
-            target=_worker_main,
-            args=(wid, jobs, ctx, semantics, cfg, counter, inboxes,
-                  coord_q),
-            daemon=True,
-        )
-        p.start()
-        procs.append(p)
-
-    coord_sent = [0] * jobs
-    seeds = [[] for _ in range(jobs)]
-    for world in initial:
-        seeds[hash(world) % jobs].append(world)
-    for shard, worlds in enumerate(seeds):
-        if worlds:
-            # One-shot channel per shard: each worker's src -1 decoder
-            # sees exactly one message from exactly one fresh encoder.
-            epoch, data = ChannelEncoder().encode(worlds)
-            inboxes[shard].put(("w", -1, epoch, data))
-            coord_sent[shard] += 1
-
-    # Stateful record decoders, one per worker (the mirror of each
-    # worker's rec_channel; race payloads ride the same channel).
-    rec_decoders = {}
-
-    def rec_decoder(wid):
-        dec = rec_decoders.get(wid)
-        if dec is None:
-            dec = rec_decoders[wid] = ChannelDecoder()
-        return dec
-
-    records = {}
-    reports = {}
-    byes = {}
-    race_payload = None
-    error = None
-    halted = [False]
     track = obs.enabled
-    coord_decode = 0.0
-
-    # Post-halt watchdog state: when the halt went out, and the shared
-    # state counter's value the last time it moved (progress resets
-    # the grace clock — a worker legitimately finishing a long POR
-    # region after a race halt must not be shot mid-flush).
-    halt_watch = {"t": None, "count": None}
-
-    def broadcast_halt():
-        if not halted[0]:
-            halted[0] = True
-            halt_watch["t"] = time.monotonic()
-            halt_watch["count"] = counter.value
-            for q in inboxes:
-                q.put(("halt",))
-
-    def reap_wedged():
-        """Terminate workers that neither bye nor progress after a
-        halt. A worker blocked on a torn queue message (a peer died
-        mid-write before the exit-drain discipline existed, or any
-        other recv wedge) would otherwise never see the halt, and the
-        run would wait for its bye forever."""
-        nonlocal error
-        if halt_watch["t"] is None:
-            return
-        current = counter.value
-        if current != halt_watch["count"]:
-            halt_watch["count"] = current
-            halt_watch["t"] = time.monotonic()
-            return
-        if time.monotonic() - halt_watch["t"] <= _HALT_GRACE:
-            return
-        wedged = [
-            wid for wid, p in enumerate(procs)
-            if wid not in byes and p.is_alive()
-        ]
-        for wid in wedged:
-            procs[wid].terminate()
-            byes[wid] = None
-        if wedged and error is None:
-            error = (
-                "crash",
-                "worker(s) {} unresponsive {}s after halt; "
-                "terminated".format(wedged, _HALT_GRACE),
-            )
-
-    def balanced():
-        if len(reports) < jobs:
-            return False
-        for j in range(jobs):
-            expect = coord_sent[j] + sum(
-                reports[i][0][j] for i in range(jobs)
-            )
-            if reports[j][1] != expect:
-                return False
-        return True
-
-    hb = _status.writer
-    get_timeout = (
-        _GET_TIMEOUT
-        if hb is None
-        else min(_GET_TIMEOUT, max(hb.interval, 0.05))
-    )
-
-    def merge_beat(phase="parallel"):
-        if hb is not None and hb.due():
-            _status.merge_shards(
-                hb, jobs,
-                alive={
-                    wid: p.is_alive() for wid, p in enumerate(procs)
-                },
-                phase=phase,
-            )
-
-    try:
-        while len(byes) < jobs:
-            merge_beat()
-            try:
-                msg = coord_q.get(timeout=get_timeout)
-            except Empty:
-                dead = [
-                    wid for wid, p in enumerate(procs)
-                    if not p.is_alive() and wid not in byes
-                ]
-                if dead:
-                    if error is None:
-                        error = (
-                            "crash",
-                            "worker(s) {} died without reporting".format(
-                                dead
-                            ),
-                        )
-                    for wid in dead:
-                        byes[wid] = None
-                    broadcast_halt()
-                reap_wedged()
-                continue
-            kind = msg[0]
-            if kind == "rec":
-                if track:
-                    t0 = time.monotonic()
-                    batch = rec_decoder(msg[1]).decode(msg[2], msg[3])
-                    coord_decode += time.monotonic() - t0
-                else:
-                    batch = rec_decoder(msg[1]).decode(msg[2], msg[3])
-                for world, k, edges in batch:
-                    _merge_record(records, world, k, edges)
-            elif kind == "race":
-                payload = rec_decoder(msg[1]).decode(msg[2], msg[3])
-                if race_payload is None:
-                    race_payload = payload
-                    broadcast_halt()
-            elif kind == "idle":
-                reports[msg[1]] = (msg[2], msg[3])
-                if balanced():
-                    broadcast_halt()
-            elif kind == "err":
-                if error is None:
-                    error = msg[2]
-                broadcast_halt()
-            elif kind == "bye":
-                byes[msg[1]] = msg[2]
-    finally:
-        # Reaping lives in the finally, not after it: a
-        # KeyboardInterrupt (or any other exception) escaping the
-        # message loop above must still halt, join and — as a last
-        # resort — terminate every forked worker. Before this, Ctrl-C
-        # propagated past the halt broadcast and leaked live workers
-        # to init.
-        broadcast_halt()
-        for p in procs:
-            p.join(timeout=10)
-        for p in procs:
-            # A worker that survived its join timeout is wedged (e.g.
-            # blocked on a torn queue read); it must not outlive the
-            # run.
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5)
-        for q in inboxes:
-            q.cancel_join_thread()
-            q.close()
-        coord_q.close()
-
-    if error is not None:
-        kind, detail = error
-        if kind == "limit":
-            raise ExplorationLimit(detail)
-        raise RuntimeError(
-            "parallel exploration failed: {}".format(detail)
-        )
-
     if track:
         with obs.span("parallel.merge", shards=jobs) as sp:
             t0 = time.monotonic()
@@ -1200,23 +863,94 @@ def _run_forked(ctx, semantics, jobs, max_states, mp_ctx,
             max_states=max_states,
             truncated=len(graph.truncated),
         )
-    stats = [byes.get(wid) or {} for wid in range(jobs)]
+    stats = [pool.byes.get(wid) or {} for wid in range(jobs)]
     _publish(jobs, coord_sent, stats, graph, merge_seconds,
              static_count)
+    hb = _status.writer
     if hb is not None:
-        # Unconditional final merge: every shard's last (forced) beat
-        # plus liveness, then the merged graph's true state count.
-        _status.merge_shards(
-            hb, jobs,
-            alive={wid: p.is_alive() for wid, p in enumerate(procs)},
-            phase="merged",
-        )
+        # Final merge: every shard's last (forced) beat, then the
+        # merged graph's true state count.
+        pool.beat(phase="merged", force=True)
         hb.force(states=graph.state_count(), frontier=0)
     if _heap.enabled():
         # Parent-side census over the merged graph (workers censusing
         # their shards would double-count shared structure).
         _heap.collect(graph)
     return graph, witness, stats
+
+
+def _coordinate(pool, initial):
+    """Seed the shards and handle worker messages until every worker
+    has said bye: ``(coord_sent, records, race_payload,
+    decode_seconds)``. A worker error raises (the pool's exit reaps
+    the other workers)."""
+    jobs = pool.jobs
+    coord_sent = [0] * jobs
+    seeds = [[] for _ in range(jobs)]
+    for world in initial:
+        seeds[hash(world) % jobs].append(world)
+    for shard, worlds in enumerate(seeds):
+        if worlds:
+            # One-shot channel per shard: each worker's src -1 decoder
+            # sees exactly one message from exactly one fresh encoder.
+            epoch, data = ChannelEncoder().encode(worlds)
+            pool.inboxes[shard].put(("w", -1, epoch, data))
+            coord_sent[shard] += 1
+
+    # Stateful record decoders, one per worker (the mirror of each
+    # worker's rec_channel; race payloads ride the same channel).
+    rec_decoders = {}
+
+    def rec_decoder(wid):
+        dec = rec_decoders.get(wid)
+        if dec is None:
+            dec = rec_decoders[wid] = ChannelDecoder()
+        return dec
+
+    def balanced():
+        if len(reports) < jobs:
+            return False
+        for j in range(jobs):
+            expect = coord_sent[j] + sum(
+                reports[i][0][j] for i in range(jobs)
+            )
+            if reports[j][1] != expect:
+                return False
+        return True
+
+    records = {}
+    reports = {}
+    race_payload = None
+    track = obs.enabled
+    coord_decode = 0.0
+    for msg in pool.messages():
+        kind = msg[0]
+        if kind == "rec":
+            if track:
+                t0 = time.monotonic()
+                batch = rec_decoder(msg[1]).decode(msg[2], msg[3])
+                coord_decode += time.monotonic() - t0
+            else:
+                batch = rec_decoder(msg[1]).decode(msg[2], msg[3])
+            for world, k, edges in batch:
+                _merge_record(records, world, k, edges)
+        elif kind == "race":
+            payload = rec_decoder(msg[1]).decode(msg[2], msg[3])
+            if race_payload is None:
+                race_payload = payload
+                pool.halt()
+        elif kind == "idle":
+            reports[msg[1]] = (msg[2], msg[3])
+            if balanced():
+                pool.halt()
+        elif kind == "err":
+            what, detail = msg[2]
+            if what == "limit":
+                raise ExplorationLimit(detail)
+            raise RuntimeError(
+                "parallel exploration failed: {}".format(detail)
+            )
+    return coord_sent, records, race_payload, coord_decode
 
 
 def _publish(jobs, coord_sent, stats, graph, merge_seconds,

@@ -136,12 +136,11 @@ def reset_intern_tables():
     stack and memory ids are per run and keyed by structural equality
     (:mod:`repro.semantics.keyspace`), so no id outlives a clear or
     depends on which object was canonical. The parallel explorer calls
-    it at the start of every run: a previous stateless-decode run
-    (``REPRO_WIRE_STATELESS=1``) interns worlds whose memories were
-    rebuilt with private base dicts, and a later channel run in the
-    same process would otherwise inherit those canonical worlds and
-    lose every memory-delta opportunity (the encoder's base cache
-    matches by ``id``).
+    it at the start of every run, so the run's canonical worlds are its
+    own: worlds an earlier run decoded off the wire carry memories
+    rebuilt around private base dicts, and inheriting them would cost
+    memory-delta opportunities (the encoder's base cache matches by
+    ``id``). The benchmark harness calls it to start each task cold.
     """
     _FRAMES.table.clear()
     _WORLDS.table.clear()

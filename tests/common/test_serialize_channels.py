@@ -40,9 +40,7 @@ def worlds(graph):
 
 
 def _channel():
-    return ChannelEncoder(stateless=False), ChannelDecoder(
-        stateless=False
-    )
+    return ChannelEncoder(), ChannelDecoder()
 
 
 # ----- delta/full equivalence ----------------------------------------------
@@ -106,21 +104,21 @@ def test_packed_worlds_roundtrip(worlds):
 
 
 def test_packed_worlds_reference_beyond_table_rejected():
-    dec = ChannelDecoder(stateless=False)
+    dec = ChannelDecoder()
     # 1 world, threads index 5 against empty channel tables.
     with pytest.raises(SerializationError, match="out of sync"):
         dec._expand_worlds([], bytes([1, 5, 0, 0, 0]))
 
 
 def test_packed_worlds_exhausted_novel_rejected():
-    dec = ChannelDecoder(stateless=False)
+    dec = ChannelDecoder()
     # Index == table size claims a novel component, but none rode along.
     with pytest.raises(SerializationError, match="novel"):
         dec._expand_worlds([], bytes([1, 0, 0, 0, 0]))
 
 
 def test_packed_worlds_truncated_record_rejected():
-    dec = ChannelDecoder(stateless=False)
+    dec = ChannelDecoder()
     with pytest.raises(SerializationError, match="truncated"):
         dec._expand_worlds([], bytes([1]))
 
@@ -162,7 +160,7 @@ def test_stale_epoch_rejected_loudly(worlds):
 
 
 def test_unknown_base_token_rejected():
-    dec = ChannelDecoder(stateless=False)
+    dec = ChannelDecoder()
     with pytest.raises(SerializationError, match="unknown base"):
         dec.apply_delta(7, ((1, 2),))
 
@@ -181,7 +179,7 @@ def test_encode_failure_poisons_the_epoch(worlds):
 
 
 def test_over_budget_triggers_on_tiny_limits(worlds, monkeypatch):
-    enc = ChannelEncoder(stateless=False)
+    enc = ChannelEncoder()
     assert not enc.over_budget()
     monkeypatch.setattr(serialize, "CHANNEL_BYTES_LIMIT", 64)
     enc.encode(worlds[:4])
@@ -226,7 +224,7 @@ def test_static_members_cross_as_table_indexes(worlds):
         # without the table fails loudly ...
         clear_static_table()
         with pytest.raises(SerializationError, match="static segment"):
-            ChannelDecoder(stateless=False).decode(epoch, data)
+            ChannelDecoder().decode(epoch, data)
         # ... and with it, the receiver's own table member comes back.
         install_static_table([w])
         assert dec.decode(epoch, data)[0] is w
@@ -238,22 +236,3 @@ def test_static_ref_out_of_range():
     clear_static_table()
     with pytest.raises(SerializationError, match="static segment"):
         serialize._static_ref(3)
-
-
-# ----- stateless degradation ------------------------------------------------
-
-
-def test_stateless_env_degrades_to_v1(worlds, monkeypatch):
-    monkeypatch.setenv(serialize.ENV_STATELESS, "1")
-    enc = ChannelEncoder()
-    dec = ChannelDecoder()
-    assert enc.stateless and dec.stateless
-    _, d1 = enc.encode_worlds(worlds[:5])
-    assert dec.decode(0, d1) == worlds[:5]
-    # No channel state: the identical batch costs identical bytes, no
-    # deltas, no base registrations, and the budget never trips.
-    _, d2 = enc.encode_worlds(worlds[:5])
-    assert len(d2) == len(d1)
-    assert enc.delta_hits == 0
-    assert enc.base_registrations == 0
-    assert not enc.over_budget()

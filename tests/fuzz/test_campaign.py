@@ -6,6 +6,7 @@ pool produces the byte-identical corpus a sequential run does, and an
 injected broken lock client is detected, minimized and replayable.
 """
 
+import errno
 import json
 import os
 import signal
@@ -20,6 +21,7 @@ from repro.cli import main
 from repro.fuzz import campaign as campaign_mod
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.corpus import Corpus, CorpusError
+from repro.obs import status as status_mod
 from repro.semantics.parallel import available as fork_available
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -225,6 +227,106 @@ class TestForkedPool:
         # Finished hashes were not recomputed differently.
         for key, value in state["done"].items():
             assert after[key] == value
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="platform cannot fork workers")
+class TestForkedPoolObservability:
+    def test_workers_ship_their_metrics(self, tmp_path, capsys):
+        counts = {}
+        for jobs in (1, 2):
+            metrics = tmp_path / "m{}.json".format(jobs)
+            assert main([
+                "fuzz", "--out", str(tmp_path / "c{}".format(jobs)),
+                "--seed", "3", "--count", "6", "--jobs", str(jobs),
+                "--metrics-out", str(metrics),
+            ]) == 0
+            counts[jobs] = json.loads(metrics.read_text())["counters"]
+        capsys.readouterr()
+        for name in ("fuzz.inputs", "explore.states_visited",
+                     "race.witnesses"):
+            assert counts[2].get(name) == counts[1].get(name), name
+        assert counts[2]["explore.states_visited"] > 0
+        assert counts[2]["closure.modules_staged"] > 0
+
+    def test_worker_traces_are_readable(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "fuzz", "--out", str(tmp_path / "c"), "--seed", "3",
+            "--count", "4", "--jobs", "2", "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        for wid in (0, 1):
+            path = tmp_path / "t.jsonl.w{}".format(wid)
+            records = [
+                json.loads(line)
+                for line in path.read_text().splitlines()
+            ]
+            assert records
+            spans = [r for r in records if r.get("type") == "span"]
+            assert spans
+            assert all(r["attrs"]["wid"] == wid for r in spans)
+
+
+class _FullDisk:
+    """A file handle whose every write fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="platform cannot fork workers")
+def test_full_disk_during_a_checkpoint_write(tmp_path, capsys,
+                                             monkeypatch):
+    """The third checkpoint write of a jobs=2 campaign hits a full
+    disk: exit 2 with one line, the second checkpoint still loads, no
+    temp file is left, and a rerun resumes past what it recorded."""
+    out = str(tmp_path / "corpus")
+    checkpoint = Corpus(out).checkpoint_path
+    writes = []
+    real_open = open
+
+    def open_on_a_full_disk(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and str(path).startswith(checkpoint + "."):
+            writes.append(path)
+            if len(writes) == 3:
+                return _FullDisk(handle)
+        return handle
+
+    monkeypatch.setattr(status_mod, "open", open_on_a_full_disk,
+                        raising=False)
+    argv = ["fuzz", "--out", out, "--seed", "3", "--count", "6",
+            "--kinds", "minic-lock", "--jobs", "2"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("repro: internal error: OSError:")
+    assert "No space left" in lines[0]
+    state = Corpus(out).load_checkpoint()
+    assert len(state["done"]) == 2
+    leftovers = [
+        name for _dirs, _subdirs, names in os.walk(out)
+        for name in names if name.endswith(".tmp")
+    ]
+    assert leftovers == []
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert "4 input(s) executed, 2 resumed" in capsys.readouterr().out
+    after = Corpus(out).load_checkpoint()["done"]
+    assert len(after) == 6
+    assert all(after[k] == v for k, v in state["done"].items())
 
 
 class TestCliFuzz:

@@ -175,76 +175,3 @@ def test_default_jobs_parsing():
     assert default_jobs({"REPRO_JOBS": "junk"}) == 1
     assert default_jobs({"REPRO_JOBS": "-3"}) == 1
     assert default_jobs({"REPRO_JOBS": "0"}) == 1
-
-
-class TestShutdownLiveness:
-    """The coordinator must never wait forever on a wedged worker.
-
-    The hazard: a worker exiting right after halt kills its queue
-    feeder thread mid-write (``cancel_join_thread``), tearing a
-    message into a live peer's pipe; the peer's next ``recv`` blocks
-    forever, it never sees the halt, and the run hangs waiting for its
-    bye. The exit-drain discipline prevents the tear; the post-halt
-    watchdog bounds the damage when a worker wedges anyway.
-    """
-
-    def test_drain_inbox_empties_and_returns(self):
-        import multiprocessing
-        import time as _time
-
-        from repro.semantics import parallel as par
-
-        q = multiprocessing.get_context("fork").Queue()
-        for i in range(5):
-            q.put(("w", 0, i, b"x"))
-        _time.sleep(0.1)  # let the feeder publish
-        t0 = _time.monotonic()
-        par._drain_inbox(q, _time.monotonic() + 5.0)
-        elapsed = _time.monotonic() - t0
-        # Everything consumed, and the quiet-pipe return fired well
-        # before the deadline backstop.
-        assert elapsed < 2.0
-        try:
-            q.get_nowait()
-        except Exception:
-            pass
-        else:
-            pytest.fail("drain left a message behind")
-        q.cancel_join_thread()
-        q.close()
-
-    def test_watchdog_terminates_wedged_worker(self, monkeypatch):
-        import multiprocessing
-        import time as _time
-
-        from repro.semantics import parallel as par
-
-        def wedged_main(wid, jobs, ctx, semantics, cfg, counter,
-                        inboxes, coord_q):
-            if wid == 0:
-                # Fail fast: the coordinator broadcasts halt on err.
-                coord_q.put(("err", 0, ("crash", "boom")))
-                coord_q.put(("bye", 0, {}))
-                return
-            # Worker 1 wedges: never reads its inbox, never reports.
-            while True:
-                _time.sleep(60)
-
-        monkeypatch.setattr(par, "_worker_main", wedged_main)
-        monkeypatch.setattr(par, "_GET_TIMEOUT", 0.2)
-        monkeypatch.setattr(par, "_HALT_GRACE", 0.5)
-        ctx = _ctx(lock_counter_system(2).source_program())
-        t0 = _time.monotonic()
-        with pytest.raises(RuntimeError, match="boom"):
-            parallel_explore(ctx, PreemptiveSemantics(), jobs=2)
-        assert _time.monotonic() - t0 < 20.0
-        # The wedged worker was terminated, not leaked: no child of
-        # this process is still running once the run has returned.
-        deadline = _time.monotonic() + 10.0
-        while any(
-            p.is_alive() for p in multiprocessing.active_children()
-        ):
-            assert _time.monotonic() < deadline, (
-                "run returned but left live worker processes"
-            )
-            _time.sleep(0.05)

@@ -207,6 +207,71 @@ def test_sigint_exits_130_and_reaps_forked_workers(tmp_path):
     assert final["exit_status"] == 130
 
 
+def test_fuzz_sigint_exits_130_and_keeps_a_resumable_checkpoint(
+        tmp_path):
+    """Ctrl-C mid-campaign at ``--jobs 2``: exit 130 with a one-line
+    message, every forked worker reaped, and a checkpoint a resume can
+    start from."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import repro
+    from repro.fuzz.corpus import Corpus
+
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)
+    ))
+    out = tmp_path / "corpus"
+    hb = tmp_path / "hb.json"
+    env = dict(os.environ, PYTHONPATH=src_dir,
+               REPRO_STATUS_INTERVAL="0.05")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fuzz", "--out", str(out),
+         "--seed", "7", "--count", "3000", "--kinds", "minic-lock",
+         "--jobs", "2", "--status", str(hb)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    corpus = Corpus(str(out))
+    worker_pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            if proc.poll() is not None:
+                pytest.fail(
+                    "campaign finished before it could be interrupted "
+                    "(rc={})".format(proc.returncode)
+                )
+            assert time.monotonic() < deadline, "no progress to interrupt"
+            worker_pids = []
+            for wid in (0, 1):
+                doc = status.load(status.shard_path(hb, wid))
+                if doc and "pid" in doc:
+                    worker_pids.append(doc["pid"])
+            state = corpus.load_checkpoint() \
+                if os.path.exists(corpus.checkpoint_path) else None
+            if len(worker_pids) == 2 and state and state["done"]:
+                break
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=30)
+
+    assert proc.returncode == 130
+    assert err.decode().splitlines() == ["repro: interrupted"]
+    deadline = time.monotonic() + 15
+    while time.monotonic() < deadline and \
+            any(_pid_alive(pid) for pid in worker_pids):
+        time.sleep(0.05)
+    assert not any(_pid_alive(pid) for pid in worker_pids)
+    assert len(corpus.load_checkpoint()["done"]) > 0
+
+
 def test_reduced_mode_parallel_also_beats(tmp_path):
     st = tmp_path / "st.json"
     status.configure(st, interval=0.01)

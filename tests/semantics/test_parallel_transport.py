@@ -4,13 +4,15 @@ The unit surface is covered in ``tests/common/test_serialize_channels``;
 these tests drive real forked explorations and assert what only a whole
 run shows: delta metrics flow through the cross-process merge, a
 channel over budget resets mid-run without corrupting the merged graph,
-and a worker whose trace file is unwritable stays metered.
+the wire cost per shipped world stays under a fixed bound, and a pool
+worker whose trace file is unwritable stays metered.
 """
 
 import pytest
 
 from repro import obs
 from repro.common import serialize
+from repro.common.pool import _configure_worker_obs
 from repro.framework.build import lock_counter_system
 from repro.semantics import (
     GlobalContext,
@@ -18,7 +20,7 @@ from repro.semantics import (
     explore,
     parallel_explore,
 )
-from repro.semantics.parallel import _configure_worker_obs, available
+from repro.semantics.parallel import available
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="platform cannot fork workers"
@@ -69,35 +71,20 @@ def test_channel_resets_preserve_the_graph(monkeypatch):
     assert graph.edges == seq.edges
 
 
-def test_packed_worlds_beat_stateless_bytes(monkeypatch):
-    obs.configure(metrics=True)
-    parallel_explore(_ctx(), PreemptiveSemantics(), jobs=2)
-    channel_out = obs.snapshot()["counters"]["parallel.wire.bytes_out"]
-    obs.reset()
-    monkeypatch.setenv(serialize.ENV_STATELESS, "1")
-    obs.configure(metrics=True)
-    parallel_explore(_ctx(), PreemptiveSemantics(), jobs=2)
-    snap = obs.snapshot()["counters"]
-    stateless_out = snap["parallel.wire.bytes_out"]
-    assert snap.get("parallel.wire.delta_hits", 0) == 0
-    assert channel_out < stateless_out / 2
-
-
-def test_channel_delta_survives_prior_stateless_run(monkeypatch):
-    # Regression: a stateless run interns worlds whose memories were
-    # rebuilt around private base dicts. Without the intern-table
-    # reset at the start of every parallel run, a later channel run in
-    # the same process inherits those canonical worlds and the
-    # encoder's id-matched base cache never hits — delta transport
-    # silently degrades to full sends.
-    monkeypatch.setenv(serialize.ENV_STATELESS, "1")
-    parallel_explore(_ctx(), PreemptiveSemantics(), jobs=2)
-    monkeypatch.delenv(serialize.ENV_STATELESS)
-    obs.reset()
+def test_packed_worlds_stay_under_the_byte_bound():
+    # Cross-shard wire bytes per shipped world on the 2-thread lock
+    # counter: the channel format measures 46-49 under PYTHONHASHSEED
+    # 0, 1 and 12345 (the stateless format it replaced measured
+    # 172-189), so 85 leaves headroom for hash-seed variation while
+    # still failing if the packed records or delta encoding regress.
     obs.configure(metrics=True)
     parallel_explore(_ctx(), PreemptiveSemantics(), jobs=2)
     counters = obs.snapshot()["counters"]
-    assert counters["parallel.wire.delta_hits"] > 0
+    per_world = (
+        counters["parallel.wire.bytes_out"]
+        / counters["parallel.cross_edges"]
+    )
+    assert per_world <= 85
 
 
 def test_unwritable_worker_trace_keeps_metrics(tmp_path):

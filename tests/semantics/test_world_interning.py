@@ -259,8 +259,8 @@ class TestIncrementalHash:
             max_states=20000,
         )
         sent = list(graph.states)
-        enc = ChannelEncoder(stateless=False)
-        dec = ChannelDecoder(stateless=False)
+        enc = ChannelEncoder()
+        dec = ChannelDecoder()
         for start in range(0, len(sent), 64):
             batch = sent[start:start + 64]
             epoch, data = enc.encode_worlds(batch)
