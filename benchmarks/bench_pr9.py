@@ -101,7 +101,6 @@ def _fingerprint(behs):
 def _graphs_identical(g1, g2):
     return (
         g1.states == g2.states
-        and g1.ids == g2.ids
         and g1.edges == g2.edges
         and g1.done == g2.done
         and g1.stuck == g2.stuck

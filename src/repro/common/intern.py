@@ -1,16 +1,21 @@
 """Hash-consing intern tables for the hot-path state machinery.
 
-State-space exploration allocates millions of small immutable objects
-(worlds, frames, memories, footprints), and the same abstract state is
-rebuilt over and over along different interleavings. Interning maps each
-freshly built object to a canonical representative, so
+State-space exploration allocates many small immutable objects, and the
+same frame or footprint is rebuilt over and over along different
+interleavings. Interning maps each freshly built object to a canonical
+representative, so
 
-* dict/set lookups in the explorer (``graph.ids``, dedup sets) hit the
-  pointer-equality fast path CPython's ``dict`` takes before calling
-  ``__eq__``;
+* dict/set lookups keyed by these objects (the key space's stack ids,
+  the race checker's prediction memo) hit the pointer-equality fast path
+  CPython's ``dict`` takes before calling ``__eq__``;
 * ``__eq__`` implementations short-circuit on ``self is other``;
 * cached lazy hashes (``_hash`` slots) are shared instead of recomputed
   per duplicate.
+
+Two tables exist: frames (:mod:`repro.semantics.world`) and footprints
+(:mod:`repro.common.footprint`). Worlds are not interned: the
+exploration loops dedup by packed-int key
+(:mod:`repro.semantics.keyspace`) and build each world once.
 
 Interning is *best effort*: tables are bounded (cleared wholesale when
 they exceed ``max_size``), and structural ``__eq__``/``__hash__`` remain
@@ -26,8 +31,8 @@ metrics. ``peak_size`` survives wholesale clears — it records the
 largest population a table ever held, which is what the heap census
 (:mod:`repro.obs.heap`) needs to reason about occupancy honestly.
 Callers that manipulate ``table`` directly for speed (the inlined
-intern paths in :mod:`repro.semantics.world`) must maintain ``clears``
-and ``peak_size`` at their own clear/insert sites.
+intern paths of frames and footprints) must maintain ``clears`` and
+``peak_size`` at their own clear/insert sites.
 """
 
 from collections import namedtuple

@@ -9,9 +9,10 @@ raises ``<class> is immutable`` on load. This module registers
 ``copyreg`` reducers that rebuild each class through its blessed
 constructor instead:
 
-* :class:`~repro.semantics.world.World` / ``Frame`` go through their
-  ``make`` classmethods, so decoded worlds re-enter the receiver's
-  intern tables and regain pointer-equality fast paths;
+* :class:`~repro.semantics.world.World` rebuilds through its
+  constructor, and ``Frame`` through ``Frame.make``, so decoded frames
+  re-enter the receiver's intern table and regain pointer-equality
+  fast paths;
 * :class:`~repro.common.memory.Memory` rebuilds from its contents (the
   Zobrist hash is recomputed or folded locally, never trusted from the
   wire) and :class:`~repro.common.footprint.Footprint` re-interns
@@ -21,7 +22,7 @@ constructor instead:
 * language cores and their frames restore via ``object.__setattr__``
   with cached ``_hash`` slots dropped (they all recompute lazily), so a
   decoded core can never carry a stale hash. Worlds never take this
-  path: ``World.make`` recomputes ``_tx`` and the hash from the decoded
+  path: ``World(...)`` recomputes ``_tx`` and the hash from the decoded
   components.
 
 Since schema version 2 the transport is *stateful per channel*. A
@@ -291,7 +292,7 @@ def register_singleton(cls):
 def _restore_world(threads, cur, bits, mem):
     from repro.semantics.world import World
 
-    return World.make(threads, cur, bits, mem)
+    return World(threads, cur, bits, mem)
 
 
 def _restore_frame(mod_idx, flist, core):
@@ -460,7 +461,7 @@ def _registered():
 #: Payload marker of a packed world batch (``encode_worlds``). Channels
 #: are a private transport between the parallel explorer's processes,
 #: so the marker can never collide with application payloads.
-_WORLDS_TAG = "repro/worlds"
+_PACKED_TAG = "repro/worlds"
 
 
 def _pack_uint(out, n):
@@ -626,7 +627,7 @@ class ChannelEncoder:
         channel's tables — cost 4-8 wire bytes each (varint indexes);
         only novel components are pickled, once per epoch. The
         receiver's :meth:`ChannelDecoder.decode` returns the list of
-        (re-interned) worlds.
+        rebuilt worlds.
         """
         novel = []
         packed = bytearray()
@@ -654,7 +655,7 @@ class ChannelEncoder:
             _pack_uint(packed, w.cur)
             _pack_uint(packed, bi)
             _pack_uint(packed, mi)
-        return self.encode((_WORLDS_TAG, novel, bytes(packed)))
+        return self.encode((_PACKED_TAG, novel, bytes(packed)))
 
 
 class ChannelDecoder:
@@ -776,7 +777,7 @@ class ChannelDecoder:
         if (
             type(payload) is tuple
             and len(payload) == 3
-            and payload[0] == _WORLDS_TAG
+            and payload[0] == _PACKED_TAG
         ):
             return self._expand_worlds(payload[1], payload[2])
         return payload
@@ -821,7 +822,7 @@ class ChannelDecoder:
             bi, pos = _read_uint(packed, pos)
             mi, pos = _read_uint(packed, pos)
             out.append(
-                World.make(
+                World(
                     resolve(ti, tl),
                     cur,
                     resolve(bi, bl),

@@ -1,23 +1,25 @@
-"""Heap and interning telemetry: measure the hash-consed state heap.
+"""Heap and interning telemetry: measure the explored state heap.
 
-Exploration is bounded by world identity: building, hashing and
-interning worlds. Worlds now hash incrementally at construction and the
-world table is keyed by that int (:mod:`repro.semantics.world`); this
-module measures what the hash-consed state heap costs, in numbers that
-can be gated and compared across runs:
+An explored graph keeps one packed-int key per state, its edges, and
+its key space's stack and memory tables
+(:mod:`repro.semantics.keyspace`); the intern tables keep canonical
+frames and footprints. This module measures what that heap costs, in
+numbers that can be gated and compared across runs:
 
 * :func:`intern_census` — per intern table: live size, cumulative
   hit rate, capacity evictions (``clears``), peak occupancy and a
   bucket-collision estimate (how crowded the backing dict's slots are
   under the current hash function).
-* :func:`graph_census` — sharing-aware deep-size accounting over a
-  finished :class:`~repro.semantics.explore.StateGraph`:
-  ``bytes_unique`` walks the object graph once (every object counted
-  once, however many worlds share it) while ``bytes_if_copied`` sums
-  per-world *tree* sizes (what a naive no-sharing representation would
-  allocate). Their ratio is the **sharing factor** — the multiplier
-  hash-consing and the overlay memories are actually buying — with a
-  per-component-type breakdown showing where the bytes live.
+* :func:`graph_census` — sharing-aware deep-size accounting over what
+  a finished :class:`~repro.semantics.explore.StateGraph` keeps:
+  ``bytes_unique`` walks the keys, the edges and the key space's
+  stack and memory tables once (every object counted once, however
+  many states share it) while ``bytes_if_copied`` sums, per state, the
+  tree sizes of its stacks and memory (what a representation keeping
+  a private copy of every state would allocate). Their ratio is the
+  **sharing factor**, with a per-component-type breakdown showing
+  where the bytes live. No world is built: keys are read field by
+  field.
 * optional ``--heap-profile`` tracemalloc phase snapshots
   (:func:`start_tracemalloc` / :func:`phase_snapshot`), gated because
   tracemalloc slows allocation several-fold.
@@ -176,14 +178,20 @@ def _children(obj):
 
 
 def graph_census(graph):
-    """Sharing-aware deep-size accounting over ``graph``'s worlds.
+    """Sharing-aware deep-size accounting over what ``graph`` keeps.
 
-    Returns a dict with ``bytes_unique`` (each live object counted
-    once), ``bytes_if_copied`` (sum of per-world tree sizes: the
-    no-sharing counterfactual), their ratio ``sharing_factor``,
-    per-world averages and a per-type breakdown of the unique bytes.
+    Returns a dict with ``bytes_unique`` (each live object reachable
+    from the keys, the edges and the key space's stack and memory
+    tables, counted once), ``bytes_if_copied`` (per state, the tree
+    sizes of its stacks and memory: the no-sharing counterfactual),
+    their ratio ``sharing_factor``, per-state averages, the counts of
+    states (``worlds``), edges, stacks and memories, and a per-type
+    breakdown of the unique bytes.
     """
-    worlds = graph.states
+    ks = graph.keyspace
+    stacks = ks.stack_list
+    mems = ks.mem_list
+    roots = [graph.keys, graph.edges, ks.stacks, stacks, ks.mems, mems]
     sizeof = sys.getsizeof
 
     # Pass 1: every distinct reachable object, once. The `objects`
@@ -193,7 +201,7 @@ def graph_census(graph):
     per_type = {}
     bytes_unique = 0
     truncated = False
-    stack = list(worlds)
+    stack = list(roots)
     while stack:
         obj = stack.pop()
         oid = id(obj)
@@ -214,11 +222,12 @@ def graph_census(graph):
         agg[1] += size
         stack.extend(_children(obj))
 
-    # Pass 2: memoized tree sizes (cycles — impossible for immutable
-    # states, but guarded — contribute at their own level only).
+    # Pass 2: memoized tree sizes of the stacks and memories (cycles —
+    # impossible for immutable states, but guarded — contribute at
+    # their own level only).
     memo = {}
     on_stack = set()
-    for root in worlds:
+    for root in stacks[1:] + mems:
         work = [(root, False)]
         while work:
             obj, processed = work.pop()
@@ -238,11 +247,21 @@ def graph_census(graph):
                 cid = id(child)
                 if cid not in memo and cid not in on_stack:
                     work.append((child, False))
-    bytes_if_copied = sum(memo.get(id(w), 0) for w in worlds)
+    stack_tree = [0] + [memo.get(id(st), 0) for st in stacks[1:]]
+    mem_tree = [memo.get(id(m), 0) for m in mems]
+    bytes_if_copied = 0
+    for k in graph.keys:
+        _, mid, fields = ks.fields(k)
+        bytes_if_copied += mem_tree[mid]
+        for field in fields:
+            bytes_if_copied += stack_tree[field >> 1]
 
-    n = len(worlds)
+    n = len(graph.keys)
     return {
         "worlds": n,
+        "edges": sum(len(out) for out in graph.edges.values()),
+        "stacks": len(stacks) - 1,
+        "mems": len(mems),
         "objects": len(objects),
         "bytes_unique": bytes_unique,
         "bytes_if_copied": bytes_if_copied,
@@ -272,6 +291,9 @@ def publish_graph_census(census):
         return
     for key in (
         "worlds",
+        "edges",
+        "stacks",
+        "mems",
         "objects",
         "bytes_unique",
         "bytes_if_copied",

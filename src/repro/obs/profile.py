@@ -555,10 +555,14 @@ def render_profile(profile, top=12):
             )
         if graph_g:
             lines.append(
-                "  graph: {:,} world(s), {:,} object(s); {} unique "
+                "  graph: {:,} state key(s), {:,} edge(s), {:,} "
+                "stack(s), {:,} memory(ies), {:,} object(s); {} unique "
                 "vs {} if-copied -> sharing factor {:.2f}x "
-                "({} B/world unique)".format(
+                "({} B/state unique)".format(
                     int(graph_g.get("worlds", 0)),
+                    int(graph_g.get("edges", 0)),
+                    int(graph_g.get("stacks", 0)),
+                    int(graph_g.get("mems", 0)),
                     int(graph_g.get("objects", 0)),
                     _bytes(graph_g.get("bytes_unique")),
                     _bytes(graph_g.get("bytes_if_copied")),

@@ -29,11 +29,12 @@ identity is one packed int built from per-thread stack ids and atomic
 bits, a memory id and ``cur``, and each thread move is computed once
 per ``(cur, stack, bit, memory)`` in a per-run move memo. A candidate
 edge costs an XOR and one int dict probe; a ``World`` is built only for
-a key seen for the first time, and ``StateGraph.ids`` (world → id) only
-when a caller asks for it. The graphs are exactly those of the
-semantics' ``successors`` (state order, edges, done/stuck/truncated),
-which ``tests/semantics/test_keyspace.py`` and the golden digests of
-``tests/semantics/test_graph_golden.py`` pin.
+a key seen for the first time, and is dropped once its state is
+expanded. The graph keeps the keys and the run's key space, and decodes
+a world only when a caller reads ``StateGraph.states``. The graphs are
+exactly those of the semantics' ``successors`` (state order, edges,
+done/stuck/truncated), which ``tests/semantics/test_keyspace.py`` and
+the golden digests of ``tests/semantics/test_graph_golden.py`` pin.
 
 Pure scheduler livelock (a cycle of switch edges with no thread
 progress) exists in every multi-threaded world under both semantics; it
@@ -102,24 +103,25 @@ class Behaviour:
 class StateGraph:
     """The explored world graph.
 
-    ``states``: world list (ids are indices); ``edges[sid]``: list of
-    ``(label, dst)`` with ``dst = -1`` for abort; ``done``: ids of
-    fully-terminated worlds; ``stuck``: ids of non-terminated worlds
-    with no successors (a semantics bug surfaced loudly);
-    ``truncated``: ids whose successors were cut off by the state bound;
-    ``halted``: an observer stopped the exploration early (the graph is
-    a prefix, not the full reachable set), with ``halted_sid`` the id of
-    the world the observer halted at — the witness-capture machinery's
-    entry point into the graph (:mod:`repro.semantics.witness`).
+    ``keys``: each state's packed key in ``keyspace`` (a
+    :class:`~repro.semantics.keyspace.KeySpace`; ids are indices);
+    ``edges[sid]``: list of ``(label, dst)`` with ``dst = -1`` for
+    abort; ``done``: ids of fully-terminated worlds; ``stuck``: ids of
+    non-terminated worlds with no successors (a semantics bug surfaced
+    loudly); ``truncated``: ids whose successors were cut off by the
+    state bound; ``halted``: an observer stopped the exploration early
+    (the graph is a prefix, not the full reachable set), with
+    ``halted_sid`` the id of the world the observer halted at — the
+    witness-capture machinery's entry point into the graph
+    (:mod:`repro.semantics.witness`).
 
-    ``ids`` (world → id) is built on first use: the exploration loops
-    dedup by packed-int key (:mod:`repro.semantics.keyspace`) and
-    never need it.
+    The graph keeps no ``World``: ``states`` decodes the keys on first
+    access, so only callers that read it pay for the worlds.
     """
 
-    def __init__(self):
-        self.states = []
-        self._ids = {}
+    def __init__(self, keyspace):
+        self.keyspace = keyspace
+        self.keys = []
         self.edges = {}
         self.initial = []
         self.done = set()
@@ -127,29 +129,26 @@ class StateGraph:
         self.truncated = set()
         self.halted = False
         self.halted_sid = None
+        self._states = None
+        self._kid = None
 
     @property
-    def ids(self):
-        """``{world: sid}``, caught up with ``states`` on each access."""
-        ids = self._ids
-        states = self.states
-        for sid in range(len(ids), len(states)):
-            ids[states[sid]] = sid
-        return ids
+    def states(self):
+        """The world of each state, decoded from ``keys`` on first
+        access (after the exploration)."""
+        if self._states is None:
+            decode = self.keyspace.decode
+            self._states = [decode(k) for k in self.keys]
+        return self._states
+
+    def sid_of(self, world):
+        """The id of ``world``, or ``None`` when it is not a state."""
+        if self._kid is None:
+            self._kid = {k: sid for sid, k in enumerate(self.keys)}
+        return self._kid.get(self.keyspace.key(world))
 
     def state_count(self):
-        return len(self.states)
-
-    def add(self, world):
-        """Append a world known to be absent; returns its id."""
-        self.states.append(world)
-        return len(self.states) - 1
-
-    def intern(self, world):
-        sid = self.ids.get(world)
-        if sid is None:
-            sid = self.add(world)
-        return sid
+        return len(self.keys)
 
 
 ABORT_DST = -1
@@ -284,33 +283,36 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     return graph
 
 
-def _keyed_roots(ctx, semantics, graph, ks):
-    """Add the initial worlds to ``graph``: ``(keys, kid)``, the key of
-    each state and the id of each key, for the loops to extend."""
-    keys = []
+def _keyed_roots(ctx, semantics, ks):
+    """A graph holding the initial worlds: ``(graph, worlds, kid)``,
+    with ``worlds`` the world of each state until it is expanded and
+    ``kid`` the id of each key, for the loops to extend."""
+    graph = StateGraph(ks)
+    keys = graph.keys
+    worlds = []
     kid = {}
     for world in semantics.initial_worlds(ctx):
         k = ks.key(world)
         sid = kid.get(k)
         if sid is None:
-            sid = kid[k] = len(graph.states)
-            graph.states.append(world)
+            sid = kid[k] = len(keys)
             keys.append(k)
+            worlds.append(world)
         graph.initial.append(sid)
-    return keys, kid
+    return graph, worlds, kid
 
 
 def _explore_full(ctx, semantics, max_states, strict, observer):
     """The classical BFS over every interleaving (no reduction), keyed.
 
     Dedup is one int dict probe per candidate edge (``kid``: key →
-    sid); a ``World`` is built only for a key seen for the first time.
+    sid); a ``World`` is built only for a key seen for the first time,
+    and ``worlds`` holds it only until the state is expanded.
     """
-    graph = StateGraph()
     ks = KeySpace(ctx, semantics)
-    keys, kid = _keyed_roots(ctx, semantics, graph, ks)
-    states = graph.states
-    queue = deque(range(len(states)))
+    graph, worlds, kid = _keyed_roots(ctx, semantics, ks)
+    keys = graph.keys
+    queue = deque(range(len(keys)))
     frontier_hwm = len(queue)
 
     # Locals hoisted out of the loop: every line below runs once per
@@ -330,9 +332,10 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
         hb_left -= 1
         if hb_left == 0:
             hb_left = _HB_STRIDE
-            hb.beat(states=len(states), frontier=len(queue))
+            hb.beat(states=len(keys), frontier=len(queue))
         sid = queue.popleft()
-        world = states[sid]
+        world = worlds[sid]
+        worlds[sid] = None
         if world.is_done():
             graph.done.add(sid)
             all_edges[sid] = []
@@ -354,16 +357,16 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
                 continue
             dst = kid.get(nk)
             if dst is None:
-                if len(states) >= max_states:
+                if len(keys) >= max_states:
                     if strict:
                         raise ExplorationLimit(
                             "state bound {} exceeded".format(max_states)
                         )
                     graph.truncated.add(sid)
                     continue
-                dst = kid[nk] = len(states)
-                states.append(world_for(world, how))
+                dst = kid[nk] = len(keys)
                 keys.append(nk)
+                worlds.append(world_for(world, how))
                 queue.append(dst)
             edges.append((label, dst))
         all_edges[sid] = edges
@@ -383,15 +386,15 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     otherwise never yield to the others) and keeps ``silent_div``
     detection and behaviour extraction exact on the reduced graph.
 
-    Keyed like :func:`_explore_full`. The ample decision
+    Keyed like :func:`_explore_full`, with ``worlds`` again holding
+    each world from its discovery until its expansion. The ample decision
     (:meth:`~repro.semantics.por.AmpleReducer.decide`) is taken once per
     move-memo entry (:class:`~repro.semantics.keyspace.KeySpace`).
     """
-    graph = StateGraph()
     reducer = AmpleReducer()
     ks = KeySpace(ctx, semantics, reducer)
-    keys, kid = _keyed_roots(ctx, semantics, graph, ks)
-    states = graph.states
+    graph, worlds, kid = _keyed_roots(ctx, semantics, ks)
+    keys = graph.keys
     all_edges = graph.edges
     entry_of = ks.entry
     expand = ks.expand
@@ -420,7 +423,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                     # The POR counter dict is only built when a write
                     # is actually due.
                     hb.update(por_counters=reducer.snapshot())
-                    hb.beat(states=len(states), frontier=len(stack))
+                    hb.beat(states=len(keys), frontier=len(stack))
             entry = stack[-1]
             sid = entry[0]
             it = entry[1]
@@ -438,7 +441,8 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 # Reached again through a sibling before being visited.
                 stack.pop()
                 continue
-            world = states[sid]
+            world = worlds[sid]
+            worlds[sid] = None
             if world.is_done():
                 graph.done.add(sid)
                 all_edges[sid] = []
@@ -472,7 +476,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                     nk = k ^ mv[2]
                     dst = kid.get(nk)
                     if dst is None:
-                        if len(states) >= max_states:
+                        if len(keys) >= max_states:
                             if strict:
                                 raise ExplorationLimit(
                                     "state bound {} exceeded".format(
@@ -481,9 +485,9 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                                 )
                             graph.truncated.add(sid)
                             continue
-                        dst = kid[nk] = len(states)
-                        states.append(world_for(world, mv))
+                        dst = kid[nk] = len(keys)
                         keys.append(nk)
+                        worlds.append(world_for(world, mv))
                     elif dst in on_stack:
                         # Cycle proviso (C3): this reduction would close
                         # a cycle of reduced states — expand fully.
@@ -525,7 +529,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                         continue
                     dst = kid.get(nk)
                     if dst is None:
-                        if len(states) >= max_states:
+                        if len(keys) >= max_states:
                             if strict:
                                 raise ExplorationLimit(
                                     "state bound {} exceeded".format(
@@ -534,9 +538,9 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                                 )
                             graph.truncated.add(sid)
                             continue
-                        dst = kid[nk] = len(states)
-                        states.append(world_for(world, how))
+                        dst = kid[nk] = len(keys)
                         keys.append(nk)
+                        worlds.append(world_for(world, how))
                     edges.append((label, dst))
                     children.append(dst)
             all_edges[sid] = edges
@@ -582,8 +586,8 @@ def _record_explore_metrics(graph, frontier_hwm, sp):
                 n_event += 1
             else:
                 n_silent += 1
-    # Every non-abort edge targets an interned world; all but the
-    # newly-discovered ones hit the dedup table.
+    # Every non-abort edge targets a state; all but the edges that
+    # discovered one hit the key dedup table.
     dedup_hits = n_edges - (n_states - len(graph.initial))
     obs.inc("explore.states_visited", n_states)
     obs.inc("explore.edges.event", n_event)

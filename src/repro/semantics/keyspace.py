@@ -22,7 +22,10 @@ exploration run therefore owns a :class:`KeySpace`:
 
   The key names the world exactly, so dedup is one int dict probe. An
   id that does not fit its field raises :class:`OverflowError`; it never
-  wraps into a neighbouring field.
+  wraps into a neighbouring field. Each id also indexes a reverse list
+  of the stacks and memories, so :meth:`KeySpace.decode` rebuilds the
+  world of any key. An explored graph therefore keeps one int per
+  state and its key space, not the worlds.
 * **Move memo.** A thread step depends only on ``(cur, stack, bit,
   memory)`` — never on the other threads — except a spawn, whose new
   thread's position and freelist depend on the pool size. The memo is
@@ -34,7 +37,7 @@ exploration run therefore owns a :class:`KeySpace`:
   (:mod:`repro.semantics.world`) and, non-preemptively, the label of
   the switches bundled with a sync point. A successor's key is then
   ``k ^ delta`` and a Switch edge's ``k ^ cur ^ t``; a ``World`` is
-  built only when a key is new.
+  built only when a key is new, and only once per key.
 
 Entries are filled by the engine's own expansion
 (:func:`~repro.semantics.engine.thread_expansion`): the language's
@@ -51,6 +54,7 @@ equal to it.
 
 from repro.semantics.engine import SW, GAbort, SyncPoint, thread_expansion
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
+from repro.semantics.world import World
 
 #: Width of the ``cur`` field: at most ``2 ** CUR_BITS`` threads.
 CUR_BITS = 8
@@ -75,8 +79,8 @@ class KeySpace:
 
     __slots__ = (
         "ctx", "semantics", "preemptive", "reducer", "stacks", "mems",
-        "memo", "masks", "cur_bits", "mem_bits", "stack_bits", "low_bits",
-        "slot_bits",
+        "stack_list", "mem_list", "memo", "masks", "cur_bits", "mem_bits",
+        "stack_bits", "low_bits", "slot_bits",
     )
 
     def __init__(self, ctx, semantics, reducer=None):
@@ -86,6 +90,10 @@ class KeySpace:
         self.reducer = reducer
         self.stacks = {}
         self.mems = {}
+        # Reverse of ``stacks`` / ``mems``: the stack or memory of each
+        # id (stack id 0, "no thread", has none).
+        self.stack_list = [None]
+        self.mem_list = []
         self.memo = {}
         self.masks = []
         # Read per run, so a test can narrow the fields.
@@ -108,6 +116,7 @@ class KeySpace:
                     )
                 )
             self.stacks[frames] = sid
+            self.stack_list.append(frames)
         return sid
 
     def mem_id(self, mem):
@@ -121,6 +130,7 @@ class KeySpace:
                     )
                 )
             self.mems[mem] = mid
+            self.mem_list.append(mem)
         return mid
 
     def shift(self, tid):
@@ -150,6 +160,29 @@ class KeySpace:
                 self.stack_id(frames) << 1 | world.bits[t]
             ) << self.shift(t)
         return k
+
+    def fields(self, k):
+        """Key ``k`` read back: ``(cur, memory id, thread fields)``,
+        each thread field being ``stack id << 1 | atomic bit``."""
+        cur = k & ((1 << self.cur_bits) - 1)
+        mid = k >> self.cur_bits & ((1 << self.mem_bits) - 1)
+        slot_bits = self.slot_bits
+        slot_mask = (1 << slot_bits) - 1
+        fields = []
+        k >>= self.low_bits
+        while k:
+            fields.append(k & slot_mask)
+            k >>= slot_bits
+        return cur, mid, fields
+
+    def decode(self, k):
+        """The world of key ``k``, built from scratch."""
+        cur, mid, fields = self.fields(k)
+        stacks = self.stack_list
+        return World(
+            [stacks[f >> 1] for f in fields], cur, [f & 1 for f in fields],
+            self.mem_list[mid],
+        )
 
     # -- the move memo -----------------------------------------------
 

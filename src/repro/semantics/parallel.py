@@ -6,7 +6,7 @@ the cost center of every whole-program property. This module runs the
 same reachability computation across ``jobs`` forked worker processes
 with a *hash-partitioned frontier*, in the style of classic distributed
 model checking (Stern–Dill): every world is **owned** by the worker
-whose shard index matches its (incremental, hash-consed) hash —
+whose shard index matches its (incremental) hash —
 ``hash(world) % jobs`` — so no two workers ever expand the same
 full-expansion state, and the dedup table is sharded for free.
 
@@ -124,6 +124,7 @@ from repro.semantics.explore import (
     ExplorationLimit,
     StateGraph,
 )
+from repro.semantics.keyspace import KeySpace
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.por import AmpleReducer
 from repro.semantics.race import RaceWitness, _RaceChecker
@@ -133,7 +134,7 @@ from repro.semantics.world import reset_intern_tables
 ENV_JOBS = "REPRO_JOBS"
 
 #: Cross-shard worlds per batch message.
-_BATCH_WORLDS = 128
+_BATCH_SIZE = 128
 
 #: Expansion records per flush to the coordinator.
 _REC_BATCH = 256
@@ -339,7 +340,7 @@ class _Worker:
         self.memo_sends += 1
         box = self.outboxes[shard]
         box.append(world)
-        if len(box) >= _BATCH_WORLDS:
+        if len(box) >= _BATCH_SIZE:
             self.flush_box(shard)
 
     def charge(self):
@@ -755,20 +756,34 @@ def _merge_record(records, world, kind, edges):
     records[world] = (kind, edges)
 
 
-def _merge_graph(initial, records):
+def _merge_graph(ks, initial, records):
     """Canonical BFS over the merged records (see module docstring:
-    without reduction this replays ``_explore_full`` exactly)."""
-    graph = StateGraph()
+    without reduction this replays ``_explore_full`` exactly).
+
+    States are keyed through ``ks`` like the sequential loops', and a
+    merged world is held only until its record is read."""
+    graph = StateGraph(ks)
+    keys = graph.keys
+    kid = {}
+    worlds = []
     queue = deque()
+
+    def add(world):
+        k = ks.key(world)
+        sid = kid.get(k)
+        if sid is None:
+            sid = kid[k] = len(keys)
+            keys.append(k)
+            worlds.append(world)
+            queue.append(sid)
+        return sid
+
     for world in initial:
-        sid = graph.intern(world)
-        graph.initial.append(sid)
-        queue.append(sid)
+        graph.initial.append(add(world))
     while queue:
         sid = queue.popleft()
-        if sid in graph.edges:
-            continue
-        rec = records.get(graph.states[sid])
+        rec = records.get(worlds[sid])
+        worlds[sid] = None
         if rec is None:
             # Unexpanded frontier world of an early halt; the
             # sequential halted graph leaves these edge-less too.
@@ -791,11 +806,7 @@ def _merge_graph(initial, records):
             if dst is None:
                 out.append((Behaviour.ABORT, ABORT_DST))
                 continue
-            dsid = graph.ids.get(dst)
-            if dsid is None:
-                dsid = graph.add(dst)
-                queue.append(dsid)
-            out.append((label, dsid))
+            out.append((label, add(dst)))
         graph.edges[sid] = out
     return graph
 
@@ -803,12 +814,10 @@ def _merge_graph(initial, records):
 def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
                   race_cfg):
     """Coordinator: fork workers, seed shards, merge, terminate."""
-    # Start from empty intern tables, so this run's canonical worlds
-    # are its own: worlds an earlier run decoded off the wire carry
-    # memories rebuilt around private base dicts, and inheriting them
-    # would defeat the encoder's id-matched delta cache (see
-    # ``reset_intern_tables``). Must happen before ``initial_worlds``,
-    # which interns.
+    # Start from an empty frame table, so the canonical frames the
+    # static segment pins are this run's own, not ones an earlier run
+    # decoded off the wire (see ``reset_intern_tables``). Must happen
+    # before ``initial_worlds``, which interns frames.
     reset_intern_tables()
     counter = _pool.shared_counter()
     cfg = {
@@ -834,25 +843,26 @@ def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
     finally:
         clear_static_table()
 
+    ks = KeySpace(ctx, semantics)
     track = obs.enabled
     if track:
         with obs.span("parallel.merge", shards=jobs) as sp:
             t0 = time.monotonic()
-            graph = _merge_graph(initial, records)
+            graph = _merge_graph(ks, initial, records)
             merge_seconds = coord_decode + time.monotonic() - t0
             sp.set(
                 states=graph.state_count(),
                 decode_seconds=round(coord_decode, 6),
             )
     else:
-        graph = _merge_graph(initial, records)
+        graph = _merge_graph(ks, initial, records)
         merge_seconds = 0.0
     witness = None
     if race_payload is not None:
         world, t1, fp1, b1, t2, fp2, b2 = race_payload
         witness = RaceWitness(world, t1, fp1, b1, t2, fp2, b2)
         graph.halted = True
-        graph.halted_sid = graph.ids.get(world)
+        graph.halted_sid = graph.sid_of(world)
     if graph.truncated:
         obs.inc("explore.truncated_states", len(graph.truncated))
         obs.warn(

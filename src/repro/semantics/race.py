@@ -335,7 +335,7 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
                         break
             witness = checker.witness
         if witness is not None and capture:
-            sid = graph.ids.get(witness.world)
+            sid = graph.sid_of(witness.world)
             if sid is not None:
                 witness.schedule = capture_schedule(
                     ctx, semantics, graph, sid,

@@ -239,6 +239,7 @@ def capture_schedule(ctx, semantics, graph, target_sid, por=False,
     """
     init_idx, hops = graph_path(graph, target_sid)
     world = semantics.initial_worlds(ctx)[init_idx]
+    key = graph.keyspace.key
     steps = []
     for n, (_sid, i, dst) in enumerate(hops):
         outs = semantics.successors(ctx, world)
@@ -254,7 +255,7 @@ def capture_schedule(ctx, semantics, graph, target_sid, por=False,
             raise CaptureError(
                 "step {}: interior edge replays as an abort".format(n)
             )
-        if out.world != graph.states[dst]:
+        if key(out.world) != graph.keys[dst]:
             raise CaptureError(
                 "step {}: full-semantics walk diverges from the "
                 "explored graph (POR prefix property violated?)".format(

@@ -17,22 +17,22 @@ XOR of one code per thread (``hash((tid, frames))``); a successor that
 changes one thread's stack rehashes only that stack, the way
 :class:`~repro.common.memory.Memory` keeps its Zobrist hash, and the
 world hash mixes ``_tx`` with ``(cur, bits, mem)`` (the memory's hash
-is cached in the memory). Both are *hash-consed* through bounded intern
-tables — the canonical constructors (:meth:`Frame.make`, every
-``World``-producing method) return pointer-equal objects for equal
-states, so equal stacks and memories share one object and dict probes
-on them short-circuit on identity. The world table is keyed by the
-world's int hash, and a hit is accepted only after comparing all four
-components; on a hash collision the new world is returned un-interned.
-Direct ``Frame(...)``/``World(...)`` construction stays valid (tests use
-it): interning is an optimization, structural ``__eq__`` is the truth.
+is cached in the memory). Frames are *hash-consed* through a bounded
+intern table: :meth:`Frame.make` and :meth:`Frame.with_core` return
+pointer-equal objects for equal frames, so equal stacks share their
+frames and comparing them short-circuits on identity. Direct
+``Frame(...)`` construction stays valid (tests use it): interning is an
+optimization, structural ``__eq__`` is the truth. Worlds are not
+interned; every ``World``-producing method builds a new object, and
+two equal worlds are equal by ``==``, never by ``is``.
 
 The exploration loops do not dedup by ``World`` at all: they key each
 world by a packed int of per-thread stack ids, atomic bits, a memory id
 and ``cur`` (:mod:`repro.semantics.keyspace`), and build a world only
 for a key seen for the first time — through :meth:`World._with_move`
 (a memoised thread move: stack, bit, memory and ``_tx`` delta) or
-:meth:`World.with_current` (a switch), both interned as above.
+:meth:`World.with_current` (a switch). The explored graph keeps only
+the keys; a world is held from its discovery until its expansion.
 """
 
 from repro import obs
@@ -42,7 +42,6 @@ from repro.common.intern import InternTable
 from repro.lang.interface import resolve_entry
 
 _FRAMES = InternTable("frame")
-_WORLDS = InternTable("world")
 
 
 def _intern_frame(mod_idx, flist, core):
@@ -84,66 +83,31 @@ def _threads_code(threads):
     return tx
 
 
-def _new_world(threads, cur, bits, mem, tx, h):
-    """A world from its components, ``_tx`` and hash (not interned)."""
+def _new_world(threads, cur, bits, mem, tx):
+    """A world from its components, ``tx`` their ``_tx``."""
     world = object.__new__(World)
     object.__setattr__(world, "threads", threads)
     object.__setattr__(world, "cur", cur)
     object.__setattr__(world, "bits", bits)
     object.__setattr__(world, "mem", mem)
     object.__setattr__(world, "_tx", tx)
-    object.__setattr__(world, "_hash", h)
+    object.__setattr__(world, "_hash", hash((tx, cur, bits, mem)))
     return world
 
-
-def _intern_world(threads, cur, bits, mem, tx):
-    """The canonical world for these components, ``tx`` their ``_tx``.
-
-    The table is keyed by the world hash. A hit counts only when all
-    four components match (``is`` first, then ``==``); a different
-    world under the same hash is a collision, and the new world is
-    returned without being interned.
-    """
-    h = hash((tx, cur, bits, mem))
-    table = _WORLDS.table
-    world = table.get(h)
-    if world is not None:
-        if (
-            world.cur == cur
-            and (world.bits is bits or world.bits == bits)
-            and (world.mem is mem or world.mem == mem)
-            and (world.threads is threads or world.threads == threads)
-        ):
-            _WORLDS.hits += 1
-            return world
-        _WORLDS.misses += 1
-        return _new_world(threads, cur, bits, mem, tx, h)
-    _WORLDS.misses += 1
-    if len(table) >= _WORLDS.max_size:
-        _WORLDS.clears += 1
-        table.clear()
-    world = _new_world(threads, cur, bits, mem, tx, h)
-    table[h] = world
-    if len(table) > _WORLDS.peak_size:
-        _WORLDS.peak_size = len(table)
-    return world
 
 def reset_intern_tables():
-    """Empty the frame/world intern tables.
+    """Empty the frame intern table.
 
     Interning is an optimization (structural ``__eq__`` is the truth),
     so this is always safe, also between keyed explorations: their
     stack and memory ids are per run and keyed by structural equality
     (:mod:`repro.semantics.keyspace`), so no id outlives a clear or
     depends on which object was canonical. The parallel explorer calls
-    it at the start of every run, so the run's canonical worlds are its
-    own: worlds an earlier run decoded off the wire carry memories
-    rebuilt around private base dicts, and inheriting them would cost
-    memory-delta opportunities (the encoder's base cache matches by
-    ``id``). The benchmark harness calls it to start each task cold.
+    it at the start of every run, so the frames its workers ship are
+    the run's own. The benchmark harness calls it to start each task
+    cold.
     """
     _FRAMES.table.clear()
-    _WORLDS.table.clear()
 
 
 #: Marks a function name defined by more than one module: linking is
@@ -218,19 +182,9 @@ class World:
     __slots__ = ("threads", "cur", "bits", "mem", "_tx", "_hash")
 
     def __new__(cls, threads, cur, bits, mem):
-        """A world built from scratch, not interned."""
+        """A world built from scratch: ``_tx`` from every thread."""
         threads = tuple(threads)
-        bits = tuple(bits)
-        tx = _threads_code(threads)
         return _new_world(
-            threads, cur, bits, mem, tx, hash((tx, cur, bits, mem))
-        )
-
-    @classmethod
-    def make(cls, threads, cur, bits, mem):
-        """The canonical (interned) world for these components."""
-        threads = tuple(threads)
-        return _intern_world(
             threads, cur, tuple(bits), mem, _threads_code(threads)
         )
 
@@ -308,7 +262,7 @@ class World:
         """A world scheduled on thread ``cur``."""
         if cur == self.cur:
             return self
-        return _intern_world(
+        return _new_world(
             self.threads, cur, self.bits, self.mem, self._tx
         )
 
@@ -316,7 +270,7 @@ class World:
         """A world with a freshly spawned thread appended."""
         threads = self.threads
         stack = (frame,)
-        return _intern_world(
+        return _new_world(
             threads + (stack,),
             self.cur,
             self.bits + (0,),
@@ -337,7 +291,7 @@ class World:
         bits = self.bits
         if bit is not None:
             bits = bits[:cur] + (bit,) + bits[cur + 1:]
-        return _intern_world(
+        return _new_world(
             threads[:cur] + (frames,) + threads[cur + 1:],
             cur,
             bits,
@@ -358,7 +312,7 @@ class World:
             bits = list(self.bits)
             bits[tid] = bit
             bits = tuple(bits)
-        return _intern_world(
+        return _new_world(
             tuple(threads),
             self.cur if cur is None else cur,
             bits,
@@ -505,7 +459,7 @@ class GlobalContext:
             threads.append((Frame.make(mod_idx, flist, core),))
         bits = (0,) * len(threads)
         return [
-            World.make(threads, cur, bits, mem)
+            World(threads, cur, bits, mem)
             for cur in range(len(threads))
         ]
 

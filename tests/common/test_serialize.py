@@ -75,11 +75,14 @@ def test_batch_roundtrip_whole_graph(worlds):
 
 
 def test_decoded_worlds_reintern(worlds):
-    # Decoding goes through World.make, so a world already known to
-    # this process comes back pointer-equal (the intern fast path the
-    # coordinator's merge relies on).
-    back = roundtrip(worlds[0])
-    assert back is worlds[0]
+    # Decoding goes through Frame.make, so a decoded world's frames
+    # come back pointer-equal to the ones this process already knows;
+    # the world itself is rebuilt (worlds are not interned).
+    world = worlds[0]
+    back = roundtrip(world)
+    assert back == world
+    for stack, back_stack in zip(world.threads, back.threads):
+        assert all(a is b for a, b in zip(stack, back_stack))
 
 
 def test_batch_shares_hash_consed_state(worlds):

@@ -13,6 +13,23 @@ void t1() { x = 1; }
 void t2() { x = 2; }
 """
 
+#: A lock client that writes ``y`` outside its critical section.
+RACY_LOCK_CLIENT = """
+extern void lock();
+extern void unlock();
+int x = 0;
+int y = 0;
+void inc() {
+  int tmp;
+  lock();
+  tmp = x;
+  x ++;
+  unlock();
+  y = tmp;
+  print(tmp);
+}
+"""
+
 SAFE = """
 int g = 0;
 void main() { g = 1; print(g); }
@@ -71,6 +88,35 @@ class TestDrfWitnessOut:
         assert len(rec_small["schedule"]["steps"]) <= len(
             rec_plain["schedule"]["steps"]
         )
+
+
+class TestWitnessDecodesNoState:
+    """Witness capture checks each replayed step against the graph's
+    keys, so neither the race search nor the replay decodes a state
+    (the graph keeps keys, not worlds)."""
+
+    def test_drf_witness_and_replay(self, tmp_path, monkeypatch, capsys):
+        from repro.semantics.keyspace import KeySpace
+
+        path = tmp_path / "racy_lock.c"
+        path.write_text(RACY_LOCK_CLIENT)
+        decoded = []
+        real_decode = KeySpace.decode
+
+        def counting_decode(self, k):
+            decoded.append(k)
+            return real_decode(self, k)
+
+        monkeypatch.setattr(KeySpace, "decode", counting_decode)
+        out = tmp_path / "w.json"
+        assert main(
+            ["drf", str(path), "--threads", "inc,inc", "--lock",
+             "--witness-out", str(out)]
+        ) == 1
+        assert json.loads(out.read_text())["verdict"] == "race"
+        assert main(["replay", str(path), "--witness", str(out)]) == 0
+        assert "replay: OK" in capsys.readouterr().out
+        assert decoded == []
 
 
 class TestReplayCommand:

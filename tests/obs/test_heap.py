@@ -95,6 +95,12 @@ class TestGraphCensus:
     def test_sharing_factor_on_real_graph(self, lock_graph):
         census = heap.graph_census(lock_graph)
         assert census["worlds"] == lock_graph.state_count()
+        assert census["edges"] == sum(
+            len(out) for out in lock_graph.edges.values()
+        )
+        ks = lock_graph.keyspace
+        assert census["stacks"] == len(ks.stacks)
+        assert census["mems"] == len(ks.mems)
         assert census["objects"] > census["worlds"]
         assert census["bytes_unique"] > 0
         # Hash-consing means copies would cost strictly more.
@@ -106,7 +112,17 @@ class TestGraphCensus:
             e["bytes"] for e in census["per_type"].values()
         )
         assert per_type_bytes == census["bytes_unique"]
-        assert "World" in census["per_type"]
+        # The graph keeps keys, stacks and memories, never a world.
+        assert "Frame" in census["per_type"]
+        assert "Memory" in census["per_type"]
+        assert "World" not in census["per_type"]
+
+    def test_census_decodes_no_world(self, lock_graph, monkeypatch):
+        def no_decode(self, k):
+            raise AssertionError("the census decoded a state")
+
+        monkeypatch.setattr(type(lock_graph.keyspace), "decode", no_decode)
+        assert heap.graph_census(lock_graph)["worlds"] > 0
 
     def test_publish_exports_gauges_and_prom(self, lock_graph):
         obs.configure(metrics=True)

@@ -272,25 +272,28 @@ class TestProfileCLI:
 class TestHeapSection:
     METRICS = {
         "counters": {
-            "intern.table.world.hits": 90,
-            "intern.table.world.misses": 10,
+            "intern.table.frame.hits": 90,
+            "intern.table.frame.misses": 10,
         },
         "gauges": {
             "heap.graph.worlds": 5028,
+            "heap.graph.edges": 14016,
+            "heap.graph.stacks": 79,
+            "heap.graph.mems": 105,
             "heap.graph.objects": 40000,
             "heap.graph.bytes_unique": 1144000,
             "heap.graph.bytes_if_copied": 57400000,
             "heap.graph.sharing_factor": 50.17,
             "heap.graph.bytes_per_world_unique": 227.6,
             "heap.graph.bytes_per_world_copied": 11418.0,
-            "heap.type.World.bytes": 300000,
-            "heap.type.World.count": 5028,
-            "intern.table.world.size": 6330,
-            "intern.table.world.peak_size": 6330,
-            "intern.table.world.clears": 0,
-            "intern.table.world.hit_rate": 0.9,
-            "intern.table.world.collisions_estimate": 12,
-            "intern.table.world.table_bytes": 295000,
+            "heap.type.Frame.bytes": 300000,
+            "heap.type.Frame.count": 5028,
+            "intern.table.frame.size": 6330,
+            "intern.table.frame.peak_size": 6330,
+            "intern.table.frame.clears": 0,
+            "intern.table.frame.hit_rate": 0.9,
+            "intern.table.frame.collisions_estimate": 12,
+            "intern.table.frame.table_bytes": 295000,
             "heap.tracemalloc.total.peak_bytes": 9000000,
         },
         "histograms": {},
@@ -309,10 +312,10 @@ class TestHeapSection:
     def test_heap_rows_groups_gauges_and_counters(self):
         graph, per_type, tables, tm = prof.heap_rows(self.METRICS)
         assert graph["sharing_factor"] == 50.17
-        assert per_type["World"]["bytes"] == 300000
+        assert per_type["Frame"]["bytes"] == 300000
         # Counters (hits/misses) merge into the gauge-backed rows.
-        assert tables["world"]["size"] == 6330
-        assert tables["world"]["hits"] == 90
+        assert tables["frame"]["size"] == 6330
+        assert tables["frame"]["hits"] == 90
         assert tm["total.peak_bytes"] == 9000000
 
     def test_heap_section_renders(self, tmp_path):
@@ -320,7 +323,8 @@ class TestHeapSection:
         text = prof.render_profile(profile)
         assert "heap (interning census" in text
         assert "sharing factor 50.17x" in text
-        assert "World" in text
+        assert "5,028 state key(s), 14,016 edge(s), 79 stack(s)" in text
+        assert "Frame" in text
         assert "Intern table" in text
         assert "90.0%" in text
 

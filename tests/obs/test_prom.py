@@ -110,7 +110,7 @@ def test_empty_snapshot_renders_empty():
 
 def test_help_lines_describe_known_families():
     snap = {
-        "counters": {"intern.table.world.hits": 5},
+        "counters": {"intern.table.frame.hits": 5},
         "gauges": {
             "heap.graph.sharing_factor": 50.2,
             "some.unknown.metric": 1,
@@ -124,9 +124,9 @@ def test_help_lines_describe_known_families():
     }
     text = render_prometheus(snap)
     assert (
-        "# HELP repro_intern_table_world_hits_total "
+        "# HELP repro_intern_table_frame_hits_total "
         "per-intern-table census (hash-consing) "
-        "(intern.table.world.hits)" in text
+        "(intern.table.frame.hits)" in text
     )
     assert "sharing-aware state-graph deep-size census" in text
     assert "wall-clock span timing (span.explore.seconds)" in text

@@ -131,7 +131,7 @@ class TestStatusWriter:
         hb = StatusWriter(tmp_path / "st.json", interval=0.0)
         hb.beat(states=1)
         doc = _read(tmp_path / "st.json")
-        assert "world" in doc["intern"]
+        assert "frame" in doc["intern"]
 
 
 class TestWriteAtomic:

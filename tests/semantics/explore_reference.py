@@ -4,20 +4,47 @@ These are the straightforward forms of the two loops in
 :mod:`repro.semantics.explore` that the keyed loops replaced: every
 candidate edge builds its successor ``World`` through
 ``semantics.successors`` (or :meth:`AmpleReducer.decide`) and dedups it
-through ``graph.ids``. They are kept only as the oracle of
+through ``graph.ids``. They build a :class:`WorldGraph`, which keeps
+the worlds themselves, and are kept only as the oracle of
 ``test_keyspace.py``; nothing in ``src/`` imports them.
 """
 
 from collections import deque
 
 from repro.semantics.engine import GAbort
-from repro.semantics.explore import (
-    ABORT_DST,
-    Behaviour,
-    ExplorationLimit,
-    StateGraph,
-)
+from repro.semantics.explore import ABORT_DST, Behaviour, ExplorationLimit
 from repro.semantics.por import AmpleReducer
+
+
+class WorldGraph:
+    """A :class:`~repro.semantics.explore.StateGraph` look-alike that
+    keeps a world list (``states``) and its index (``ids``)."""
+
+    def __init__(self):
+        self.states = []
+        self.ids = {}
+        self.edges = {}
+        self.initial = []
+        self.done = set()
+        self.stuck = set()
+        self.truncated = set()
+        self.halted = False
+        self.halted_sid = None
+
+    def state_count(self):
+        return len(self.states)
+
+    def add(self, world):
+        """Append a world known to be absent; returns its id."""
+        sid = self.ids[world] = len(self.states)
+        self.states.append(world)
+        return sid
+
+    def intern(self, world):
+        sid = self.ids.get(world)
+        if sid is None:
+            sid = self.add(world)
+        return sid
 
 
 def _bound(graph, sid, max_states, strict):
@@ -31,7 +58,7 @@ def _bound(graph, sid, max_states, strict):
 
 
 def explore_full(ctx, semantics, max_states, strict=False, observer=None):
-    graph = StateGraph()
+    graph = WorldGraph()
     queue = deque()
     for world in semantics.initial_worlds(ctx):
         sid = graph.intern(world)
@@ -71,7 +98,7 @@ def explore_full(ctx, semantics, max_states, strict=False, observer=None):
 
 def explore_reduced(ctx, semantics, max_states, strict=False,
                     observer=None):
-    graph = StateGraph()
+    graph = WorldGraph()
     reducer = AmpleReducer()
     for world in semantics.initial_worlds(ctx):
         graph.initial.append(graph.intern(world))

@@ -13,7 +13,9 @@ hold it to the reference definitions:
   bounds, raise ``ExplorationLimit`` at the same point with
   ``strict=True``, and halt at the same world for an observer;
 * narrowing the key fields until an id no longer fits raises instead
-  of aliasing two worlds.
+  of aliasing two worlds;
+* a key decodes to its world, and the loops build one world per new
+  key and no other.
 """
 
 import importlib
@@ -90,7 +92,7 @@ def _both_bits():
     prog = cimp_program("t1(){ print(1); } t2(){ print(2); }", ["t1", "t2"])
     ctx = GlobalContext(prog)
     world = ctx.load()[0]
-    return ctx, [world, World.make(world.threads, 0, (1, 0), world.mem)]
+    return ctx, [world, World(world.threads, 0, (1, 0), world.mem)]
 
 
 def _programs():
@@ -288,7 +290,7 @@ def test_semantics_errors_surface_like_the_reference(reduce):
     )
     ctx = GlobalContext(prog)
     world = ctx.load()[0]
-    nested = World.make(world.threads, 0, (1, 0), world.mem)
+    nested = World(world.threads, 0, (1, 0), world.mem)
     for run in (explore, reference.explore_full):
         if run is not explore and reduce:
             run = reference.explore_reduced
@@ -298,20 +300,64 @@ def test_semantics_errors_surface_like_the_reference(reduce):
 
 
 class _Capture(KeySpace):
-    """A KeySpace that remembers the last instance (for id counts)."""
+    """A KeySpace that remembers the last instance (for id counts) and,
+    in ``built``, each world its ``world_for`` built, in order."""
 
     last = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.built = []
         _Capture.last = self
+
+    def world_for(self, world, how):
+        built = super().world_for(world, how)
+        self.built.append(built)
+        return built
+
+
+def explore_capturing(monkeypatch, *args, **kwargs):
+    """``explore(*args, **kwargs)`` and the key space its loop used."""
+    monkeypatch.setattr(explore_mod, "KeySpace", _Capture)
+    graph = explore(*args, **kwargs)
+    assert graph.keyspace is _Capture.last
+    return graph, _Capture.last
 
 
 def _key_space_sizes(monkeypatch, ctx_factory, sem, reduce=False):
-    monkeypatch.setattr(explore_mod, "KeySpace", _Capture)
-    graph = explore(ctx_factory(), sem, max_states=100000, reduce=reduce)
-    ks = _Capture.last
+    graph, ks = explore_capturing(
+        monkeypatch, ctx_factory(), sem, max_states=100000, reduce=reduce
+    )
     return graph_digest(graph), len(ks.stacks), len(ks.mems)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("name", _LOOP_PROGRAMS + ("aborting",))
+@pytest.mark.parametrize("max_states", [5, 100000])
+def test_each_new_key_builds_one_world(monkeypatch, name, mode, max_states):
+    # A second build for one key would be a loop bug: the loops build
+    # a world only for a new state, in state order.
+    make_sem, reduce = _MODES[mode]
+    graph, ks = explore_capturing(
+        monkeypatch, _ctx_for(name), make_sem(), max_states=max_states,
+        reduce=reduce,
+    )
+    first = len(set(graph.initial))
+    assert len(ks.built) == graph.state_count() - first
+    for sid, world in enumerate(ks.built, first):
+        assert ks.key(world) == graph.keys[sid]
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_decode_inverts_key(name):
+    make_ctx, make_sem = _CASES[name]
+    ctx, sem = make_ctx(), make_sem()
+    ks = KeySpace(ctx, sem)
+    for world in _reached(ctx, sem, 2000):
+        back = ks.decode(ks.key(world))
+        assert back == world
+        assert back.threads == world.threads and back.bits == world.bits
+        assert hash(back) == hash(world)
 
 
 @pytest.mark.parametrize(

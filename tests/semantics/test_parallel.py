@@ -43,7 +43,6 @@ def _ctx(program):
 
 def _graphs_identical(g1, g2):
     assert g1.states == g2.states
-    assert g1.ids == g2.ids
     assert g1.edges == g2.edges
     assert g1.initial == g2.initial
     assert g1.done == g2.done

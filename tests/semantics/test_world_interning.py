@@ -1,13 +1,15 @@
-"""Hash-consed worlds/frames, the resolve table, and exploration
-determinism under the interned representation.
+"""Hash-consed frames, incremental world hashes, the resolve table, and
+exploration determinism.
 
-Interning is an optimization layered under the structural semantics:
-these tests check the canonical constructors return pointer-equal
-objects for equal states, that directly-constructed (un-interned)
-objects remain fully interoperable, that the incrementally maintained
-world hash always equals the from-scratch one, that forced hash
-collisions in the int-keyed world table change nothing, and that
-whole-suite behaviour sets are unaffected.
+Frame interning is an optimization layered under the structural
+semantics: these tests check the canonical constructor returns
+pointer-equal frames for equal components and that directly-constructed
+(un-interned) objects remain fully interoperable. Worlds are not
+interned; each keeps an incrementally maintained hash, and these tests
+check that every world the keyed loops build hashes and compares like
+the world its key decodes to (built from scratch), that forced world
+hash collisions change no graph, and that whole-suite behaviour sets
+are unaffected.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from repro.semantics import world as world_mod
 from repro.semantics.world import Frame, World, reset_intern_tables
 
 from tests.helpers import CELL, cimp_program, events_of, example_programs
+from tests.semantics.test_keyspace import explore_capturing
 
 
 def _frame_parts():
@@ -50,14 +53,6 @@ class TestHashConsing:
         f2 = Frame.make(mod_idx, FreeList.for_thread(0), core)
         assert f1 is f2
 
-    def test_world_make_is_canonical(self):
-        _, mod_idx, core = _frame_parts()
-        frame = Frame.make(mod_idx, FreeList.for_thread(0), core)
-        mem = Memory({CELL: VInt(0)})
-        w1 = World.make(((frame,),), 0, (0,), mem)
-        w2 = World.make(((frame,),), 0, (0,), Memory({CELL: VInt(0)}))
-        assert w1 is w2
-
     def test_direct_construction_interoperates(self):
         # Un-interned objects are structurally equal to interned ones
         # and hash identically — interning is invisible to semantics.
@@ -69,15 +64,15 @@ class TestHashConsing:
         assert hash(direct) == hash(interned)
 
         mem = Memory({CELL: VInt(0)})
-        w_interned = World.make(((interned,),), 0, (0,), mem)
-        w_direct = World(((direct,),), 0, (0,), mem)
+        w_interned = World(((interned,),), 0, (0,), mem)
+        w_direct = World(((direct,),), 0, (0,), Memory({CELL: VInt(0)}))
         assert w_direct == w_interned
         assert hash(w_direct) == hash(w_interned)
         assert len({w_direct, w_interned}) == 1
 
     def test_successor_dedup_is_pointer_equal(self):
         # Two different interleavings converging on the same abstract
-        # state must produce the same World object.
+        # state must land on one state of the graph.
         prog = cimp_program(
             "t1(){ print(1); } t2(){ print(2); }", ["t1", "t2"]
         )
@@ -94,14 +89,14 @@ class TestReplaceTopGuard:
         _, mod_idx, core = _frame_parts()
         frame = Frame.make(mod_idx, FreeList.for_thread(0), core)
         # Thread 0 terminated (empty stack), thread 1 live, cur = 0.
-        world = World.make(((), (frame,)), 0, (0, 0), Memory())
+        world = World(((), (frame,)), 0, (0, 0), Memory())
         with pytest.raises(SemanticsError):
             world.replace_top(frame)
 
     def test_replace_top_on_live_thread_still_works(self):
         _, mod_idx, core = _frame_parts()
         frame = Frame.make(mod_idx, FreeList.for_thread(0), core)
-        world = World.make(((frame,),), 0, (0,), Memory())
+        world = World(((frame,),), 0, (0,), Memory())
         out = world.replace_top(frame)
         assert out == world
 
@@ -198,12 +193,11 @@ class TestForcedCollisions:
         self, monkeypatch, cold_tables, nthreads
     ):
         # Every thread stack codes to 0, so worlds that differ only in
-        # their threads share one hash: most table probes land on a
-        # different world and must be refused by the component check.
+        # their threads share one hash. The loops dedup by key, so the
+        # graph and its behaviours must not move.
         monkeypatch.setattr(
             world_mod, "_thread_code", lambda tid, frames: 0
         )
-        misses0 = world_mod._WORLDS.misses
         graph = explore(
             GlobalContext(lock_counter_system(nthreads).source_program()),
             PreemptiveSemantics(),
@@ -214,10 +208,10 @@ class TestForcedCollisions:
         assert (
             graph.state_count(), _fingerprint(behs)
         ) == _LOCK_COUNTER[nthreads]
-        # Collisions really happened: worlds were built, not interned.
-        table = world_mod._WORLDS.table
-        assert world_mod._WORLDS.misses - misses0 > 2 * len(table)
-        assert len({hash(w) for w in graph.states}) == len(table)
+        # The world hashes really collide.
+        assert len({hash(w) for w in graph.states}) < (
+            graph.state_count() // 2
+        )
 
 
 _PROGRAMS = example_programs()
@@ -231,24 +225,42 @@ _MODES = {
 def _assert_hash_from_scratch(worlds):
     for w in worlds:
         fresh = World(w.threads, w.cur, w.bits, w.mem)
-        assert hash(w) == hash(fresh)
-        assert w._tx == fresh._tx
-        assert w == fresh
+        _assert_same_world(w, fresh)
+
+
+def _assert_same_world(w, fresh):
+    assert hash(w) == hash(fresh)
+    assert w._tx == fresh._tx
+    assert w == fresh
 
 
 class TestIncrementalHash:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     @pytest.mark.parametrize("name", sorted(_PROGRAMS))
     def test_reached_worlds_hash_as_if_built_from_scratch(
-        self, cold_tables, name, mode
+        self, monkeypatch, cold_tables, name, mode
     ):
+        # Decoded worlds are built from scratch, so each world the
+        # loop built incrementally, and each world ``world_for`` builds
+        # along any edge, must hash and compare like its key's.
         sem, reduce = _MODES[mode]
-        graph = explore(
-            GlobalContext(_PROGRAMS[name]), sem(), max_states=20000,
-            reduce=reduce,
+        graph, ks = explore_capturing(
+            monkeypatch, GlobalContext(_PROGRAMS[name]), sem(),
+            max_states=20000, reduce=reduce,
         )
         assert graph.state_count() > 1
-        _assert_hash_from_scratch(graph.states)
+        first = len(set(graph.initial))
+        for sid, world in enumerate(ks.built, first):
+            _assert_same_world(world, ks.decode(graph.keys[sid]))
+        for sid, k in enumerate(graph.keys):
+            if not graph.edges.get(sid):
+                continue
+            world = ks.decode(k)
+            for _, _, nk, how in ks.expand(world, k, ks.entry(world, k)):
+                if nk is not None:
+                    _assert_same_world(
+                        ks.world_for(world, how), ks.decode(nk)
+                    )
 
     @pytest.mark.parametrize(
         "name", ["lock-counter-source", "lock-counter-tso", "cimp-spawn"]
