@@ -63,7 +63,8 @@ DRF, behaviours printed, validation passed, replay reproduced);
 **1** — an analysis *finding* (a race was found, a validation pass
 failed, a replay diverged); **2** — usage or internal error (bad
 flags, unknown thread entries, unreadable files, crashes, a forked
-worker that died, which ends the run within seconds);
+worker that died, which ends the run within seconds) or an
+inconclusive verdict (an exploration that exceeded ``--max-states``);
 **130** — interrupted (Ctrl-C / SIGINT), the conventional 128+signal
 code, after the run ledger and heartbeat have been finalized and any
 forked workers reaped. Scripts can therefore distinguish "the tool
@@ -83,6 +84,7 @@ from repro.langs.minic import compile_unit, link_units
 from repro.obs import heap, ledger
 from repro.obs import status as live_status
 from repro.semantics import (
+    ExplorationLimit,
     GlobalContext,
     NonPreemptiveSemantics,
     PreemptiveSemantics,
@@ -918,6 +920,14 @@ def main(argv=None):
         return 0
     except UsageError as exc:
         print("repro: error: {}".format(exc), file=sys.stderr)
+        return 2
+    except ExplorationLimit as exc:
+        # Not a crash: the bound cut the search before a verdict.
+        print(
+            "repro: inconclusive: {}; raise --max-states to explore "
+            "further".format(exc),
+            file=sys.stderr,
+        )
         return 2
     except KeyboardInterrupt:
         # The conventional 128+SIGINT code, with a one-line note

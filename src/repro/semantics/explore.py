@@ -28,10 +28,12 @@ Both loops are *keyed* (:mod:`repro.semantics.keyspace`): a world's
 identity is one packed int built from per-thread stack ids and atomic
 bits, a memory id and ``cur``, and each thread move is computed once
 per ``(cur, stack, bit, memory)`` in a per-run move memo. A candidate
-edge costs an XOR and one int dict probe; a ``World`` is built only for
-a key seen for the first time, and is dropped once its state is
-expanded. The graph keeps the keys and the run's key space, and decodes
-a world only when a caller reads ``StateGraph.states``. The graphs are
+edge costs an XOR and one int dict probe. The loops handle keys only:
+whether a state is done, its current thread, atomic bit and live
+threads are all read from the key, and a ``World`` is decoded only to
+fill a memo entry on a miss or to expand a slow (spawn) entry. The
+graph keeps the keys and the run's key space, and decodes a world only
+when a caller reads ``StateGraph.states``. The graphs are
 exactly those of the semantics' ``successors`` (state order, edges,
 done/stuck/truncated), which ``tests/semantics/test_keyspace.py`` and
 the golden digests of ``tests/semantics/test_graph_golden.py`` pin.
@@ -161,13 +163,17 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     ``reduce=True`` enables partial-order reduction when the semantics
     supports it (currently the preemptive one); otherwise the full
     graph is built. ``observer``, if given, is called as
-    ``observer(world, outcomes)`` for every expanded non-terminated
-    world — ``outcomes`` is the current thread's raw local outcome list
-    when the expansion already computed it (the reduced path), else
-    ``None``. A truthy return halts the exploration (``graph.halted``,
-    with the halting world's id in ``graph.halted_sid``) — the hook the
-    on-the-fly race detector uses to stop at the first witness without
-    retaining the rest of the state space.
+    ``observer(ks, k, live, outcomes)`` for every expanded
+    non-terminated world: ``ks`` is the run's
+    :class:`~repro.semantics.keyspace.KeySpace`, ``k`` the world's key
+    (``ks.decode(k)`` builds the world), ``live`` its live thread
+    positions, and ``outcomes`` the current thread's raw local outcome
+    list when the expansion already computed it (the reduced path),
+    else ``None``. A truthy return halts the exploration
+    (``graph.halted``, with the halting world's id in
+    ``graph.halted_sid``) — the hook the on-the-fly race detector uses
+    to stop at the first witness without retaining the rest of the
+    state space.
 
     Both loops append each expanded world's edges in successor-list
     order, which is what makes the halted graph *replayable*: a path of
@@ -284,12 +290,10 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
 
 
 def _keyed_roots(ctx, semantics, ks):
-    """A graph holding the initial worlds: ``(graph, worlds, kid)``,
-    with ``worlds`` the world of each state until it is expanded and
+    """A graph holding the initial worlds: ``(graph, kid)``, with
     ``kid`` the id of each key, for the loops to extend."""
     graph = StateGraph(ks)
     keys = graph.keys
-    worlds = []
     kid = {}
     for world in semantics.initial_worlds(ctx):
         k = ks.key(world)
@@ -297,20 +301,20 @@ def _keyed_roots(ctx, semantics, ks):
         if sid is None:
             sid = kid[k] = len(keys)
             keys.append(k)
-            worlds.append(world)
         graph.initial.append(sid)
-    return graph, worlds, kid
+    return graph, kid
 
 
 def _explore_full(ctx, semantics, max_states, strict, observer):
     """The classical BFS over every interleaving (no reduction), keyed.
 
     Dedup is one int dict probe per candidate edge (``kid``: key →
-    sid); a ``World`` is built only for a key seen for the first time,
-    and ``worlds`` holds it only until the state is expanded.
+    sid). A state is handled by its key alone: its live threads and
+    current thread are read from the key, and the key space decodes a
+    world only to fill a memo entry or expand a slow one.
     """
     ks = KeySpace(ctx, semantics)
-    graph, worlds, kid = _keyed_roots(ctx, semantics, ks)
+    graph, kid = _keyed_roots(ctx, semantics, ks)
     keys = graph.keys
     queue = deque(range(len(keys)))
     frontier_hwm = len(queue)
@@ -320,7 +324,8 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
     all_edges = graph.edges
     entry_of = ks.entry
     expand = ks.expand
-    world_for = ks.world_for
+    live_of = ks.live
+    cur_mask = (1 << ks.cur_bits) - 1
     track = obs.enabled
     hb = _status.writer
     # -1 sentinel decrements forever without hitting 0 when no writer
@@ -334,24 +339,24 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
             hb_left = _HB_STRIDE
             hb.beat(states=len(keys), frontier=len(queue))
         sid = queue.popleft()
-        world = worlds[sid]
-        worlds[sid] = None
-        if world.is_done():
+        k = keys[sid]
+        live = live_of(k)
+        if not live:
             graph.done.add(sid)
             all_edges[sid] = []
             continue
-        if observer is not None and observer(world, None):
+        if observer is not None and observer(ks, k, live, None):
             graph.halted = True
             graph.halted_sid = sid
             break
-        k = keys[sid]
-        outs = expand(world, k, entry_of(world, k))
+        cur = k & cur_mask
+        outs = expand(k, cur, live, entry_of(k, cur))
         if not outs:
             graph.stuck.add(sid)
             all_edges[sid] = []
             continue
         edges = []
-        for label, _, nk, how in outs:
+        for label, _, nk in outs:
             if nk is None:
                 edges.append((Behaviour.ABORT, ABORT_DST))
                 continue
@@ -366,7 +371,6 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
                     continue
                 dst = kid[nk] = len(keys)
                 keys.append(nk)
-                worlds.append(world_for(world, how))
                 queue.append(dst)
             edges.append((label, dst))
         all_edges[sid] = edges
@@ -386,19 +390,23 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     otherwise never yield to the others) and keeps ``silent_div``
     detection and behaviour extraction exact on the reduced graph.
 
-    Keyed like :func:`_explore_full`, with ``worlds`` again holding
-    each world from its discovery until its expansion. The ample decision
-    (:meth:`~repro.semantics.por.AmpleReducer.decide`) is taken once per
-    move-memo entry (:class:`~repro.semantics.keyspace.KeySpace`).
+    Keyed like :func:`_explore_full`: the atomic bit and the ample
+    bookkeeping's live threads are read from the key too. The ample
+    decision (:meth:`~repro.semantics.por.AmpleReducer.decide`) is
+    taken once per move-memo entry
+    (:class:`~repro.semantics.keyspace.KeySpace`).
     """
     reducer = AmpleReducer()
     ks = KeySpace(ctx, semantics, reducer)
-    graph, worlds, kid = _keyed_roots(ctx, semantics, ks)
+    graph, kid = _keyed_roots(ctx, semantics, ks)
     keys = graph.keys
     all_edges = graph.edges
     entry_of = ks.entry
     expand = ks.expand
-    world_for = ks.world_for
+    live_of = ks.live
+    cur_mask = (1 << ks.cur_bits) - 1
+    low_bits = ks.low_bits
+    slot_bits = ks.slot_bits
 
     on_stack = set()
     # Stack entries: [sid, successor-iterator | None, sleep set the
@@ -441,32 +449,32 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 # Reached again through a sibling before being visited.
                 stack.pop()
                 continue
-            world = worlds[sid]
-            worlds[sid] = None
-            if world.is_done():
+            k = keys[sid]
+            live = live_of(k)
+            if not live:
                 graph.done.add(sid)
                 all_edges[sid] = []
                 stack.pop()
                 continue
             on_stack.add(sid)
-            k = keys[sid]
-            cur = world.cur
+            cur = k & cur_mask
             # The ample decision steps the thread before the observer
-            # runs, except inside an atomic block, where it does not
-            # step and the observer sees no outcomes.
-            if world.bits[cur] == 0:
-                mentry = entry_of(world, k)
-                seen = mentry[0]
-            else:
+            # runs, except inside an atomic block (the current thread's
+            # atomic bit, the low bit of its field, is set), where it
+            # does not step and the observer sees no outcomes.
+            if k >> (low_bits + cur * slot_bits) & 1:
                 mentry = None
                 seen = None
-            if observer is not None and observer(world, seen):
+            else:
+                mentry = entry_of(k, cur)
+                seen = mentry[0]
+            if observer is not None and observer(ks, k, live, seen):
                 graph.halted = True
                 graph.halted_sid = sid
                 halted = True
                 break
             if mentry is None:
-                mentry = entry_of(world, k)
+                mentry = entry_of(k, cur)
             edges = []
             children = []
             child_sleep = _NO_SLEEP
@@ -487,7 +495,6 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                             continue
                         dst = kid[nk] = len(keys)
                         keys.append(nk)
-                        worlds.append(world_for(world, mv))
                     elif dst in on_stack:
                         # Cycle proviso (C3): this reduction would close
                         # a cycle of reduced states — expand fully.
@@ -497,7 +504,6 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                     edges.append((None, dst))
                     children.append(dst)
                 if ample:
-                    live = world.live_threads()
                     pruned = len(live) - 1
                     if pruned > 0:
                         reducer.ample_worlds += 1
@@ -516,14 +522,14 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 reducer.full_expansions += 1
                 edges = []
                 children = []
-                outs = expand(world, k, mentry)
+                outs = expand(k, cur, live, mentry)
                 if not outs:
                     graph.stuck.add(sid)
                     all_edges[sid] = []
                     on_stack.discard(sid)
                     stack.pop()
                     continue
-                for label, _, nk, how in outs:
+                for label, _, nk in outs:
                     if nk is None:
                         edges.append((Behaviour.ABORT, ABORT_DST))
                         continue
@@ -540,7 +546,6 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                             continue
                         dst = kid[nk] = len(keys)
                         keys.append(nk)
-                        worlds.append(world_for(world, how))
                     edges.append((label, dst))
                     children.append(dst)
             all_edges[sid] = edges

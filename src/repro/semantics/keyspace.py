@@ -32,12 +32,16 @@ exploration run therefore owns a :class:`KeySpace`:
   keyed by ``key & mask[cur]``, which keeps exactly those fields. An
   entry holds the raw local outcomes (for the race observer), the POR
   ample flag, whether Switch edges follow, and one move per global
-  step: its label, footprint, key XOR delta, the new stack, atomic bit
-  (``None`` when unchanged) and memory, the ``_tx`` delta
-  (:mod:`repro.semantics.world`) and, non-preemptively, the label of
-  the switches bundled with a sync point. A successor's key is then
-  ``k ^ delta`` and a Switch edge's ``k ^ cur ^ t``; a ``World`` is
-  built only when a key is new, and only once per key.
+  step: its label, footprint, key XOR delta, whether the thread is
+  still alive after it and, non-preemptively, the label of the
+  switches bundled with a sync point. A successor's key is then
+  ``k ^ delta`` and a Switch edge's ``k ^ cur ^ t``.
+* **Worlds.** The loops and the race observer
+  (:mod:`repro.semantics.race`) handle keys only: ``cur``, the atomic
+  bit and the live threads (:meth:`KeySpace.live`) are read from the
+  key's fields. A ``World`` is decoded from the key only where an
+  interpreter needs one: to fill a memo entry on a miss, and to expand
+  a world matching a slow entry.
 
 Entries are filled by the engine's own expansion
 (:func:`~repro.semantics.engine.thread_expansion`): the language's
@@ -175,6 +179,23 @@ class KeySpace:
             k >>= slot_bits
         return cur, mid, fields
 
+    def live(self, k):
+        """The positions of key ``k``'s live threads: those whose stack
+        is not empty. No live thread means the world is done."""
+        # Its own loop, not ``fields``: it runs once per expanded state.
+        stacks = self.stack_list
+        slot_bits = self.slot_bits
+        slot_mask = (1 << slot_bits) - 1
+        live = []
+        t = 0
+        k >>= self.low_bits
+        while k:
+            if stacks[(k & slot_mask) >> 1]:
+                live.append(t)
+            k >>= slot_bits
+            t += 1
+        return live
+
     def decode(self, k):
         """The world of key ``k``, built from scratch."""
         cur, mid, fields = self.fields(k)
@@ -186,13 +207,14 @@ class KeySpace:
 
     # -- the move memo -----------------------------------------------
 
-    def entry(self, world, k):
-        """The memo entry of ``world`` (key ``k``), filling it on a miss:
-        ``(outcomes, ample, moves, switches, slow)``."""
-        mkey = k & self.masks[world.cur]
+    def entry(self, k, cur):
+        """The memo entry of key ``k`` (current thread ``cur``), filling
+        it from the decoded world on a miss: ``(outcomes, ample, moves,
+        switches, slow)``."""
+        mkey = k & self.masks[cur]
         entry = self.memo.get(mkey)
         if entry is None:
-            entry = self.memo[mkey] = self._fill(world, k)
+            entry = self.memo[mkey] = self._fill(self.decode(k), k)
         return entry
 
     def _fill(self, world, k):
@@ -209,100 +231,73 @@ class KeySpace:
             outs, results = thread_expansion(self.ctx, world)
         results = results or ()
         n = len(world.threads)
-        tx = world._tx
         preemptive = self.preemptive
-        # One move per global step: (label, fp, key delta, new stack,
-        # new bit or None, new memory, _tx delta, bundled-switch label
-        # or None). An abort is (None, GAbort, None, ...).
+        # One move per global step: (label, fp, key delta, whether the
+        # thread is still alive, bundled-switch label or None). An
+        # abort is (None, GAbort, None, False, None).
         moves = []
         for res in results:
             if isinstance(res, GAbort):
-                moves.append((None, res, None, None, None, None, 0, None))
+                moves.append((None, res, None, False, None))
                 continue
             nworld = res.world
             if len(nworld.threads) != n:
                 return (outs, False, (), False, True)
             stack = nworld.threads[cur]
-            nbit = nworld.bits[cur]
-            nmem = nworld.mem
-            nfield = self.stack_id(stack) << 1 | nbit
+            nfield = self.stack_id(stack) << 1 | nworld.bits[cur]
             delta = (field ^ nfield) << shift ^ (
-                mid ^ self.mem_id(nmem)
+                mid ^ self.mem_id(nworld.mem)
             ) << self.cur_bits
             swlabel = None
             if not preemptive and isinstance(res, SyncPoint):
                 swlabel = res.label if res.label else SW
-            moves.append((
-                res.label, res.fp, delta, stack,
-                None if nbit == bit else nbit, nmem, nworld._tx ^ tx,
-                swlabel,
-            ))
+            moves.append((res.label, res.fp, delta, bool(stack), swlabel))
         return (outs, ample, tuple(moves), preemptive and bit == 0, False)
 
     # -- expansion ---------------------------------------------------
 
-    def expand(self, world, k, entry):
-        """The full successor list of ``world`` as ``(label, fp, key,
-        how)`` items, in ``semantics.successors`` order.
+    def expand(self, k, cur, live, entry):
+        """The full successor list of key ``k`` (current thread ``cur``,
+        live threads ``live``) as ``(label, fp, key)`` items, in
+        ``semantics.successors`` order.
 
         ``key`` is ``None`` for an abort (``fp`` then holds the
-        :class:`~repro.semantics.engine.GAbort`); otherwise ``how``
-        tells :meth:`world_for` how to build the successor should its
-        key be new.
+        :class:`~repro.semantics.engine.GAbort`). A slow ``entry``
+        expands the decoded world with ``semantics.successors``.
         """
         if entry[4]:
             out = []
-            for res in self.semantics.successors(self.ctx, world):
+            for res in self.semantics.successors(self.ctx, self.decode(k)):
                 if isinstance(res, GAbort):
-                    out.append((None, res, None, None))
+                    out.append((None, res, None))
                 else:
-                    out.append((res.label, res.fp, self.key(res.world),
-                                res.world))
+                    out.append((res.label, res.fp, self.key(res.world)))
             return out
-        cur = world.cur
         others = None
         out = []
         append = out.append
-        for mv in entry[2]:
-            delta = mv[2]
+        for label, fp, delta, alive, swlabel in entry[2]:
             if delta is None:
-                append((None, mv[1], None, None))
+                append((None, fp, None))
                 continue
             nk = k ^ delta
-            swlabel = mv[7]
             if swlabel is None:
-                append((mv[0], mv[1], nk, mv))
+                append((label, fp, nk))
                 continue
             # A non-preemptive sync point: the step staying on this
             # thread (while it lives, or when it ends the program),
             # then the step bundled with a switch to each other live
             # thread.
             if others is None:
-                others = [
-                    t for t, frames in enumerate(world.threads)
-                    if frames and t != cur
-                ]
-            if mv[3] or not others:
-                append((mv[0], mv[1], nk, mv))
+                others = [t for t in live if t != cur]
+            if alive or not others:
+                append((label, fp, nk))
             nk ^= cur
             for t in others:
-                append((swlabel, mv[1], nk ^ t, (mv, t)))
+                append((swlabel, fp, nk ^ t))
         if entry[3]:
             k ^= cur
-            for t, frames in enumerate(world.threads):
-                if frames and t != cur:
-                    append((SW, None, k ^ t, t))
+            for t in live:
+                if t != cur:
+                    append((SW, None, k ^ t))
         return out
-
-    def world_for(self, world, how):
-        """The successor of ``world`` that an expansion item describes."""
-        if type(how) is int:
-            return world.with_current(how)
-        if type(how) is not tuple:
-            return how
-        if len(how) == 2:
-            mv, t = how
-            return world._with_move(mv[3], mv[4], mv[5], mv[6]).with_current(
-                t
-            )
-        return world._with_move(how[3], how[4], how[5], how[6])

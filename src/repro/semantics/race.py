@@ -17,11 +17,16 @@ each world's predictions as it is expanded and halting the exploration
 at the first witness — so a racy program never materialises its full
 state space, and under partial-order reduction the ample decision's
 one-step outcomes are shared with the predictor. The stored-graph path
-(``on_the_fly=False``) is kept for cross-validation. Predictions are
-memoized per ``(frame, memory, atomic-bit)``: distinct worlds that
+(``on_the_fly=False``) is kept for cross-validation; it scans the
+graph's keys in state order. The checker reads each world from its
+packed key (:mod:`repro.semantics.keyspace`): predictions are memoized
+per ``(thread field, memory id)`` — the thread's stack id and atomic
+bit, and the memory id, packed into one int — so distinct worlds that
 differ only in other threads' components reuse each other's
-predictions, which the hash-consed state machinery makes a single dict
-probe.
+predictions with one int dict probe, and a world is decoded only to
+report a witness. Callers holding worlds (the sharded explorer, the
+replayer) use the same checker through its world entry point, memoized
+per ``(top frame, memory, atomic bit)``.
 
 Witnesses are *replayable*: :func:`find_race` attaches the schedule
 (the edge-index path from an initial world to the racy world, with
@@ -107,15 +112,26 @@ def predict(ctx, world, tid, max_atomic_steps=64, quantum=False,
     frame = world.top_frame(tid)
     if frame is None:
         return set()
+    return _predict_frame(
+        ctx, frame, world.mem, world.bits[tid], max_atomic_steps,
+        quantum, outcomes,
+    )
+
+
+def _predict_frame(ctx, frame, mem, bit, max_atomic_steps=64,
+                  quantum=False, outcomes=None):
+    """:func:`predict` of a live thread given by its parts: its top
+    activation ``frame``, the memory ``mem`` and its atomic bit
+    ``bit``. Nothing else of the world matters to a prediction."""
     decl = ctx.module(frame.mod_idx)
     first_outs = outcomes
     predictions = set()
 
-    if world.bits[tid] == 1:
+    if bit == 1:
         return {
             (fp, 1)
             for fp in _atomic_run_footprints(
-                decl, frame, frame.core, world.mem, max_atomic_steps
+                decl, frame, frame.core, mem, max_atomic_steps
             )
         }
 
@@ -123,17 +139,17 @@ def predict(ctx, world, tid, max_atomic_steps=64, quantum=False,
     # Seed the dedup set with the entry state: a silent cycle straight
     # back to the entry core must not re-enqueue it (it used to, wasting
     # a full round of quantum-mode prediction).
-    seen = {(frame.core, world.mem)}
-    frontier = deque([(frame.core, world.mem, 0)])
+    seen = {(frame.core, mem)}
+    frontier = deque([(frame.core, mem, 0)])
     step_outcomes = _closure.step_outcomes
     while frontier:
-        core, mem, depth = frontier.popleft()
+        core, m, depth = frontier.popleft()
         if first_outs is not None:
             # The first dequeued element is exactly the entry state the
             # shared outcomes were computed at.
             outs, first_outs = first_outs, None
         else:
-            outs = step_outcomes(decl, core, mem, frame.flist)
+            outs = step_outcomes(decl, core, m, frame.flist)
         for out in outs:
             if not isinstance(out, Step):
                 continue
@@ -149,7 +165,7 @@ def predict(ctx, world, tid, max_atomic_steps=64, quantum=False,
                 predictions |= {
                     (fp, 1)
                     for fp in _atomic_run_footprints(
-                        decl, frame, out.core, mem, max_atomic_steps
+                        decl, frame, out.core, m, max_atomic_steps
                     )
                 }
     return predictions
@@ -183,6 +199,12 @@ class _RaceChecker:
     Carries the prediction memo table and the plain accounting counters
     that :func:`find_race` flushes into ``obs`` afterwards. Returns
     True (halt the exploration) as soon as a witness is found.
+
+    Two entry points share one conflict scan (:meth:`_conflict`):
+    :meth:`observe`, the keyed exploration observer, and the call
+    ``checker(world, outcomes)`` for callers that hold worlds (the
+    sharded explorer, the replayer and the minimizer). A checker serves
+    one run: the keyed memo's ints are that run's key-space ids.
     """
 
     __slots__ = (
@@ -196,6 +218,7 @@ class _RaceChecker:
         "pairs_checked",
         "_memo",
         "_memo_hits",
+        "_checked",
     )
 
     def __init__(self, ctx, quantum, max_atomic_steps):
@@ -209,6 +232,8 @@ class _RaceChecker:
         self.pairs_checked = 0
         self._memo = {}
         self._memo_hits = 0
+        # Keys without ``cur`` of the worlds ``observe`` checked.
+        self._checked = set()
 
     def _predict(self, world, tid, outcomes):
         # Predictions depend only on the thread's top frame, the memory
@@ -237,34 +262,79 @@ class _RaceChecker:
         self.worlds_checked += 1
         cur = world.cur
         live = world.live_threads()
-        preds = {
-            tid: self._predict(
-                world, tid, outcomes if tid == cur else None
-            )
+        hit = self._conflict(live, [
+            self._predict(world, tid, outcomes if tid == cur else None)
             for tid in live
-        }
+        ])
+        if hit is None:
+            return False
+        self.witness = RaceWitness(world, *hit)
+        return True
+
+    def observe(self, ks, k, live, outcomes):
+        """The Race rule at the world of key ``k`` in key space ``ks``
+        (``live``: its live threads), in the
+        :func:`~repro.semantics.explore.explore` observer contract."""
+        cur_bits = ks.cur_bits
+        cur = k & ((1 << cur_bits) - 1)
+        low_bits = ks.low_bits
+        slot_bits = ks.slot_bits
+        if k >> (low_bits + cur * slot_bits) & 1:
+            return False
+        # The verdict does not depend on ``cur``, and a race at a world
+        # that differs only in ``cur`` would already have halted the run.
+        rest = k >> cur_bits
+        if rest in self._checked:
+            return False
+        self._checked.add(rest)
+        self.worlds_checked += 1
+        mem_bits = ks.mem_bits
+        mid = rest & ((1 << mem_bits) - 1)
+        slot_mask = (1 << slot_bits) - 1
+        memo = self._memo
+        preds = []
+        for tid in live:
+            field = k >> (low_bits + tid * slot_bits) & slot_mask
+            mkey = field << mem_bits | mid
+            p = memo.get(mkey)
+            if p is None:
+                p = memo[mkey] = _predict_frame(
+                    self.ctx, ks.stack_list[field >> 1][-1],
+                    ks.mem_list[mid], field & 1, self.max_atomic_steps,
+                    self.quantum, outcomes if tid == cur else None,
+                )
+            else:
+                self._memo_hits += 1
+            preds.append(p)
+        hit = self._conflict(live, preds)
+        if hit is None:
+            return False
+        self.witness = RaceWitness(ks.decode(k), *hit)
+        return True
+
+    def _conflict(self, live, preds):
+        """The first conflicting pair of predictions, as ``(t1, fp1,
+        b1, t2, fp2, b2)``, or ``None``; ``preds[i]`` is thread
+        ``live[i]``'s prediction set."""
         track = self.track
         if track:
-            self.predictions += sum(len(p) for p in preds.values())
-        for i, t1 in enumerate(live):
-            p1 = preds[t1]
+            self.predictions += sum(len(p) for p in preds)
+        n = len(live)
+        for i in range(n):
+            p1 = preds[i]
             if not p1:
                 continue
-            for t2 in live[i + 1:]:
-                p2 = preds[t2]
+            for j in range(i + 1, n):
+                p2 = preds[j]
                 if track:
                     # Accounting only — guarded like `predictions` so
-                    # the disabled path stays free (PR 1's <1% overhead
-                    # contract).
+                    # the disabled path stays free.
                     self.pairs_checked += len(p1) * len(p2)
                 for fp1, b1 in p1:
                     for fp2, b2 in p2:
                         if conflict_atomic(fp1, b1, fp2, b2):
-                            self.witness = RaceWitness(
-                                world, t1, fp1, b1, t2, fp2, b2
-                            )
-                            return True
-        return False
+                            return live[i], fp1, b1, live[j], fp2, b2
+        return None
 
 
 def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
@@ -323,15 +393,19 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
             if on_the_fly:
                 graph = explore(
                     ctx, semantics, max_states, strict=True,
-                    reduce=reduce, observer=checker,
+                    reduce=reduce, observer=checker.observe,
                 )
             else:
                 graph = explore(
                     ctx, semantics, max_states, strict=True,
                     reduce=reduce, jobs=jobs,
                 )
-                for world in graph.states:
-                    if checker(world):
+                ks = graph.keyspace
+                done = graph.done
+                for sid, k in enumerate(graph.keys):
+                    if sid not in done and checker.observe(
+                        ks, k, ks.live(k), None
+                    ):
                         break
             witness = checker.witness
         if witness is not None and capture:

@@ -28,11 +28,10 @@ two equal worlds are equal by ``==``, never by ``is``.
 
 The exploration loops do not dedup by ``World`` at all: they key each
 world by a packed int of per-thread stack ids, atomic bits, a memory id
-and ``cur`` (:mod:`repro.semantics.keyspace`), and build a world only
-for a key seen for the first time — through :meth:`World._with_move`
-(a memoised thread move: stack, bit, memory and ``_tx`` delta) or
-:meth:`World.with_current` (a switch). The explored graph keeps only
-the keys; a world is held from its discovery until its expansion.
+and ``cur`` (:mod:`repro.semantics.keyspace`), and handle keys only.
+A world is decoded from its key, from scratch, only where an
+interpreter needs one: to fill a move-memo entry, to expand a spawn,
+or to report a race witness. The explored graph keeps only the keys.
 """
 
 from repro import obs
@@ -276,27 +275,6 @@ class World:
             self.bits + (0,),
             self.mem,
             self._tx ^ _thread_code(len(threads), stack),
-        )
-
-    def _with_move(self, frames, bit, mem, txd):
-        """The world after a memoised move of the current thread.
-
-        Its stack becomes ``frames``, its atomic bit ``bit`` (``None``:
-        unchanged) and the memory ``mem``; ``txd`` is the move's
-        ``_tx`` delta, so no thread code is recomputed. Equal to the
-        ``_update`` the engine made when the move was first computed.
-        """
-        cur = self.cur
-        threads = self.threads
-        bits = self.bits
-        if bit is not None:
-            bits = bits[:cur] + (bit,) + bits[cur + 1:]
-        return _new_world(
-            threads[:cur] + (frames,) + threads[cur + 1:],
-            cur,
-            bits,
-            mem,
-            self._tx ^ txd,
         )
 
     def _update(self, tid, frames, mem, bit, cur):

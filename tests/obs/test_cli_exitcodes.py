@@ -4,10 +4,13 @@
 bugfix."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+
+from tests.helpers import EXAMPLES_DIR
 
 RACY = """
 int x = 0;
@@ -89,6 +92,19 @@ class TestExitCodes:
         missing = str(tmp_path / "does-not-exist.c")
         assert main(["drf", missing]) == 2
         assert "repro: internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["drf", "npdrf"])
+    def test_two_on_exceeded_state_bound(self, command, capsys):
+        # An exceeded bound is an inconclusive verdict, not a crash:
+        # one line naming the bound and the flag that raises it.
+        counter = os.path.join(EXAMPLES_DIR, "counter.c")
+        assert main([command, counter, "--threads", "inc,inc,inc",
+                     "--lock", "--max-states", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "repro: inconclusive: state bound 50 exceeded; raise "
+            "--max-states to explore further"
+        ]
 
     def test_two_on_bad_witness_file(self, racy_file, tmp_path,
                                      capsys):

@@ -92,22 +92,22 @@ class TestDrfWitnessOut:
 
 class TestWitnessDecodesNoState:
     """Witness capture checks each replayed step against the graph's
-    keys, so neither the race search nor the replay decodes a state
-    (the graph keeps keys, not worlds)."""
+    keys, so neither the race search nor the replay reads
+    ``StateGraph.states`` (the graph keeps keys, not worlds)."""
 
     def test_drf_witness_and_replay(self, tmp_path, monkeypatch, capsys):
-        from repro.semantics.keyspace import KeySpace
+        from repro.semantics.explore import StateGraph
 
         path = tmp_path / "racy_lock.c"
         path.write_text(RACY_LOCK_CLIENT)
-        decoded = []
-        real_decode = KeySpace.decode
+        reads = []
+        real_states = StateGraph.states
 
-        def counting_decode(self, k):
-            decoded.append(k)
-            return real_decode(self, k)
+        def counting_states(self):
+            reads.append(self)
+            return real_states.fget(self)
 
-        monkeypatch.setattr(KeySpace, "decode", counting_decode)
+        monkeypatch.setattr(StateGraph, "states", property(counting_states))
         out = tmp_path / "w.json"
         assert main(
             ["drf", str(path), "--threads", "inc,inc", "--lock",
@@ -116,7 +116,7 @@ class TestWitnessDecodesNoState:
         assert json.loads(out.read_text())["verdict"] == "race"
         assert main(["replay", str(path), "--witness", str(out)]) == 0
         assert "replay: OK" in capsys.readouterr().out
-        assert decoded == []
+        assert reads == []
 
 
 class TestReplayCommand:

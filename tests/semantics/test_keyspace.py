@@ -14,8 +14,9 @@ hold it to the reference definitions:
   ``strict=True``, and halt at the same world for an observer;
 * narrowing the key fields until an id no longer fits raises instead
   of aliasing two worlds;
-* a key decodes to its world, and the loops build one world per new
-  key and no other.
+* a key decodes to its world, and the loops decode a world only to
+  fill a memo entry or expand a slow one — never per new key, dedup
+  hit or observer call.
 """
 
 import importlib
@@ -123,12 +124,15 @@ def _reached(ctx, sem, max_states=6000):
 
 
 def decode(ks, world):
-    """``world``'s keyed expansion with every successor built, as
+    """``world``'s keyed expansion with every successor decoded, as
     ``(label, fp, world | GAbort, key)`` tuples."""
     k = ks.key(world)
+    cur = world.cur
+    live = ks.live(k)
+    assert live == world.live_threads()
     return [
-        (label, fp, fp if nk is None else ks.world_for(world, how), nk)
-        for label, fp, nk, how in ks.expand(world, k, ks.entry(world, k))
+        (label, fp, fp if nk is None else ks.decode(nk), nk)
+        for label, fp, nk in ks.expand(k, cur, live, ks.entry(k, cur))
     ]
 
 
@@ -226,7 +230,10 @@ def test_small_bounds_truncate_like_the_reference(name, mode, max_states):
 
 
 class _Recorder:
-    """An observer logging what it sees; halts on call ``halt_at``."""
+    """An observer logging the worlds it sees; halts on call
+    ``halt_at``. Calling it is the reference loops' world observer;
+    :meth:`keyed` is the keyed loops' observer, which records the world
+    its key decodes to."""
 
     def __init__(self, halt_at=None):
         self.halt_at = halt_at
@@ -237,6 +244,11 @@ class _Recorder:
             (world, None if outcomes is None else len(outcomes))
         )
         return len(self.seen) == self.halt_at
+
+    def keyed(self, ks, k, live, outcomes):
+        world = ks.decode(k)
+        assert live == world.live_threads()
+        return self(world, outcomes)
 
 
 @pytest.mark.parametrize("mode", sorted(_MODES))
@@ -251,7 +263,7 @@ def test_strict_limit_raises_at_the_same_point(name, mode, max_states):
             if keyed:
                 explore(
                     _ctx_for(name), make_sem(), max_states=max_states,
-                    strict=True, reduce=reduce, observer=rec,
+                    strict=True, reduce=reduce, observer=rec.keyed,
                 )
             else:
                 _reference(
@@ -270,7 +282,7 @@ def test_observer_halt_matches_the_reference(name, mode, halt_at):
     keyed_rec, ref_rec = _Recorder(halt_at), _Recorder(halt_at)
     got = explore(
         _ctx_for(name), make_sem(), max_states=10000, reduce=reduce,
-        observer=keyed_rec,
+        observer=keyed_rec.keyed,
     )
     want = _reference(
         _ctx_for(name), make_sem(), reduce, 10000, observer=ref_rec
@@ -300,20 +312,30 @@ def test_semantics_errors_surface_like_the_reference(reduce):
 
 
 class _Capture(KeySpace):
-    """A KeySpace that remembers the last instance (for id counts) and,
-    in ``built``, each world its ``world_for`` built, in order."""
+    """A KeySpace that remembers the last instance (for id counts) and
+    counts its ``decode`` calls, memo fills and slow expansions."""
 
     last = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.built = []
+        self.decodes = 0
+        self.fills = 0
+        self.slow = 0
         _Capture.last = self
 
-    def world_for(self, world, how):
-        built = super().world_for(world, how)
-        self.built.append(built)
-        return built
+    def decode(self, k):
+        self.decodes += 1
+        return super().decode(k)
+
+    def _fill(self, world, k):
+        self.fills += 1
+        return super()._fill(world, k)
+
+    def expand(self, k, cur, live, entry):
+        if entry[4]:
+            self.slow += 1
+        return super().expand(k, cur, live, entry)
 
 
 def explore_capturing(monkeypatch, *args, **kwargs):
@@ -334,18 +356,26 @@ def _key_space_sizes(monkeypatch, ctx_factory, sem, reduce=False):
 @pytest.mark.parametrize("mode", sorted(_MODES))
 @pytest.mark.parametrize("name", _LOOP_PROGRAMS + ("aborting",))
 @pytest.mark.parametrize("max_states", [5, 100000])
-def test_each_new_key_builds_one_world(monkeypatch, name, mode, max_states):
-    # A second build for one key would be a loop bug: the loops build
-    # a world only for a new state, in state order.
+def test_worlds_are_decoded_only_for_memo_fills_and_slow_entries(
+    monkeypatch, name, mode, max_states
+):
+    # The loops and the observer contract handle keys: a decode per
+    # new key, dedup hit or observer call would be a loop bug.
     make_sem, reduce = _MODES[mode]
+    calls = []
     graph, ks = explore_capturing(
         monkeypatch, _ctx_for(name), make_sem(), max_states=max_states,
         reduce=reduce,
+        observer=lambda ks, k, live, outcomes: calls.append(k),
     )
-    first = len(set(graph.initial))
-    assert len(ks.built) == graph.state_count() - first
-    for sid, world in enumerate(ks.built, first):
-        assert ks.key(world) == graph.keys[sid]
+    assert calls
+    assert ks.fills == len(ks.memo)
+    assert ks.decodes == ks.fills + ks.slow
+    # Every expanded state was observed or done, and fewer worlds were
+    # decoded than there are states wherever the memo is shared.
+    assert len(calls) + len(graph.done) == len(graph.edges)
+    if max_states > 5 and name == "lock-counter-source":
+        assert ks.decodes < graph.state_count()
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))

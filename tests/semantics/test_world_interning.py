@@ -6,10 +6,10 @@ semantics: these tests check the canonical constructor returns
 pointer-equal frames for equal components and that directly-constructed
 (un-interned) objects remain fully interoperable. Worlds are not
 interned; each keeps an incrementally maintained hash, and these tests
-check that every world the keyed loops build hashes and compares like
-the world its key decodes to (built from scratch), that forced world
-hash collisions change no graph, and that whole-suite behaviour sets
-are unaffected.
+check that every world the engine builds along an edge hashes and
+compares like the world its key decodes to (built from scratch), that
+forced world hash collisions change no graph, and that whole-suite
+behaviour sets are unaffected.
 """
 
 import hashlib
@@ -241,26 +241,26 @@ class TestIncrementalHash:
         self, monkeypatch, cold_tables, name, mode
     ):
         # Decoded worlds are built from scratch, so each world the
-        # loop built incrementally, and each world ``world_for`` builds
-        # along any edge, must hash and compare like its key's.
+        # engine builds incrementally along any edge must hash and
+        # compare like the world its child key decodes to.
         sem, reduce = _MODES[mode]
         graph, ks = explore_capturing(
             monkeypatch, GlobalContext(_PROGRAMS[name]), sem(),
             max_states=20000, reduce=reduce,
         )
         assert graph.state_count() > 1
-        first = len(set(graph.initial))
-        for sid, world in enumerate(ks.built, first):
-            _assert_same_world(world, ks.decode(graph.keys[sid]))
+        ctx, semantics = ks.ctx, ks.semantics
         for sid, k in enumerate(graph.keys):
             if not graph.edges.get(sid):
                 continue
             world = ks.decode(k)
-            for _, _, nk, how in ks.expand(world, k, ks.entry(world, k)):
+            cur = world.cur
+            items = ks.expand(k, cur, ks.live(k), ks.entry(k, cur))
+            outs = semantics.successors(ctx, world)
+            assert len(items) == len(outs)
+            for (_, _, nk), out in zip(items, outs):
                 if nk is not None:
-                    _assert_same_world(
-                        ks.world_for(world, how), ks.decode(nk)
-                    )
+                    _assert_same_world(out.world, ks.decode(nk))
 
     @pytest.mark.parametrize(
         "name", ["lock-counter-source", "lock-counter-tso", "cimp-spawn"]
