@@ -2,7 +2,7 @@
 // as a standalone MiniC file for profiling walkthroughs:
 //
 //   python -m repro drf examples/counter.c --threads inc,inc,inc --lock \
-//       --jobs 2 --trace run.jsonl --metrics-out run-metrics.json
+//       --jobs 2 --trace run.jsonl --ledger run.json
 //   python -m repro profile run.jsonl
 //
 // Three threads increment a shared counter under the lock object, so

@@ -17,10 +17,10 @@ Commands:
   ``--witness-out`` shrink and re-save it);
 * ``inspect ARTIFACT`` — render a witness as a per-thread timeline,
   or summarize a ``--trace`` JSONL file;
-* ``profile TRACE [--metrics-in FILE]`` — decompose where a metered
-  run's wall-clock went: per-shard phase breakdown, top spans by
-  self-time, utilization timelines, the wire-cost table, and (when the
-  run collected them) the heap/interning census (see
+* ``profile TRACE`` — decompose where a metered run's wall-clock
+  went: per-shard phase breakdown, top spans by self-time,
+  utilization timelines, the wire-cost table, and (when the run
+  collected them) the heap/interning census (see
   :mod:`repro.obs.profile`);
 * ``npdrf FILE --threads e1,e2`` — race-check under the
   *non-preemptive* semantics (the paper's NPDRF);
@@ -35,11 +35,10 @@ Commands:
 * ``compare A B [--fail-on-regression]`` — diff two run manifests
   written with ``--ledger`` (see :mod:`repro.obs.ledger`).
 
-All commands accept ``--metrics`` (print a metrics summary table),
-``--metrics-out FILE`` (write the final metrics snapshot as JSON) and
+All commands accept ``--metrics`` (print a metrics summary table) and
 ``--trace FILE`` (write a JSON-lines span trace); the
-``REPRO_METRICS`` / ``REPRO_METRICS_OUT`` / ``REPRO_TRACE``
-environment variables switch the same machinery on without flags.
+``REPRO_METRICS`` / ``REPRO_TRACE`` environment variables switch the
+same machinery on without flags.
 ``--metrics-format prom`` switches the printed summary (and ``repro
 profile``'s output) from the plain-text table to Prometheus text
 exposition. ``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) additionally
@@ -78,6 +77,7 @@ import os
 import sys
 
 from repro import obs
+from repro.common.errors import ParseError, TypeCheckError
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
@@ -101,6 +101,7 @@ from repro.compiler import compile_minic
 from repro.compiler.pprint import dump_pipeline, dump_stage
 from repro.fuzz.generators import DEFAULT_KINDS as DEFAULT_FUZZ_KINDS
 from repro.semantics.parallel import default_jobs
+from repro.semantics.witness import CaptureError
 from repro.simulation.validate import validate_compilation
 from repro.tso import DEFAULT_LOCK_ADDR, lock_spec
 
@@ -146,10 +147,15 @@ def _check_entries(ctx, entries):
 
 
 def _build(path, use_lock):
-    with open(path) as handle:
-        text = handle.read()
     extra = {"L": DEFAULT_LOCK_ADDR} if use_lock else None
-    modules, genvs, _ = link_units([compile_unit(text)], extra)
+    try:
+        with open(path) as handle:
+            text = handle.read()
+        modules, genvs, _ = link_units([compile_unit(text)], extra)
+    except OSError as exc:
+        raise UsageError("cannot read {}: {}".format(path, exc.strerror))
+    except (ParseError, TypeCheckError) as exc:
+        raise UsageError("{}: {}".format(path, exc))
     if use_lock:
         modules = [m.with_forbidden({DEFAULT_LOCK_ADDR}) for m in modules]
     return modules[0], genvs[0]
@@ -314,7 +320,12 @@ def cmd_drf(args):
 
 
 def cmd_replay(args):
-    record = load_witness(args.witness)
+    try:
+        record = load_witness(args.witness)
+    except (OSError, ValueError, KeyError, CaptureError) as exc:
+        raise UsageError(
+            "cannot load witness {}: {}".format(args.witness, exc)
+        )
     # Explicit CLI flags win (--lock/--no-lock, -O/--no-optimize); the
     # witness's recorded program info fills the gaps, so
     # `repro replay FILE --witness W` needs no repeated flags.
@@ -409,7 +420,13 @@ def cmd_fuzz(args):
 def cmd_inspect(args):
     from repro.obs.explain import inspect_path
 
-    print(inspect_path(args.artifact))
+    try:
+        text = inspect_path(args.artifact)
+    except (OSError, ValueError, KeyError, CaptureError) as exc:
+        raise UsageError(
+            "cannot inspect {}: {}".format(args.artifact, exc)
+        )
+    print(text)
     return 0
 
 
@@ -417,15 +434,15 @@ def cmd_profile(args):
     from repro.obs.profile import load_profile, render_profile
 
     try:
-        profile = load_profile(args.trace_file, args.metrics_in)
+        profile = load_profile(args.trace_file)
     except OSError as exc:
         raise UsageError("cannot read profile inputs: {}".format(exc))
     if args.metrics_format == "prom":
         if profile["metrics"] is None:
             raise UsageError(
-                "no metrics snapshot found: pass --metrics-in FILE, or "
-                "re-run the traced command with --metrics/--metrics-out "
-                "so the trace ends with a metrics record"
+                "no metrics snapshot found: re-run the traced command "
+                "with --metrics or --ledger so the trace ends with a "
+                "metrics record"
             )
         from repro.obs.prom import render_prometheus
 
@@ -530,11 +547,6 @@ def _parser_tree():
             "--metrics", action="store_true",
             help="collect metrics and print a summary table "
             "(also REPRO_METRICS=1)",
-        )
-        p.add_argument(
-            "--metrics-out", metavar="FILE",
-            help="write the final metrics snapshot as JSON to FILE "
-            "(also REPRO_METRICS_OUT=FILE)",
         )
         p.add_argument(
             "--trace", metavar="FILE",
@@ -808,11 +820,6 @@ def _parser_tree():
         "files are picked up automatically)",
     )
     p.add_argument(
-        "--metrics-in", metavar="FILE",
-        help="metrics snapshot JSON (from --metrics-out); default: "
-        "the metrics record embedded at the end of the trace",
-    )
-    p.add_argument(
         "--metrics-format", choices=("table", "prom"),
         default="table", metavar="FMT",
         help="emit the full report ('table', default) or just the "
@@ -871,7 +878,6 @@ def main(argv=None):
         obs.configure(
             metrics=getattr(args, "metrics", False),
             trace=getattr(args, "trace", None),
-            metrics_out_path=getattr(args, "metrics_out", None),
         )
     except OSError as exc:
         print("repro: cannot open trace file: {}".format(exc),
@@ -898,8 +904,9 @@ def main(argv=None):
         obs.configure(metrics=True)
     if heap.enabled():
         heap.start_tracemalloc()
-    # --metrics-out implies the registry but not the stdout table;
-    # only an explicit --metrics (or REPRO_METRICS) prints the summary.
+    # --ledger and --heap-profile imply the registry but not the stdout
+    # table; only an explicit --metrics (or REPRO_METRICS) prints the
+    # summary.
     show_summary = getattr(args, "metrics", False) or os.environ.get(
         obs.ENV_METRICS, ""
     ).strip().lower() in ("1", "true", "yes", "on")

@@ -24,10 +24,6 @@ validation, the compiler pipeline) report through. Its contract:
   Identical messages are printed only the first time; repeats are
   counted and a per-message suppression summary is printed on
   :func:`shutdown`, so a hot loop cannot flood stderr.
-* **Machine-readable exit snapshot.** ``metrics_out`` (``--metrics-out
-  FILE`` / ``REPRO_METRICS_OUT=FILE``) implies the registry and makes
-  :func:`shutdown` write the final metrics snapshot as one JSON
-  document — the artifact CI jobs diff and archive.
 * **A live layer on top.** Three sibling modules reuse this
   switchboard for *during-* and *after-the-run* introspection:
   :mod:`~repro.obs.status` (``--status`` / ``REPRO_STATUS``) has the
@@ -53,7 +49,6 @@ Typical instrumentation::
                 obs.inc("explore.states_visited", graph.state_count())
 """
 
-import json
 import os
 import sys
 import time
@@ -68,7 +63,6 @@ __all__ = [
     "shutdown",
     "reset",
     "metrics_enabled",
-    "metrics_out",
     "trace_enabled",
     "span",
     "event",
@@ -102,13 +96,8 @@ tracer = None
 #: (``<path>.w<wid>``) for its forked workers.
 trace_path = None
 
-#: Destination for the final metrics snapshot (path or file-like), or
-#: ``None``; written by :func:`shutdown`.
-metrics_out = None
-
 #: Env-var toggles honoured by :func:`configure_from_env` (and the CLI).
 ENV_METRICS = "REPRO_METRICS"
-ENV_METRICS_OUT = "REPRO_METRICS_OUT"
 ENV_TRACE = "REPRO_TRACE"
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -122,23 +111,16 @@ def _refresh_enabled():
     enabled = registry is not None or tracer is not None
 
 
-def configure(metrics=False, trace=None, metrics_out_path=None,
-              trace_base_attrs=None):
+def configure(metrics=False, trace=None, trace_base_attrs=None):
     """Enable observability backends (idempotent; layers on top of any
     already-active configuration).
 
     ``metrics`` — truthy to activate the process-wide registry.
     ``trace`` — a path or file-like object for JSON-lines output.
-    ``metrics_out_path`` — a path or file-like object the final metrics
-    snapshot is written to (as JSON) on :func:`shutdown`; implies
-    ``metrics``.
     ``trace_base_attrs`` — attributes stamped on every trace record
     (forked workers pass ``{"wid": N}``).
     """
-    global registry, tracer, metrics_out, trace_path
-    if metrics_out_path is not None and metrics_out is None:
-        metrics_out = metrics_out_path
-        metrics = True
+    global registry, tracer, trace_path
     if metrics and registry is None:
         registry = MetricsRegistry()
     if trace is not None and tracer is None:
@@ -154,15 +136,11 @@ def configure(metrics=False, trace=None, metrics_out_path=None,
 
 
 def configure_from_env(environ=None):
-    """Apply ``REPRO_METRICS`` / ``REPRO_METRICS_OUT`` / ``REPRO_TRACE``
-    from the environment."""
+    """Apply ``REPRO_METRICS`` / ``REPRO_TRACE`` from the environment."""
     environ = os.environ if environ is None else environ
     metrics = environ.get(ENV_METRICS, "").strip().lower() in _TRUTHY
     trace = environ.get(ENV_TRACE) or None
-    metrics_out_path = environ.get(ENV_METRICS_OUT) or None
-    configure(
-        metrics=metrics, trace=trace, metrics_out_path=metrics_out_path
-    )
+    configure(metrics=metrics, trace=trace)
 
 
 def _flush_warn_summary():
@@ -179,41 +157,27 @@ def _flush_warn_summary():
         )
 
 
-def _write_metrics_out():
-    if metrics_out is None or registry is None:
-        return
-    data = json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-    if hasattr(metrics_out, "write"):
-        metrics_out.write(data + "\n")
-    else:
-        with open(metrics_out, "w") as handle:
-            handle.write(data + "\n")
-
-
 def shutdown():
     """Flush everything and disable: append the metrics snapshot to the
-    tracer (when both backends are on), write the ``metrics_out`` JSON
-    snapshot, print the suppressed-warning summary, close the tracer."""
-    global registry, tracer, metrics_out, trace_path
+    tracer (when both backends are on), print the suppressed-warning
+    summary, close the tracer."""
+    global registry, tracer, trace_path
     if tracer is not None:
         if registry is not None:
             tracer.metrics(registry.snapshot())
         tracer.close()
-    _write_metrics_out()
     _flush_warn_summary()
     registry = None
     tracer = None
-    metrics_out = None
     trace_path = None
     _refresh_enabled()
 
 
 def reset():
     """Hard reset for tests: drop state without flushing."""
-    global registry, tracer, metrics_out, trace_path
+    global registry, tracer, trace_path
     registry = None
     tracer = None
-    metrics_out = None
     trace_path = None
     _warn_counts.clear()
     _refresh_enabled()

@@ -386,23 +386,33 @@ _DOC_TYPES = (
 )
 
 
+def _is_record(line):
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
 def sniff_artifact(path):
     """What kind of artifact ``path`` is.
 
-    One of ``"witness"``, ``"run-manifest"``, ``"heartbeat"`` or
-    ``"trace"``: the first three are single (typically indented) JSON
-    objects self-describing via their ``"type"`` key; anything else
-    that parses line-by-line is treated as a JSON-lines trace.
+    One of :data:`_DOC_TYPES`, ``"trace"`` or ``None``: the documents
+    are single (typically indented) JSON objects self-describing via
+    their ``"type"`` key; anything else with at least one line that
+    parses as a JSON object is treated as a JSON-lines trace, and a
+    file with none (empty, truncated or garbled) is ``None``.
     """
     with open(path) as handle:
         text = handle.read()
     try:
         rec = json.loads(text)
     except ValueError:
-        return "trace"
+        rec = None
     if isinstance(rec, dict) and rec.get("type") in _DOC_TYPES:
         return rec["type"]
-    return "trace"
+    if any(_is_record(line) for line in text.splitlines()):
+        return "trace"
+    return None
 
 
 def inspect_path(path):
@@ -410,6 +420,11 @@ def inspect_path(path):
     from repro.semantics.witness import load_witness
 
     kind = sniff_artifact(path)
+    if kind is None:
+        raise ValueError(
+            "not a witness, run manifest, heartbeat, fuzz artifact or "
+            "trace: no line parses as a JSON object"
+        )
     if kind == "witness":
         return render_witness(load_witness(path))
     if kind == "run-manifest":

@@ -25,7 +25,7 @@ numbers that can be gated and compared across runs:
   tracemalloc slows allocation several-fold.
 
 Everything is published as ordinary ``heap.*`` / ``intern.table.*``
-gauges, so it surfaces in ``--metrics-out`` snapshots, the ``repro
+gauges, so it surfaces in the ``--ledger`` run record, the ``repro
 profile`` Heap section, and the Prometheus exposition with no extra
 plumbing. The graph census is deliberately *post-run* (it walks the
 finished graph), so the hot loop never pays for it.

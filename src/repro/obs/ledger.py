@@ -10,11 +10,10 @@ snapshot, the behaviour fingerprint, the verdict and the exit status.
 Two consumers motivate the shape:
 
 * ``repro compare A B`` diffs two manifests — configs, fingerprints,
-  phases and counters, with the same ratio-symmetric delta the perf
-  trajectory gate uses (:func:`ratio_delta` is the importable helper
-  ``benchmarks/trajectory.py`` now reuses) — so "did this change make
-  runs slower or change behaviour?" is one command over two artifacts
-  instead of archaeology over logs.
+  phases and counters, with a ratio-symmetric delta
+  (:func:`ratio_delta`) — so "did this change make runs slower or
+  change behaviour?" is one command over two artifacts instead of
+  archaeology over logs.
 * The ``content_hash`` key is deliberately the cache key shape the
   ROADMAP's validation-as-a-service item will index: module bytes +
   pass pipeline + semantic gates, hashed. A server can decide "this

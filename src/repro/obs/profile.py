@@ -8,8 +8,9 @@ run leaves behind —
 * the per-worker sibling files a parallel run writes next to it
   (``<trace>.w0``, ``<trace>.w1``, ...; see
   :mod:`repro.semantics.parallel`),
-* a metrics snapshot, from ``--metrics-out`` JSON or the ``metrics``
-  record appended to the trace on shutdown —
+* the metrics snapshot, the ``metrics`` record appended to the trace
+  on shutdown when the registry was on (``--metrics`` or
+  ``--ledger``) —
 
 and renders four sections:
 
@@ -46,7 +47,6 @@ serve`` dashboard consumes.
 """
 
 import glob
-import json
 import os
 
 from repro.obs.trace import read_trace
@@ -74,7 +74,7 @@ def worker_trace_paths(trace_path):
     return sorted((p for p in paths if _wid(p) >= 0), key=_wid)
 
 
-def load_profile(trace_path, metrics_path=None):
+def load_profile(trace_path):
     """Gather everything the report renders into one plain dict."""
     main_records = read_trace(trace_path)
     workers = {}
@@ -89,13 +89,9 @@ def load_profile(trace_path, metrics_path=None):
             wid = int(path.rsplit(".w", 1)[-1])
         workers[wid] = records
     metrics = None
-    if metrics_path:
-        with open(metrics_path) as handle:
-            metrics = json.load(handle)
-    else:
-        for rec in main_records:
-            if rec.get("type") == "metrics":
-                metrics = rec.get("data")
+    for rec in main_records:
+        if rec.get("type") == "metrics":
+            metrics = rec.get("data")
     return {
         "trace_path": str(trace_path),
         "main": main_records,

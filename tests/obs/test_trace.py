@@ -3,7 +3,10 @@
 import io
 import json
 
+import pytest
+
 from repro import obs
+from repro.obs import ledger
 from repro.obs.trace import NULL_SPAN, Tracer, read_trace
 
 
@@ -225,38 +228,18 @@ class TestWarnRateLimit:
         assert err.count("repro: warning: resettable") == 2
 
 
-class TestMetricsOut:
-    def test_snapshot_written_on_shutdown(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        obs.configure(metrics_out_path=str(path))
-        assert obs.metrics_enabled()  # metrics_out implies the registry
-        obs.inc("c", 7)
-        obs.shutdown()
-        snap = json.loads(path.read_text())
-        assert snap["counters"]["c"] == 7
-        assert set(snap) == {"counters", "gauges", "histograms"}
-
-    def test_file_object_sink(self):
-        buf = io.StringIO()
-        obs.configure(metrics_out_path=buf)
-        obs.inc("k")
-        obs.shutdown()
-        assert json.loads(buf.getvalue())["counters"]["k"] == 1
-
-    def test_env_var(self, tmp_path):
-        path = tmp_path / "env-metrics.json"
-        obs.configure_from_env({"REPRO_METRICS_OUT": str(path)})
-        assert obs.metrics_enabled()
-        obs.inc("from_env", 2)
-        obs.shutdown()
-        assert (
-            json.loads(path.read_text())["counters"]["from_env"] == 2
-        )
-
-    def test_not_written_without_configure(self, tmp_path):
+class TestLedgerMetrics:
+    def test_snapshot_recorded_in_the_ledger(self, tmp_path):
+        # The run ledger is the one machine-readable metrics dump.
+        path = tmp_path / "run.json"
+        ledger.configure(str(path), "run")
         obs.configure(metrics=True)
-        obs.inc("c")
-        obs.shutdown()  # no metrics_out: nothing to write, no error
+        obs.inc("c", 7)
+        ledger.finalize(0, obs.dump())
+        obs.shutdown()
+        metrics = json.loads(path.read_text())["metrics"]
+        assert metrics["counters"]["c"] == 7
+        assert set(metrics) == {"counters", "gauges", "histograms"}
 
 
 class TestReadTraceHardening:
@@ -306,3 +289,15 @@ class TestReadTraceHardening:
     def test_file_object_input(self):
         buf = io.StringIO('{"a": 1}\nbroken\n')
         assert len(read_trace(buf)) == 1
+
+    def test_non_object_lines_are_corrupt(self, tmp_path):
+        # Valid JSON that is not a record (a list, a number, null) is
+        # skipped like garbage, so no reader sees a non-dict record.
+        obs.configure(metrics=True)
+        path = self._write(
+            tmp_path, ['[1, 2]', '{"type": "span"}', "7", "null"]
+        )
+        assert read_trace(path) == [{"type": "span"}]
+        assert obs.counter_value("trace.read.skipped_lines") == 3
+        with pytest.raises(ValueError):
+            read_trace(path, strict=True)

@@ -6,7 +6,10 @@ thread, atomic bits, sorted memory items and per-thread frame reprs,
 every edge, and the initial/done/stuck/truncated sets. The digests in
 ``graph_golden.json`` pin the explorer's output bit for bit, so any
 change to the exploration loops, the semantics or interning that moves
-a state, an edge or a verdict shows up here.
+a state, an edge or a verdict shows up here. The 3-thread source counter
+and the x86-TSO cases are explored a second time with a heartbeat
+written at every stride of the loop; they must give the same digests,
+so telemetry cannot perturb exploration.
 
 The digests must not depend on hash order; CI runs this file under a
 fixed ``PYTHONHASHSEED`` too. Regenerate them, after a deliberate
@@ -23,12 +26,14 @@ import sys
 import pytest
 
 from repro.framework.build import lock_counter_system
+from repro.obs import status
 from repro.semantics import (
     GlobalContext,
     NonPreemptiveSemantics,
     PreemptiveSemantics,
     explore,
 )
+from repro.semantics.explore import _HB_STRIDE
 
 from tests.helpers import example_programs
 
@@ -149,6 +154,44 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_graph_matches_golden_digest(name):
     assert graph_digest(CASES[name]()) == _load_golden()[name]
+
+
+@pytest.mark.parametrize("mode", LOCK3_MODES)
+def test_heartbeat_does_not_perturb_the_graph(mode, tmp_path):
+    # Interval 0: every stride of the loop writes a heartbeat.
+    status.configure(str(tmp_path / "st.json"), interval=0.0)
+    try:
+        graph = _explore(
+            _lock3_program("source"), mode, LOCK3_MAX_STATES
+        )
+    finally:
+        status.reset()
+    assert graph_digest(graph) == _load_golden()[
+        "lock-counter-3-source/{}".format(mode)
+    ]
+    assert (tmp_path / "st.json").exists()
+
+
+#: Golden cases with several strides of states under each semantics and
+#: loop: the x86-TSO lock counter and Peterson's algorithm.
+HEARTBEAT_CASES = [
+    "{}/{}".format(name, mode)
+    for name in ("lock-counter-tso", "peterson-tso")
+    for mode in MODES
+]
+
+
+@pytest.mark.parametrize("name", HEARTBEAT_CASES)
+def test_heartbeat_does_not_perturb_small_graphs(name, tmp_path):
+    status.configure(str(tmp_path / "st.json"), interval=0.0)
+    try:
+        graph = CASES[name]()
+        beat = status.load(str(tmp_path / "st.json"))
+    finally:
+        status.reset()
+    assert graph.state_count() > 2 * _HB_STRIDE
+    assert beat["states"] == graph.state_count()
+    assert graph_digest(graph) == _load_golden()[name]
 
 
 def _write():
