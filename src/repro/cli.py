@@ -431,12 +431,18 @@ def cmd_inspect(args):
 
 
 def cmd_profile(args):
+    from repro.obs.explain import sniff_artifact
     from repro.obs.profile import load_profile, render_profile
 
     try:
-        profile = load_profile(args.trace_file)
+        kind = sniff_artifact(args.trace_file)
+        profile = load_profile(args.trace_file) if kind == "trace" else None
     except OSError as exc:
         raise UsageError("cannot read profile inputs: {}".format(exc))
+    if profile is None:
+        raise UsageError(
+            "cannot profile {}: no trace records".format(args.trace_file)
+        )
     if args.metrics_format == "prom":
         if profile["metrics"] is None:
             raise UsageError(

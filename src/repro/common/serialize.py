@@ -17,13 +17,19 @@ constructor instead:
   Zobrist hash is recomputed or folded locally, never trusted from the
   wire) and :class:`~repro.common.footprint.Footprint` re-interns
   through its hash-consing ``__new__``;
-* value/message singletons (``VUndef``, ``TAU``, ``EntAtom``,
-  ``ExtAtom``) decode to the receiver's singletons;
-* language cores and their frames restore via ``object.__setattr__``
-  with cached ``_hash`` slots dropped (they all recompute lazily), so a
-  decoded core can never carry a stale hash. Worlds never take this
-  path: ``World(...)`` recomputes ``_tx`` and the hash from the decoded
-  components.
+* ``FreeList``, ``ImmutableMap``, ``VInt``, ``VPtr`` and ``StepAbort``
+  rebuild through their constructors, and ``VUndef`` decodes to the
+  receiver's singleton;
+* code containers (MiniC, IR and CImp modules, the per-IR function
+  objects, CImp's ``Function``) travel as static-segment references
+  when pinned, else by their slots (``Function``, a syntax node, by its
+  fields);
+* everything else on :class:`~repro.common.astbase.Record` — language cores
+  and frames, messages (the ``TAU``/``EntAtom``/``ExtAtom`` singletons
+  decode to the receiver's), ``Step``, ``Behaviour`` and all syntax
+  nodes — needs no entry here: the base's ``__reduce__`` rebuilds it
+  through its constructor, so a decoded value never carries a cached
+  hash.
 
 Since schema version 2 the transport is *stateful per channel*. A
 directed channel (one sender, one receiver, FIFO delivery — exactly
@@ -107,7 +113,6 @@ from repro.common import freelist as _freelist
 from repro.common import immutables as _immutables
 from repro.common import memory as _memory
 from repro.common import values as _values
-from repro.lang import messages as _messages
 from repro.lang import steps as _steps
 
 #: Version tag of the batch envelope (bump on layout changes).
@@ -236,38 +241,23 @@ def _all_slots(cls):
     return names
 
 
-#: Cache slots that must not cross the wire. The classes registered
-#: through :func:`register_slots` recompute them lazily; ``World``,
-#: ``Frame``, ``Memory`` and ``Footprint`` have their own reducers and
-#: are rebuilt through their constructors (a world computes ``_tx`` and
-#: its hash eagerly there), so no cached slot is ever decoded.
-_CACHE_SLOTS = frozenset({"_hash", "_locs", "_merged"})
-
-
 def register_slots(cls):
-    """Register a generic reducer: all slots except cached ones.
+    """Register a reducer for an immutable code container.
 
-    Only sound for classes whose cached slots are recomputed lazily via
-    the ``try/except AttributeError`` pattern (every language core and
-    language-level frame — see e.g. ``CImpCore.__hash__``); never for
-    ``World``, whose hash is set at construction. Static-segment members
-    reduce to their table index instead (one dict lookup, paid only on
-    an object's first encode per channel epoch — pickle's memo handles
-    repeats).
+    A static-segment member reduces to its table index (one dict
+    lookup, paid only on an object's first encode per channel epoch —
+    pickle's memo handles repeats); any other instance to its slot
+    values, restored past the immutability guard. The containers cache
+    nothing, so every slot is content.
     """
-    slots = tuple(n for n in _all_slots(cls) if n not in _CACHE_SLOTS)
+    slots = tuple(_all_slots(cls))
 
     def _reduce(obj, _cls=cls, _slots=slots):
         idx = _STATIC_IDS.get(id(obj))
         if idx is not None:
             return _static_ref, (idx,)
-        items = []
-        for name in _slots:
-            try:
-                items.append((name, getattr(obj, name)))
-            except AttributeError:
-                pass
-        return _restore_slots, (_cls, tuple(items))
+        items = tuple((name, getattr(obj, name)) for name in _slots)
+        return _restore_slots, (_cls, items)
 
     copyreg.pickle(cls, _reduce)
 
@@ -387,73 +377,34 @@ def _registered():
     register_constructor(_values.VInt, ("n",))
     register_constructor(_values.VPtr, ("addr",))
     register_singleton(_values._VUndef)
-    register_singleton(_messages._Tau)
-    register_singleton(_messages._EntAtom)
-    register_singleton(_messages._ExtAtom)
-    register_constructor(_messages.EventMsg, ("kind", "value"))
-    register_constructor(_messages.RetMsg, ("value",))
-    register_constructor(_messages.CallMsg, ("fname", "args"))
-    register_constructor(_messages.SpawnMsg, ("fname",))
-    register_constructor(_steps.Step, ("msg", "fp", "core", "mem"))
     register_constructor(_steps.StepAbort, ("fp", "reason"))
 
-    # Language cores, frames and static code containers: the generic
-    # slot reducer (cached hashes dropped, recomputed lazily on the
-    # receiving side). AST nodes need none of this — their shared base
-    # defines ``__reduce__`` (see repro.common.astbase.Node).
+    # Static code containers: static-segment members travel as table
+    # indexes, the rest through the generic slot reducer. Core states,
+    # language frames, messages, ``Step`` and syntax nodes need no entry:
+    # their shared base rebuilds them through their constructors (see
+    # repro.common.astbase.Record).
     from repro.langs.cimp import ast as _cimp_ast
-    from repro.langs.cimp.semantics import CImpCore
     from repro.langs.ir.base import IRModule
-    from repro.langs.ir.cminor import CmCore, CmFrame
-    from repro.langs.ir.csharpminor import CshmCore, CshmFrame
-    from repro.langs.ir.linear import LinCore, LinearFunction, LinFrame
-    from repro.langs.ir.ltl import LTLCore, LTLFrame, LTLFunction
-    from repro.langs.ir.mach import MachCore, MachFrame, MachFunction
-    from repro.langs.ir.rtl import RTLCore, RTLFrame, RTLFunction
+    from repro.langs.ir.linear import LinearFunction
+    from repro.langs.ir.ltl import LTLFunction
+    from repro.langs.ir.mach import MachFunction
+    from repro.langs.ir.rtl import RTLFunction
     from repro.langs.minic import ast as _minic_ast
-    from repro.langs.minic.semantics import MFrame, MiniCCore
     from repro.langs.x86.ast import X86Function
-    from repro.langs.x86.sc import X86Core
 
     for cls in (
-        CImpCore,
-        _cimp_ast.Function,
         _cimp_ast.CImpModule,
         IRModule,
-        CmCore,
-        CmFrame,
-        CshmCore,
-        CshmFrame,
-        LinCore,
-        LinFrame,
         LinearFunction,
-        LTLCore,
-        LTLFrame,
         LTLFunction,
-        MachCore,
-        MachFrame,
         MachFunction,
-        RTLCore,
-        RTLFrame,
         RTLFunction,
         _minic_ast.MiniCModule,
-        MFrame,
-        MiniCCore,
         X86Function,
-        X86Core,
     ):
         register_slots(cls)
-
-    # CImp AST nodes have their own immutable base (not astbase.Node);
-    # every concrete node is a lazily-hashed slots class, so the
-    # generic reducer applies uniformly.
-    for obj in vars(_cimp_ast).values():
-        if (
-            isinstance(obj, type)
-            and issubclass(obj, _cimp_ast._Node)
-            and obj is not _cimp_ast._Node
-        ):
-            register_slots(obj)
+    register_constructor(_cimp_ast.Function, _cimp_ast.Function._fields)
 
 
 # ----- channels -------------------------------------------------------------

@@ -96,9 +96,6 @@ class ClientSystem:
     def shared(self):
         return self.source_program().shared_addresses()
 
-    def target_stages(self):
-        return [r.target for r in self.results]
-
 
 def lock_counter_system(nthreads=2):
     """The canonical Fig. 10 workload: ``inc ∥ … ∥ inc``."""

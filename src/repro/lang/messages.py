@@ -15,18 +15,24 @@ and the global whole-program semantics:
 * :class:`CallMsg` — a call to a function not defined in this module,
   to be resolved against the other linked modules.
 
-All messages are immutable and hashable.
+All messages are immutable and hashable
+(:class:`~repro.common.astbase.Record` values); the field-less ones are
+singletons.
 """
 
+from repro.common.astbase import Record
 
-class Message:
+
+class Message(Record):
     """Abstract base of step messages."""
 
     __slots__ = ()
 
 
-class _Tau(Message):
-    """The silent message ``τ``. A singleton, exported as ``TAU``."""
+class _Singleton(Message):
+    """A message without fields: one instance per class, equal only to
+    itself, its hash fixed by its class name (so it is the same in every
+    run under one hash seed)."""
 
     __slots__ = ()
     _instance = None
@@ -37,55 +43,28 @@ class _Tau(Message):
         return cls._instance
 
     def __repr__(self):
-        return "TAU"
-
-    def __eq__(self, other):
-        return isinstance(other, _Tau)
-
-    def __hash__(self):
-        return hash("TAU")
+        return self._name
 
 
-class _EntAtom(Message):
-    """Entry into an atomic block. A singleton, exported as ``ENT_ATOM``."""
+class _Tau(_Singleton):
+    """The silent message ``τ``, exported as ``TAU``."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EntAtom"
-
-    def __eq__(self, other):
-        return isinstance(other, _EntAtom)
-
-    def __hash__(self):
-        return hash("EntAtom")
+    _name = "TAU"
 
 
-class _ExtAtom(Message):
-    """Exit from an atomic block. A singleton, exported as ``EXT_ATOM``."""
+class _EntAtom(_Singleton):
+    """Entry into an atomic block, exported as ``ENT_ATOM``."""
 
     __slots__ = ()
-    _instance = None
+    _name = "EntAtom"
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
-    def __repr__(self):
-        return "ExtAtom"
+class _ExtAtom(_Singleton):
+    """Exit from an atomic block, exported as ``EXT_ATOM``."""
 
-    def __eq__(self, other):
-        return isinstance(other, _ExtAtom)
-
-    def __hash__(self):
-        return hash("ExtAtom")
+    __slots__ = ()
+    _name = "ExtAtom"
 
 
 TAU = _Tau()
@@ -100,24 +79,11 @@ class EventMsg(Message):
     and equivalence compare sequences of these.
     """
 
-    __slots__ = ("kind", "value")
+    _fields = __slots__ = ("kind", "value")
 
     def __init__(self, kind, value=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EventMsg is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventMsg)
-            and self.kind == other.kind
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash(("EventMsg", self.kind, self.value))
 
     def __repr__(self):
         return "EventMsg({!r}, {!r})".format(self.kind, self.value)
@@ -126,19 +92,10 @@ class EventMsg(Message):
 class RetMsg(Message):
     """Termination of the current activation, carrying the return value."""
 
-    __slots__ = ("value",)
+    _fields = __slots__ = ("value",)
 
     def __init__(self, value=None):
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RetMsg is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RetMsg) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("RetMsg", self.value))
 
     def __repr__(self):
         return "RetMsg({!r})".format(self.value)
@@ -152,24 +109,11 @@ class CallMsg(Message):
     returns.
     """
 
-    __slots__ = ("fname", "args")
+    _fields = __slots__ = ("fname", "args")
 
     def __init__(self, fname, args=()):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CallMsg is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CallMsg)
-            and self.fname == other.fname
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return hash(("CallMsg", self.fname, self.args))
 
     def __repr__(self):
         return "CallMsg({!r}, {!r})".format(self.fname, self.args)
@@ -185,19 +129,10 @@ class SpawnMsg(Message):
     the simulation checker do with this message.
     """
 
-    __slots__ = ("fname",)
+    _fields = __slots__ = ("fname",)
 
     def __init__(self, fname):
         object.__setattr__(self, "fname", fname)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpawnMsg is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SpawnMsg) and self.fname == other.fname
-
-    def __hash__(self):
-        return hash(("SpawnMsg", self.fname))
 
     def __repr__(self):
         return "SpawnMsg({!r})".format(self.fname)

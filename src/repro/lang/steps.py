@@ -11,34 +11,20 @@ footprint, successor core, successor memory) or :class:`StepAbort`
 (undefined behaviour: wild access, failed ``assert``, stuck state).
 """
 
+from repro.common.astbase import Record
 from repro.common.footprint import EMP
 
 
-class Step:
+class Step(Record):
     """A successful local transition ``--ι/δ--> (κ', σ')``."""
 
-    __slots__ = ("msg", "fp", "core", "mem")
+    _fields = __slots__ = ("msg", "fp", "core", "mem")
 
     def __init__(self, msg, fp, core, mem):
         object.__setattr__(self, "msg", msg)
         object.__setattr__(self, "fp", fp)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "mem", mem)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Step is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Step)
-            and self.msg == other.msg
-            and self.fp == other.fp
-            and self.core == other.core
-            and self.mem == other.mem
-        )
-
-    def __hash__(self):
-        return hash((self.msg, self.fp, self.core, self.mem))
 
     def __repr__(self):
         return "Step(msg={!r}, fp={!r})".format(self.msg, self.fp)

@@ -5,56 +5,24 @@ abstract specifications of synchronization objects (Fig. 10a). It has
 thread-local registers, loads/stores on shared memory (``[e]``), atomic
 blocks ``< c >`` that execute without interruption, and ``assert``.
 
-All AST nodes are immutable and hashable (they appear inside core
-states, which label graph nodes). Hashes are cached per node: core
-states carry continuation tuples of statements, and the explorer hashes
-those tuples once per new core — without caching, every core hash would
-re-walk the remaining program recursively.
+AST nodes and functions are :class:`~repro.common.astbase.Node` values,
+like the MiniC and IR syntax: immutable, equal by their ``_fields`` and
+hashed once (they appear inside core states, which label graph nodes;
+core states carry continuation tuples of statements, and without the
+cached hash every core hash would re-walk the remaining program).
 """
 
-
-class _Node:
-    """Shared machinery: immutability and a lazily cached hash over the
-    subclass's ``_key()`` tuple."""
-
-    __slots__ = ("_hash",)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AST nodes are immutable")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-            return h
+from repro.common.astbase import Node
 
 
-class Expr(_Node):
+class Expr(Node):
     """Base class of CImp expressions (pure except for loads)."""
-
-    __slots__ = ()
 
 
 class Const(Expr):
     """An integer literal."""
 
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.n == other.n
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Const", self.n)
-
-    def __repr__(self):
-        return "Const({})".format(self.n)
+    _fields = ("n",)
 
 
 class Var(Expr):
@@ -62,355 +30,95 @@ class Var(Expr):
     register bindings shadow symbols; an unbound symbol denotes its
     address, so ``[L]`` loads from the address of global ``L``)."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Var", self.name)
-
-    def __repr__(self):
-        return "Var({!r})".format(self.name)
+    _fields = ("name",)
 
 
 class Load(Expr):
     """A memory read ``[e]``."""
 
-    __slots__ = ("addr",)
-
-    def __init__(self, addr):
-        object.__setattr__(self, "addr", addr)
-
-    def __eq__(self, other):
-        return isinstance(other, Load) and self.addr == other.addr
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Load", self.addr)
-
-    def __repr__(self):
-        return "Load({!r})".format(self.addr)
+    _fields = ("addr",)
 
 
 class Bin(Expr):
     """A binary operation ``e1 op e2``."""
 
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bin)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Bin", self.op, self.left, self.right)
-
-    def __repr__(self):
-        return "Bin({!r}, {!r}, {!r})".format(self.op, self.left, self.right)
+    _fields = ("op", "left", "right")
 
 
 class Un(Expr):
     """A unary operation ``op e``."""
 
-    __slots__ = ("op", "arg")
-
-    def __init__(self, op, arg):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Un)
-            and self.op == other.op
-            and self.arg == other.arg
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Un", self.op, self.arg)
-
-    def __repr__(self):
-        return "Un({!r}, {!r})".format(self.op, self.arg)
+    _fields = ("op", "arg")
 
 
-class Stmt(_Node):
+class Stmt(Node):
     """Base class of CImp statements."""
-
-    __slots__ = ()
 
 
 class Skip(Stmt):
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Skip)
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Skip",)
-
-    def __repr__(self):
-        return "Skip()"
+    _fields = ()
 
 
 class Assign(Stmt):
     """``r := e`` — write a thread-local register."""
 
-    __slots__ = ("var", "expr")
-
-    def __init__(self, var, expr):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "expr", expr)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Assign)
-            and self.var == other.var
-            and self.expr == other.expr
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Assign", self.var, self.expr)
-
-    def __repr__(self):
-        return "Assign({!r}, {!r})".format(self.var, self.expr)
+    _fields = ("var", "expr")
 
 
 class Store(Stmt):
     """``[e1] := e2`` — write shared memory."""
 
-    __slots__ = ("addr", "expr")
-
-    def __init__(self, addr, expr):
-        object.__setattr__(self, "addr", addr)
-        object.__setattr__(self, "expr", expr)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Store)
-            and self.addr == other.addr
-            and self.expr == other.expr
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Store", self.addr, self.expr)
-
-    def __repr__(self):
-        return "Store({!r}, {!r})".format(self.addr, self.expr)
+    _fields = ("addr", "expr")
 
 
 class Seq(Stmt):
     """A statement sequence."""
 
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts):
-        object.__setattr__(self, "stmts", tuple(stmts))
-
-    def __eq__(self, other):
-        return isinstance(other, Seq) and self.stmts == other.stmts
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Seq", self.stmts)
-
-    def __repr__(self):
-        return "Seq({!r})".format(list(self.stmts))
+    _fields = ("stmts",)
 
 
 class If(Stmt):
-    __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond, then, els):
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "then", then)
-        object.__setattr__(self, "els", els)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, If)
-            and self.cond == other.cond
-            and self.then == other.then
-            and self.els == other.els
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("If", self.cond, self.then, self.els)
-
-    def __repr__(self):
-        return "If({!r}, {!r}, {!r})".format(self.cond, self.then, self.els)
+    _fields = ("cond", "then", "els")
 
 
 class While(Stmt):
-    __slots__ = ("cond", "body")
-
-    def __init__(self, cond, body):
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, While)
-            and self.cond == other.cond
-            and self.body == other.body
-        )
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("While", self.cond, self.body)
-
-    def __repr__(self):
-        return "While({!r}, {!r})".format(self.cond, self.body)
+    _fields = ("cond", "body")
 
 
 class Assert(Stmt):
     """``assert(e)`` — aborts when false (Fig. 10a)."""
 
-    __slots__ = ("cond",)
-
-    def __init__(self, cond):
-        object.__setattr__(self, "cond", cond)
-
-    def __eq__(self, other):
-        return isinstance(other, Assert) and self.cond == other.cond
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Assert", self.cond)
-
-    def __repr__(self):
-        return "Assert({!r})".format(self.cond)
+    _fields = ("cond",)
 
 
 class Atomic(Stmt):
     """``< c >`` — an atomic block."""
 
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        return isinstance(other, Atomic) and self.body == other.body
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Atomic", self.body)
-
-    def __repr__(self):
-        return "Atomic({!r})".format(self.body)
+    _fields = ("body",)
 
 
 class Return(Stmt):
-    __slots__ = ("expr",)
+    """``return [e]``; ``expr`` is None for a bare return."""
 
-    def __init__(self, expr=None):
-        object.__setattr__(self, "expr", expr)
-
-    def __eq__(self, other):
-        return isinstance(other, Return) and self.expr == other.expr
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Return", self.expr)
-
-    def __repr__(self):
-        return "Return({!r})".format(self.expr)
+    _fields = ("expr",)
 
 
 class Print(Stmt):
     """``print(e)`` — emit an observable event."""
 
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        object.__setattr__(self, "expr", expr)
-
-    def __eq__(self, other):
-        return isinstance(other, Print) and self.expr == other.expr
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Print", self.expr)
-
-    def __repr__(self):
-        return "Print({!r})".format(self.expr)
+    _fields = ("expr",)
 
 
 class Spawn(Stmt):
     """``spawn f;`` — start a new thread running function ``f``."""
 
-    __slots__ = ("fname",)
-
-    def __init__(self, fname):
-        object.__setattr__(self, "fname", fname)
-
-    def __eq__(self, other):
-        return isinstance(other, Spawn) and self.fname == other.fname
-
-    __hash__ = _Node.__hash__
-
-    def _key(self):
-        return ("Spawn", self.fname)
-
-    def __repr__(self):
-        return "Spawn({!r})".format(self.fname)
+    _fields = ("fname",)
 
 
-class Function:
+class Function(Node):
     """A CImp function: parameter names plus a body statement."""
 
-    __slots__ = ("name", "params", "body")
-
-    def __init__(self, name, params, body):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Function is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Function)
-            and self.name == other.name
-            and self.params == other.params
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash(("Function", self.name, self.params, self.body))
+    _fields = ("name", "params", "body")
 
     def __repr__(self):
         return "Function({!r}, params={!r})".format(self.name, self.params)

@@ -13,6 +13,7 @@ unallocated address or asserting a false condition aborts.
 CImp is deterministic: ``step`` always returns at most one outcome.
 """
 
+from repro.common.astbase import Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import EMPTY_MAP, ImmutableMap
@@ -33,38 +34,15 @@ from repro.langs.cimp import ast
 EXIT_ATOM_MARK = "exit-atom"
 
 
-class CImpCore:
+class CImpCore(Record):
     """A CImp core: registers, continuation, termination flag."""
 
-    __slots__ = ("regs", "kont", "done", "_hash")
+    _fields = __slots__ = ("regs", "kont", "done")
 
     def __init__(self, regs=EMPTY_MAP, kont=(), done=False):
         object.__setattr__(self, "regs", regs)
         object.__setattr__(self, "kont", tuple(kont))
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CImpCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, CImpCore)
-            and self.regs == other.regs
-            and self.kont == other.kont
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        # Cached: the continuation can be deep, and every World/Frame
-        # hash would otherwise re-walk it.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.regs, self.kont, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "CImpCore(kont_len={}, done={})".format(

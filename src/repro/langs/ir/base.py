@@ -47,12 +47,6 @@ class IRModule:
             self.owned,
         )
 
-    def with_owned(self, owned):
-        return IRModule(
-            self.functions, self.symbols, self.externs, self.forbidden,
-            owned,
-        )
-
     def with_functions(self, functions):
         return IRModule(
             functions, self.symbols, self.externs, self.forbidden,

@@ -13,7 +13,7 @@ CminorSel (the Selection pass output) reuses this language with a
 richer operator set; see :mod:`repro.langs.ir.cminorsel`.
 """
 
-from repro.common.astbase import Node
+from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
@@ -91,8 +91,8 @@ class CmFunction(Node):
     _fields = ("name", "nparams", "stacksize", "body")
 
 
-class CmFrame:
-    __slots__ = ("fname", "temps", "sp", "kont", "ret_dst", "_hash")
+class CmFrame(Record):
+    _fields = __slots__ = ("fname", "temps", "sp", "kont", "ret_dst")
 
     def __init__(self, fname, temps, sp, kont, ret_dst=None):
         object.__setattr__(self, "fname", fname)
@@ -100,29 +100,6 @@ class CmFrame:
         object.__setattr__(self, "sp", sp)
         object.__setattr__(self, "kont", tuple(kont))
         object.__setattr__(self, "ret_dst", ret_dst)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CmFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, CmFrame)
-            and self.fname == other.fname
-            and self.temps == other.temps
-            and self.sp == other.sp
-            and self.kont == other.kont
-            and self.ret_dst == other.ret_dst
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.temps, self.sp, self.kont, self.ret_dst))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "CmFrame({}, kont_len={})".format(
@@ -136,36 +113,14 @@ class CmFrame:
         return CmFrame(self.fname, temps, self.sp, kont, self.ret_dst)
 
 
-class CmCore:
-    __slots__ = ("frames", "nidx", "pending", "done", "_hash")
+class CmCore(Record):
+    _fields = __slots__ = ("frames", "nidx", "pending", "done")
 
     def __init__(self, frames=(), nidx=0, pending=None, done=False):
         object.__setattr__(self, "frames", tuple(frames))
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CmCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, CmCore)
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "CmCore(depth={}, pending={!r})".format(

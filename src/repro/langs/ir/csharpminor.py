@@ -10,7 +10,7 @@ footprints entirely (allowed because ``FPmatch`` only constrains the
 shared region).
 """
 
-from repro.common.astbase import Node
+from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
@@ -134,8 +134,8 @@ class CshmFunction(Node):
 # ----- semantics -------------------------------------------------------------
 
 
-class CshmFrame:
-    __slots__ = ("fname", "temps", "env", "kont", "ret_dst", "_hash")
+class CshmFrame(Record):
+    _fields = __slots__ = ("fname", "temps", "env", "kont", "ret_dst")
 
     def __init__(self, fname, temps, env, kont, ret_dst=None):
         object.__setattr__(self, "fname", fname)
@@ -143,29 +143,6 @@ class CshmFrame:
         object.__setattr__(self, "env", env)
         object.__setattr__(self, "kont", tuple(kont))
         object.__setattr__(self, "ret_dst", ret_dst)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CshmFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, CshmFrame)
-            and self.fname == other.fname
-            and self.temps == other.temps
-            and self.env == other.env
-            and self.kont == other.kont
-            and self.ret_dst == other.ret_dst
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.temps, self.env, self.kont, self.ret_dst))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "CshmFrame({}, kont_len={})".format(
@@ -183,36 +160,14 @@ class CshmFrame:
         )
 
 
-class CshmCore:
-    __slots__ = ("frames", "nidx", "pending", "done", "_hash")
+class CshmCore(Record):
+    _fields = __slots__ = ("frames", "nidx", "pending", "done")
 
     def __init__(self, frames=(), nidx=0, pending=None, done=False):
         object.__setattr__(self, "frames", tuple(frames))
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CshmCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, CshmCore)
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "CshmCore(depth={}, pending={!r})".format(

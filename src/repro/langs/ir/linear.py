@@ -6,7 +6,7 @@ registers + abstract slots) and the calling convention are unchanged
 from LTL; the CleanupLabels pass runs at this level.
 """
 
-from repro.common.astbase import Node
+from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import EMPTY_MAP, ImmutableMap
@@ -133,36 +133,14 @@ class LinearFunction:
         return idx
 
 
-class LinFrame:
-    __slots__ = ("fname", "pc", "slots", "sp", "_hash")
+class LinFrame(Record):
+    _fields = __slots__ = ("fname", "pc", "slots", "sp")
 
     def __init__(self, fname, pc, slots, sp):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "pc", pc)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "sp", sp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, LinFrame)
-            and self.fname == other.fname
-            and self.pc == other.pc
-            and self.slots == other.slots
-            and self.sp == other.sp
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.pc, self.slots, self.sp))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "LinFrame({}@{})".format(self.fname, self.pc)
@@ -176,8 +154,8 @@ class LinFrame:
         )
 
 
-class LinCore:
-    __slots__ = ("regs", "frames", "nidx", "pending", "done", "_hash")
+class LinCore(Record):
+    _fields = __slots__ = ("regs", "frames", "nidx", "pending", "done")
 
     def __init__(self, regs=EMPTY_MAP, frames=(), nidx=0, pending=None,
                  done=False):
@@ -186,29 +164,6 @@ class LinCore:
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, LinCore)
-            and self.regs == other.regs
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.regs, self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "LinCore(depth={}, pending={!r})".format(

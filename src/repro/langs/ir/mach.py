@@ -11,7 +11,7 @@ All computing instructions use machine registers only; the spill moves
 of Linear become explicit ``MGetstack``/``MSetstack`` memory accesses.
 """
 
-from repro.common.astbase import Node
+from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import EMPTY_MAP, ImmutableMap
@@ -150,34 +150,13 @@ class MachFunction:
         return idx
 
 
-class MachFrame:
-    __slots__ = ("fname", "pc", "sp", "_hash")
+class MachFrame(Record):
+    _fields = __slots__ = ("fname", "pc", "sp")
 
     def __init__(self, fname, pc, sp):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "pc", pc)
         object.__setattr__(self, "sp", sp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MachFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, MachFrame)
-            and self.fname == other.fname
-            and self.pc == other.pc
-            and self.sp == other.sp
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.pc, self.sp))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "MachFrame({}@{})".format(self.fname, self.pc)
@@ -186,8 +165,8 @@ class MachFrame:
         return MachFrame(self.fname, pc, self.sp)
 
 
-class MachCore:
-    __slots__ = ("regs", "frames", "nidx", "pending", "done", "_hash")
+class MachCore(Record):
+    _fields = __slots__ = ("regs", "frames", "nidx", "pending", "done")
 
     def __init__(self, regs=EMPTY_MAP, frames=(), nidx=0, pending=None,
                  done=False):
@@ -196,29 +175,6 @@ class MachCore:
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MachCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, MachCore)
-            and self.regs == other.regs
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.regs, self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "MachCore(depth={}, pending={!r})".format(

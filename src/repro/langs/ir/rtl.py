@@ -10,7 +10,7 @@ RTL is also the IR of the three CFG-level optimization passes we
 verify (Tailcall, Renumber) and the input of Allocation.
 """
 
-from repro.common.astbase import Node
+from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
@@ -122,8 +122,8 @@ class RTLFunction:
 # ----- semantics --------------------------------------------------------------
 
 
-class RTLFrame:
-    __slots__ = ("fname", "pc", "regs", "sp", "ret_dst", "_hash")
+class RTLFrame(Record):
+    _fields = __slots__ = ("fname", "pc", "regs", "sp", "ret_dst")
 
     def __init__(self, fname, pc, regs, sp, ret_dst=None):
         object.__setattr__(self, "fname", fname)
@@ -131,29 +131,6 @@ class RTLFrame:
         object.__setattr__(self, "regs", regs)
         object.__setattr__(self, "sp", sp)
         object.__setattr__(self, "ret_dst", ret_dst)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RTLFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, RTLFrame)
-            and self.fname == other.fname
-            and self.pc == other.pc
-            and self.regs == other.regs
-            and self.sp == other.sp
-            and self.ret_dst == other.ret_dst
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.pc, self.regs, self.sp, self.ret_dst))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "RTLFrame({}@{})".format(self.fname, self.pc)
@@ -168,36 +145,14 @@ class RTLFrame:
         )
 
 
-class RTLCore:
-    __slots__ = ("frames", "nidx", "pending", "done", "_hash")
+class RTLCore(Record):
+    _fields = __slots__ = ("frames", "nidx", "pending", "done")
 
     def __init__(self, frames=(), nidx=0, pending=None, done=False):
         object.__setattr__(self, "frames", tuple(frames))
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RTLCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, RTLCore)
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "RTLCore(depth={}, pending={!r})".format(

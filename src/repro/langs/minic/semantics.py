@@ -18,6 +18,7 @@ object-owned region (``module.forbidden``), realizing the paper's
 "permission None" partition.
 """
 
+from repro.common.astbase import Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
@@ -34,39 +35,17 @@ from repro.lang.steps import Step, StepAbort
 from repro.langs.minic import ast
 
 
-class MFrame:
+class MFrame(Record):
     """One internal activation: function, local slot map, continuation,
     and the caller's destination lvalue for this activation's result."""
 
-    __slots__ = ("fname", "env", "kont", "ret_dst", "_hash")
+    _fields = __slots__ = ("fname", "env", "kont", "ret_dst")
 
     def __init__(self, fname, env, kont, ret_dst=None):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "env", env)
         object.__setattr__(self, "kont", tuple(kont))
         object.__setattr__(self, "ret_dst", ret_dst)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MFrame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, MFrame)
-            and self.fname == other.fname
-            and self.env == other.env
-            and self.kont == other.kont
-            and self.ret_dst == other.ret_dst
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fname, self.env, self.kont, self.ret_dst))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "MFrame({}, kont_len={})".format(
@@ -77,38 +56,16 @@ class MFrame:
         return MFrame(self.fname, self.env, kont, self.ret_dst)
 
 
-class MiniCCore:
+class MiniCCore(Record):
     """A MiniC core: activation stack, next slot index, pending action."""
 
-    __slots__ = ("frames", "nidx", "pending", "done", "_hash")
+    _fields = __slots__ = ("frames", "nidx", "pending", "done")
 
     def __init__(self, frames=(), nidx=0, pending=None, done=False):
         object.__setattr__(self, "frames", tuple(frames))
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MiniCCore is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, MiniCCore)
-            and self.frames == other.frames
-            and self.nidx == other.nidx
-            and self.pending == other.pending
-            and self.done == other.done
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.frames, self.nidx, self.pending, self.done))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "MiniCCore(depth={}, nidx={}, pending={!r})".format(

@@ -10,6 +10,7 @@ as CompCert does), the freelist allocation index, and the store buffer
 (always empty under SC).
 """
 
+from repro.common.astbase import Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
@@ -37,12 +38,12 @@ from repro.langs.x86.regs import ARG_REGS, RET_REG
 FLAGS_UNDEF = None
 
 
-class X86Core:
+class X86Core(Record):
     """The x86 machine core (shared by SC and TSO; SC keeps ``buffer``
     empty)."""
 
-    __slots__ = ("regs", "flags", "cur", "rstack", "buffer", "nidx",
-                 "pending", "done", "_hash")
+    _fields = __slots__ = ("regs", "flags", "cur", "rstack", "buffer",
+                           "nidx", "pending", "done")
 
     def __init__(self, regs=None, flags=FLAGS_UNDEF, cur=None, rstack=(),
                  buffer=(), nidx=0, pending=None, done=False):
@@ -56,34 +57,6 @@ class X86Core:
         object.__setattr__(self, "nidx", nidx)
         object.__setattr__(self, "pending", pending)
         object.__setattr__(self, "done", done)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("X86Core is immutable")
-
-    def _key(self):
-        return (
-            self.regs,
-            self.flags,
-            self.cur,
-            self.rstack,
-            self.buffer,
-            self.nidx,
-            self.pending,
-            self.done,
-        )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, X86Core) and self._key() == other._key()
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "X86Core(cur={!r}, buffer={}, pending={!r})".format(

@@ -669,12 +669,3 @@ def _verdict(rows, totals, merge, metrics):
             )
         )
     return " ".join(parts)
-
-
-def profile_path(trace_path, metrics_path=None, top=12):
-    """Load + render: the ``repro profile`` entry point."""
-    if not os.path.exists(trace_path):
-        raise FileNotFoundError(trace_path)
-    return render_profile(
-        load_profile(trace_path, metrics_path), top=top
-    )

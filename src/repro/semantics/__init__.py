@@ -37,6 +37,7 @@ from repro.semantics.witness import (
     record_abort,
     record_race,
     save_witness,
+    semantics_for,
 )
 from repro.semantics.replay import (
     ReplayDivergence,
@@ -44,7 +45,6 @@ from repro.semantics.replay import (
     minimize_witness,
     replay_schedule,
     replay_witness,
-    semantics_for,
 )
 
 __all__ = [

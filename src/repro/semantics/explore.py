@@ -48,6 +48,7 @@ from collections import deque
 
 from repro import obs
 from repro.common import intern
+from repro.common.astbase import Record
 from repro.common.memory import STATS as MEM_STATS
 from repro.lang import closure as _closure
 from repro.lang.messages import EventMsg
@@ -68,10 +69,10 @@ class ExplorationLimit(Exception):
     """Raised when a state-space bound is exceeded and strict=True."""
 
 
-class Behaviour:
+class Behaviour(Record):
     """One observable behaviour: an event trace plus how it ends."""
 
-    __slots__ = ("events", "end")
+    _fields = __slots__ = ("events", "end")
 
     DONE = "done"
     ABORT = "abort"
@@ -81,19 +82,6 @@ class Behaviour:
     def __init__(self, events, end):
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "end", end)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Behaviour is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Behaviour)
-            and self.events == other.events
-            and self.end == other.end
-        )
-
-    def __hash__(self):
-        return hash((self.events, self.end))
 
     def __repr__(self):
         evs = ",".join(

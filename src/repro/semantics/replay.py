@@ -33,31 +33,14 @@ from repro import obs
 from repro.common.footprint import Footprint, conflict_atomic
 from repro.semantics.engine import GAbort, label_kind
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
-from repro.semantics.preemptive import PreemptiveSemantics
 from repro.semantics.race import _RaceChecker, predict
 from repro.semantics.witness import (
     CaptureError,
     Schedule,
     WitnessRecord,
     _make_step,
+    semantics_for,
 )
-
-_SEMANTICS = {
-    PreemptiveSemantics.name: PreemptiveSemantics,
-    NonPreemptiveSemantics.name: NonPreemptiveSemantics,
-}
-
-
-def semantics_for(name):
-    """The semantics instance a schedule names."""
-    cls = _SEMANTICS.get(name)
-    if cls is None:
-        raise CaptureError(
-            "unknown semantics {!r} (expected one of {})".format(
-                name, sorted(_SEMANTICS)
-            )
-        )
-    return cls()
 
 
 class ReplayDivergence(Exception):

@@ -37,13 +37,83 @@ from collections import deque
 from repro import obs
 from repro.semantics.engine import GAbort, label_kind
 from repro.semantics.explore import ABORT_DST
+from repro.semantics.nonpreemptive import NonPreemptiveSemantics
+from repro.semantics.preemptive import PreemptiveSemantics
 
 #: Version tag of the witness JSON artifact (bump on layout changes).
 WITNESS_SCHEMA_VERSION = 1
 
 
 class CaptureError(Exception):
-    """A schedule could not be extracted or re-walked from a graph."""
+    """A schedule could not be extracted or re-walked from a graph, or
+    a witness artifact does not parse into one."""
+
+
+#: The global semantics a schedule can name, by their ``name``.
+_SEMANTICS = {
+    PreemptiveSemantics.name: PreemptiveSemantics,
+    NonPreemptiveSemantics.name: NonPreemptiveSemantics,
+}
+
+
+def semantics_for(name):
+    """The semantics instance a schedule names."""
+    cls = _SEMANTICS.get(name)
+    if cls is None:
+        raise CaptureError(
+            "unknown semantics {!r} (expected one of {})".format(
+                name, sorted(_SEMANTICS)
+            )
+        )
+    return cls()
+
+
+#: Field kinds of the artifact, ``(test, description)``. JSON numbers
+#: decode to ``int`` exactly when integral, so ``type(v) is int`` also
+#: rejects ``true``/``false``.
+_INDEX = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_INT = (lambda v: type(v) is int, "an integer")
+_INTS = (
+    lambda v: type(v) is list and all(type(x) is int for x in v),
+    "a list of integers",
+)
+_STR = (lambda v: type(v) is str, "a string")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_LIST = (lambda v: type(v) is list, "a list")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_DETAIL = (lambda v: type(v) in (str, list), "a string or a list")
+_VERDICT = (lambda v: v in ("race", "abort"), '"race" or "abort"')
+_SEMANTICS_NAME = (
+    lambda v: type(v) is str and v in _SEMANTICS,
+    "one of {}".format(", ".join(sorted(_SEMANTICS))),
+)
+
+_MISSING = object()
+
+
+def _check(value, path, kind):
+    """``value`` if it is of ``kind``, else a :class:`CaptureError`
+    naming the artifact field ``path``."""
+    test, expected = kind
+    if not test(value):
+        got = json.dumps(value)
+        if len(got) > 40:
+            got = got[:37] + "..."
+        raise CaptureError(
+            "{}: expected {}, got {}".format(path, expected, got)
+        )
+    return value
+
+
+def _field(rec, where, name, kind, default=_MISSING):
+    """``rec[name]`` checked to be of ``kind``; a missing field takes
+    ``default`` and is an error when there is none."""
+    path = "{}.{}".format(where, name) if where else name
+    if name not in rec:
+        if default is _MISSING:
+            raise CaptureError("{}: missing".format(path))
+        return default
+    return _check(rec[name], path, kind)
 
 
 class ScheduleStep:
@@ -92,13 +162,19 @@ class ScheduleStep:
         return rec
 
     @classmethod
-    def from_dict(cls, rec):
-        detail = rec.get("d")
+    def from_dict(cls, rec, where="step"):
+        _check(rec, where, _OBJECT)
+        detail = _field(rec, where, "d", _DETAIL, None)
         if isinstance(detail, list):
             detail = tuple(detail)
         return cls(
-            rec["i"], rec["tid"], rec["to"], rec["k"], detail,
-            rec.get("rs"), rec.get("ws"),
+            _field(rec, where, "i", _INDEX),
+            _field(rec, where, "tid", _INDEX),
+            _field(rec, where, "to", _INDEX),
+            _field(rec, where, "k", _STR),
+            detail,
+            _field(rec, where, "rs", _INTS, None),
+            _field(rec, where, "ws", _INTS, None),
         )
 
 
@@ -145,12 +221,19 @@ class Schedule:
         }
 
     @classmethod
-    def from_dict(cls, rec):
+    def from_dict(cls, rec, where="schedule"):
+        _check(rec, where, _OBJECT)
+        steps = _field(rec, where, "steps", _LIST)
         return cls(
-            rec["init"],
-            [ScheduleStep.from_dict(s) for s in rec["steps"]],
-            rec["semantics"],
-            rec.get("por", False),
+            _field(rec, where, "init", _INDEX),
+            [
+                ScheduleStep.from_dict(
+                    step, "{}.steps[{}]".format(where, n)
+                )
+                for n, step in enumerate(steps)
+            ],
+            _field(rec, where, "semantics", _SEMANTICS_NAME),
+            _field(rec, where, "por", _BOOL, False),
         )
 
 
@@ -398,13 +481,32 @@ class WitnessRecord:
                 "unsupported witness schema version {!r} "
                 "(expected {})".format(version, WITNESS_SCHEMA_VERSION)
             )
+        verdict = _field(rec, "", "verdict", _VERDICT)
+        # A race verdict is re-derived from its prediction pair.
+        race_default = _MISSING if verdict == "race" else None
+        race = _field(rec, "", "race", _OBJECT, race_default)
+        if race is not None:
+            for side in ("1", "2"):
+                _field(race, "race", "tid" + side, _INDEX)
+                _field(race, "race", "rs" + side, _INTS, ())
+                _field(race, "race", "ws" + side, _INTS, ())
+                _field(race, "race", "bit" + side, _INT, 0)
+        program = _field(rec, "", "program", _OBJECT, None)
+        if program is not None:
+            _field(program, "program", "file", _STR, None)
+            _field(program, "program", "threads", _STR, None)
+            _field(program, "program", "lock", _BOOL, None)
+            _field(program, "program", "optimize", _BOOL, None)
+        meta = _field(rec, "", "meta", _OBJECT, None)
+        if meta is not None:
+            _field(meta, "meta", "max_atomic_steps", _INDEX, None)
         return cls(
-            rec["verdict"],
-            Schedule.from_dict(rec["schedule"]),
-            rec.get("race"),
-            rec.get("program"),
-            rec.get("minimized", False),
-            rec.get("meta"),
+            verdict,
+            Schedule.from_dict(_field(rec, "", "schedule", _OBJECT)),
+            race,
+            program,
+            _field(rec, "", "minimized", _BOOL, False),
+            meta,
         )
 
 

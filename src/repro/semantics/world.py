@@ -35,6 +35,7 @@ or to report a race witness. The explored graph keeps only the keys.
 """
 
 from repro import obs
+from repro.common.astbase import Record
 from repro.common.errors import SemanticsError
 from repro.common.freelist import MAX_DEPTH, FreeList
 from repro.common.intern import InternTable
@@ -118,14 +119,14 @@ _AMBIGUOUS = object()
 _UNRESOLVED = object()
 
 
-class Frame:
+class Frame(Record):
     """One module activation ``(tl, F, κ)`` on a thread's stack.
 
     ``mod_idx`` indexes the module in the :class:`GlobalContext`;
     ``flist`` is the activation's freelist; ``core`` its core state.
     """
 
-    __slots__ = ("mod_idx", "flist", "core", "_hash")
+    _fields = __slots__ = ("mod_idx", "flist", "core")
 
     def __init__(self, mod_idx, flist, core):
         object.__setattr__(self, "mod_idx", mod_idx)
@@ -136,27 +137,6 @@ class Frame:
     def make(cls, mod_idx, flist, core):
         """The canonical (interned) frame for these components."""
         return _intern_frame(mod_idx, flist, core)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Frame is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Frame)
-            and self.mod_idx == other.mod_idx
-            and self.flist == other.flist
-            and self.core == other.core
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.mod_idx, self.flist, self.core))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return "Frame(mod={}, core={!r})".format(self.mod_idx, self.core)

@@ -124,6 +124,58 @@ class TestExitCodes:
 
 
 TRUNCATED_WITNESS = '{"type": "witness", "sched'
+
+#: A well-formed race witness for ``RACY`` (``t1`` and ``t2``).
+WITNESS = {
+    "type": "witness",
+    "version": 1,
+    "verdict": "race",
+    "minimized": False,
+    "schedule": {
+        "init": 0,
+        "semantics": "preemptive",
+        "por": False,
+        "steps": [
+            {"i": 0, "tid": 0, "to": 0, "k": "tau", "rs": [], "ws": []},
+            {"i": 1, "tid": 0, "to": 1, "k": "sw"},
+            {"i": 0, "tid": 1, "to": 1, "k": "tau", "rs": [], "ws": []},
+        ],
+    },
+    "race": {"tid1": 0, "rs1": [], "ws1": [16], "bit1": 0,
+             "tid2": 1, "rs2": [], "ws2": [16], "bit2": 0},
+    "program": {"threads": "t1,t2"},
+    "meta": {"max_atomic_steps": 64},
+}
+
+
+def _witness_with(path, value):
+    """``WITNESS`` as JSON text with the field at dotted ``path`` set
+    to ``value`` (a ``None`` value deletes the field)."""
+    doc = json.loads(json.dumps(WITNESS))
+    *parents, name = path.split(".")
+    rec = doc
+    for key in parents:
+        rec = rec[int(key)] if isinstance(rec, list) else rec[key]
+    if value is None:
+        del rec[name]
+    else:
+        rec[name] = value
+    return json.dumps(doc)
+
+
+#: Witnesses that parse but carry a wrong-typed field, with the field
+#: the error must name.
+WRONG_TYPED_WITNESSES = [
+    ("schedule.init", "zero", "schedule.init"),
+    ("schedule.steps", "abc", "schedule.steps"),
+    ("schedule.semantics", "bogus", "schedule.semantics"),
+    ("program", [], "program"),
+    ("program.threads", 5, "program.threads"),
+    ("schedule.steps.0.i", None, "schedule.steps[0].i"),
+    ("meta.max_atomic_steps", "x", "meta.max_atomic_steps"),
+    ("race", None, "race"),
+    ("race.ws1", [None], "race.ws1"),
+]
 TRUNCATED_LEDGER = '{\n  "command": "drf",\n  "config": {\n    "por'
 TRUNCATED_MINIC = "int x = 0;\nvoid t1() { x = "
 
@@ -157,6 +209,20 @@ GARBLED = [
     pytest.param(None, None, ["run", "{f}"], id="missing-file-run"),
     pytest.param(None, None, ["inspect", "{f}"],
                  id="missing-file-inspect"),
+    pytest.param("t.jsonl", "", ["profile", "{f}"], id="empty-profile"),
+    pytest.param("t.jsonl", "garbage\n", ["profile", "{f}"],
+                 id="garbage-profile"),
+] + [
+    pytest.param(
+        "w.json", _witness_with(path, value), argv,
+        id="witness-{}-{}".format(field, command),
+    )
+    for path, value, field in WRONG_TYPED_WITNESSES
+    for command, argv in (
+        ("replay", ["replay", "{racy}", "--witness", "{f}",
+                    "--threads", "t1,t2"]),
+        ("inspect", ["inspect", "{f}"]),
+    )
 ]
 
 
@@ -172,6 +238,42 @@ class TestGarbledInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("repro: error: "), err
+
+
+class TestWitnessFieldTypes:
+    def test_well_formed_witness_replays(self, racy_file, tmp_path,
+                                         capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(WITNESS))
+        assert main(["replay", racy_file, "--witness", str(path)]) == 0
+        assert "replay: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path,value,field", WRONG_TYPED_WITNESSES)
+    def test_error_names_the_field(self, racy_file, tmp_path, capsys,
+                                   path, value, field):
+        w = tmp_path / "w.json"
+        w.write_text(_witness_with(path, value))
+        assert main(["replay", racy_file, "--witness", str(w),
+                     "--threads", "t1,t2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "repro: error: cannot load witness {}: {}: ".format(w, field)
+        ), err
+
+
+class TestProfileInput:
+    def test_trace_with_a_good_record_still_renders(self, racy_file,
+                                                    tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", racy_file, "--threads", "t1,t2",
+                     "--trace", str(trace)]) == 0
+        with open(trace, "a") as handle:
+            handle.write("garbage\n")
+        capsys.readouterr()
+        assert main(["profile", str(trace)]) == 0
+        out, err = capsys.readouterr()
+        assert "profile: {}".format(trace) in out
+        assert "skipped 1 corrupt line(s)" in err
 
 
 class TestJobsFlag:
