@@ -482,6 +482,15 @@ def cmd_npdrf(args):
     return 0 if verdict else 1
 
 
+def _render_status_file(path, doc):
+    try:
+        return live_status.render_status(doc)
+    except ValueError as exc:
+        raise UsageError(
+            "cannot render status file {!r}: {}".format(path, exc)
+        )
+
+
 def cmd_status(args):
     import time as _time
 
@@ -491,7 +500,7 @@ def cmd_status(args):
             "cannot read status file {!r} (no heartbeat yet, or not "
             "a JSON document)".format(args.file)
         )
-    print(live_status.render_status(doc))
+    print(_render_status_file(args.file, doc))
     if not args.watch:
         return 0
     try:
@@ -500,7 +509,7 @@ def cmd_status(args):
             doc = live_status.load(args.file)
             if doc is not None:
                 print()
-                print(live_status.render_status(doc))
+                print(_render_status_file(args.file, doc))
     except KeyboardInterrupt:
         pass
     return 0

@@ -130,6 +130,12 @@ class Corpus:
                     self.findings_path, exc
                 )
             )
+        if not isinstance(doc, dict):
+            raise CorpusError(
+                "findings log {} is not a JSON object".format(
+                    self.findings_path
+                )
+            )
         if doc.get("type") != FINDINGS_KIND:
             raise CorpusError(
                 "{} is not a findings log (type={!r})".format(
@@ -140,6 +146,12 @@ class Corpus:
             raise CorpusError(
                 "unsupported findings log version {!r} (expected {})"
                 .format(doc.get("version"), FINDINGS_VERSION)
+            )
+        if not isinstance(doc.get("findings"), list):
+            raise CorpusError(
+                "findings log {}: field 'findings' is not a list".format(
+                    self.findings_path
+                )
             )
         return doc
 
@@ -193,6 +205,30 @@ class Corpus:
             state = unwrap_document(doc, CHECKPOINT_KIND)
         except SerializationError as exc:
             raise CorpusError(str(exc))
+        if not isinstance(state, dict):
+            raise CorpusError(
+                "checkpoint {}: field 'payload' is not a JSON object"
+                .format(self.checkpoint_path)
+            )
+        if not isinstance(state.get("kinds", []), list):
+            raise CorpusError(
+                "checkpoint {}: field 'payload.kinds' is not a list"
+                .format(self.checkpoint_path)
+            )
+        done = state.get("done")
+        if done is not None and not (
+            isinstance(done, dict)
+            and all(
+                key.isdigit() and isinstance(value, str)
+                for key, value in done.items()
+            )
+        ):
+            raise CorpusError(
+                "checkpoint {}: field 'payload.done' is not an object "
+                "from input index to program hash".format(
+                    self.checkpoint_path
+                )
+            )
         if state.get("generator_version") != GENERATOR_VERSION:
             raise CorpusError(
                 "checkpoint was written by generator version {!r} "

@@ -3,6 +3,10 @@
 A language is a tuple ``(Module, Core, InitCore, step)``. We realize it
 as the abstract base class :class:`ModuleLanguage`; every concrete
 language (CImp, MiniC, each compiler IR, x86-SC, x86-TSO) subclasses it.
+MiniC and the IRs from C#minor to Mach do so through one shared call
+protocol, :class:`repro.langs.ir.calls.CallLanguage`, which defines
+``step``, ``init_core``, ``after_external`` and ``is_final`` once for
+all seven; x86-SC/TSO and CImp define their own.
 
 The contract, shared by the global semantics, the simulation checker and
 the well-definedness checker:

@@ -29,6 +29,7 @@ from repro.lang.messages import (
 )
 from repro.lang.steps import Step, StepAbort
 from repro.langs.cimp import ast
+from repro.langs.ir.base import EvalAbort
 
 #: Continuation marker closing an atomic block.
 EXIT_ATOM_MARK = "exit-atom"
@@ -50,23 +51,15 @@ class CImpCore(Record):
         )
 
 
-class _EvalAbort(Exception):
-    """Internal: expression evaluation hit undefined behaviour."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def _check_access(module, addr):
     if module.owned and addr not in module.owned:
-        raise _EvalAbort(
+        raise EvalAbort(
             "object accessed non-owned address {}".format(addr)
         )
 
 
 def _eval(module, regs, mem, expr, rs):
-    """Evaluate ``expr``; loads extend ``rs``; raises ``_EvalAbort``."""
+    """Evaluate ``expr``; loads extend ``rs``; raises ``EvalAbort``."""
     if isinstance(expr, ast.Const):
         return VInt(expr.n)
     if isinstance(expr, ast.Var):
@@ -74,24 +67,24 @@ def _eval(module, regs, mem, expr, rs):
             return regs[expr.name]
         addr = module.symbols.get(expr.name)
         if addr is None:
-            raise _EvalAbort("unbound identifier {!r}".format(expr.name))
+            raise EvalAbort("unbound identifier {!r}".format(expr.name))
         return VPtr(addr)
     if isinstance(expr, ast.Load):
         ptr = _eval(module, regs, mem, expr.addr, rs)
         if not isinstance(ptr, VPtr):
-            raise _EvalAbort("load from non-pointer {!r}".format(ptr))
+            raise EvalAbort("load from non-pointer {!r}".format(ptr))
         _check_access(module, ptr.addr)
         rs.add(ptr.addr)
         value = mem.load(ptr.addr)
         if value is None:
-            raise _EvalAbort("load from unallocated {}".format(ptr.addr))
+            raise EvalAbort("load from unallocated {}".format(ptr.addr))
         return value
     if isinstance(expr, ast.Bin):
         left = _eval(module, regs, mem, expr.left, rs)
         right = _eval(module, regs, mem, expr.right, rs)
         result = BINOPS[expr.op](left, right)
         if result is VUndef:
-            raise _EvalAbort(
+            raise EvalAbort(
                 "undefined result of {!r}".format(expr.op)
             )
         return result
@@ -99,7 +92,7 @@ def _eval(module, regs, mem, expr, rs):
         arg = _eval(module, regs, mem, expr.arg, rs)
         result = UNOPS[expr.op](arg)
         if result is VUndef:
-            raise _EvalAbort("undefined result of {!r}".format(expr.op))
+            raise EvalAbort("undefined result of {!r}".format(expr.op))
         return result
     raise SemanticsError("unknown CImp expression {!r}".format(expr))
 
@@ -151,7 +144,7 @@ class CImpLang(ModuleLanguage):
             ]
         try:
             return self._stmt_step(module, core, mem, head, rest)
-        except _EvalAbort as abort:
+        except EvalAbort as abort:
             return [StepAbort(reason=abort.reason)]
 
     def _stmt_step(self, module, core, mem, stmt, rest):

@@ -2,13 +2,15 @@
 
 Every IR module is an :class:`IRModule`: functions, linked symbol
 table, extern signatures and the client-forbidden region. Interpreters
-share the ``_EvalAbort`` protocol and the permission/load/store helpers
-so footprints and aborts behave identically across the chain.
+share :class:`EvalAbort`, the permission/load/store helpers, freelist
+slot allocation and operator application, so footprints and aborts
+behave identically across the chain. The call protocol that MiniC and
+the IRs from C#minor to Mach share is in :mod:`repro.langs.ir.calls`.
 """
 
-from repro.common.footprint import Footprint
+from repro.common.errors import SemanticsError
 from repro.common.freelist import is_global
-from repro.common.values import VPtr
+from repro.common.values import BINOPS, UNOPS, VUndef
 
 
 class IRModule:
@@ -106,13 +108,31 @@ def symbol_addr(module, name):
     return addr
 
 
-def deref(value):
-    """The address a pointer value designates."""
-    if not isinstance(value, VPtr):
-        raise EvalAbort("memory access through non-pointer")
-    return value.addr
+def alloc_slots(flist, nidx, mem, values):
+    """Allocate one freelist slot per initial value, from index ``nidx``.
+
+    Returns ``(addrs, mem)``: the new addresses in order and the memory
+    with them allocated.
+    """
+    addrs = []
+    for value in values:
+        addr = flist.addr_at(nidx)
+        nidx += 1
+        mem = mem.alloc(addr, value)
+        if mem is None:
+            raise SemanticsError("freelist slot already allocated")
+        addrs.append(addr)
+    return addrs, mem
 
 
-def fp(rs=(), ws=()):
-    """Footprint constructor shorthand used by the interpreters."""
-    return Footprint(rs, ws)
+def apply_op(op, values):
+    """``op`` applied to one or two operands (``move`` copies one)."""
+    if op == "move":
+        return values[0]
+    if len(values) == 1:
+        result = UNOPS[op](values[0])
+    else:
+        result = BINOPS[op](values[0], values[1])
+    if result is VUndef:
+        raise EvalAbort("undefined result of {!r}".format(op))
+    return result

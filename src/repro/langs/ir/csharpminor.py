@@ -15,21 +15,16 @@ from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
 from repro.common.values import BINOPS, UNOPS, VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
-from repro.lang.steps import Step, StepAbort
+from repro.lang.messages import EventMsg, SpawnMsg
+from repro.lang.steps import StepAbort
 from repro.langs.ir.base import (
     EvalAbort,
+    alloc_slots,
     load_checked,
     store_checked,
     symbol_addr,
 )
+from repro.langs.ir.calls import DestLanguage
 
 
 # ----- expressions -----------------------------------------------------------
@@ -159,6 +154,19 @@ class CshmFrame(Record):
             self.fname, temps, self.env, kont, self.ret_dst
         )
 
+    def local_addr(self, expr):
+        """The address a stack-local expression designates."""
+        if isinstance(expr, EAddrLocal):
+            addr = self.env.get(expr.name)
+            if addr is None:
+                raise EvalAbort(
+                    "unknown stack local {!r}".format(expr.name)
+                )
+            return addr
+        raise SemanticsError(
+            "unknown Csharpminor expression {!r}".format(expr)
+        )
+
 
 class CshmCore(Record):
     _fields = __slots__ = ("frames", "nidx", "pending", "done")
@@ -187,6 +195,8 @@ def _flatten(stmt, rest):
 
 
 def _eval(module, frame, mem, expr, rs):
+    """Evaluate ``expr``; the frame resolves stack-local addresses, so
+    C#minor and Cminor share this evaluator."""
     if isinstance(expr, EConst):
         return VInt(expr.n)
     if isinstance(expr, ETemp):
@@ -196,11 +206,6 @@ def _eval(module, frame, mem, expr, rs):
                 "use of undefined temp {!r}".format(expr.name)
             )
         return value
-    if isinstance(expr, EAddrLocal):
-        addr = frame.env.get(expr.name)
-        if addr is None:
-            raise EvalAbort("unknown stack local {!r}".format(expr.name))
-        return VPtr(addr)
     if isinstance(expr, EAddrGlobal):
         return VPtr(symbol_addr(module, expr.name))
     if isinstance(expr, ELoad):
@@ -222,90 +227,38 @@ def _eval(module, frame, mem, expr, rs):
         if result is VUndef:
             raise EvalAbort("undefined binop result")
         return result
-    raise SemanticsError("unknown Csharpminor expression {!r}".format(expr))
+    return VPtr(frame.local_addr(expr))
 
 
-class CshmLang(ModuleLanguage):
+class CshmLang(DestLanguage):
     """The Csharpminor module language (deterministic)."""
 
     name = "Csharpminor"
-
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != len(func.params):
-            return CshmCore(pending=("arity-abort",))
-        return CshmCore(pending=("enter", entry, tuple(args), None))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError("core is not waiting for an external")
-        return CshmCore(
-            core.frames,
-            core.nidx,
-            ("assign-result", core.pending[1], retval),
-        )
-
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
-
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, *pending[1:])
-            if kind == "assign-result":
-                _, dst, value = pending
-                frames = core.frames
-                if dst is not None:
-                    frame = frames[-1]
-                    frames = frames[:-1] + (
-                        frame.with_temps(
-                            frame.temps.set(dst, value), frame.kont
-                        ),
-                    )
-                return [Step(TAU, EMP, CshmCore(frames, core.nidx), mem)]
-            if kind == "ext-wait":
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
-        frame = core.frames[-1]
-        if not frame.kont:
-            return self._return(core, mem, frame, VInt(0), set())
-        return self._stmt_step(module, core, mem, frame)
+    core_cls = CshmCore
 
     def _enter(self, module, core, mem, flist, fname, args, ret_dst):
         func = module.functions[fname]
-        temps = ImmutableMap(dict(zip(func.params, args)))
-        env = {}
-        ws = set()
-        nidx = core.nidx
-        mem2 = mem
-        for name in func.stack_locals:
-            addr = flist.addr_at(nidx)
-            nidx += 1
-            mem2 = mem2.alloc(addr, VUndef)
-            if mem2 is None:
-                raise SemanticsError("freelist slot already allocated")
-            env[name] = addr
-            ws.add(addr)
+        addrs, mem2 = alloc_slots(
+            flist, core.nidx, mem, [VUndef] * len(func.stack_locals)
+        )
         frame = CshmFrame(
             fname,
-            temps,
-            ImmutableMap(env),
+            ImmutableMap(dict(zip(func.params, args))),
+            ImmutableMap(dict(zip(func.stack_locals, addrs))),
             _flatten(func.body, ()),
             ret_dst,
         )
-        nxt = CshmCore(core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, mem2)]
+        return self._push(core, frame, addrs, mem2)
+
+    @staticmethod
+    def _assign(frame, dst, value):
+        return frame.with_temps(frame.temps.set(dst, value), frame.kont)
+
+    def _run(self, module, core, mem):
+        frame = core.frames[-1]
+        if not frame.kont:
+            return self._return(core, VInt(0), EMP, mem)
+        return self._stmt_step(module, core, mem, frame)
 
     def _stmt_step(self, module, core, mem, frame):
         stmt, rest = frame.kont[0], frame.kont[1:]
@@ -329,10 +282,7 @@ class CshmLang(ModuleLanguage):
                 return [StepAbort(reason="store through non-pointer")]
             mem2 = store_checked(module, mem, ptr.addr, value)
             return self._tau(
-                core,
-                frame.with_kont(rest),
-                Footprint(rs, {ptr.addr}),
-                mem2,
+                core, frame.with_kont(rest), Footprint(rs, {ptr.addr}), mem2
             )
 
         if isinstance(stmt, SCall):
@@ -340,35 +290,20 @@ class CshmLang(ModuleLanguage):
             args = tuple(
                 _eval(module, frame, mem, a, rs) for a in stmt.args
             )
-            frames = core.frames[:-1] + (frame.with_kont(rest),)
-            if stmt.external:
-                nxt = CshmCore(
-                    frames, core.nidx, ("ext-wait", stmt.dst)
-                )
-                return [
-                    Step(
-                        CallMsg(stmt.fname, args),
-                        Footprint(rs),
-                        nxt,
-                        mem,
-                    )
-                ]
-            nxt = CshmCore(
-                frames, core.nidx, ("enter", stmt.fname, args, stmt.dst)
+            return self._call(
+                core, frame.with_kont(rest), stmt.fname, args, stmt.dst,
+                stmt.external, Footprint(rs), mem,
             )
-            return [Step(TAU, Footprint(rs), nxt, mem)]
 
         if isinstance(stmt, SPrint):
             rs = set()
             value = _eval(module, frame, mem, stmt.expr, rs)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = CshmCore(
-                core.frames[:-1] + (frame.with_kont(rest),), core.nidx
+            return self._tau(
+                core, frame.with_kont(rest), Footprint(rs), mem,
+                EventMsg("print", value.n),
             )
-            return [
-                Step(EventMsg("print", value.n), Footprint(rs), nxt, mem)
-            ]
 
         if isinstance(stmt, SIf):
             rs = set()
@@ -398,42 +333,20 @@ class CshmLang(ModuleLanguage):
             )
 
         if isinstance(stmt, SSpawn):
-            nxt = CshmCore(
-                core.frames[:-1] + (frame.with_kont(rest),), core.nidx
+            return self._tau(
+                core, frame.with_kont(rest), EMP, mem, SpawnMsg(stmt.fname)
             )
-            return [Step(SpawnMsg(stmt.fname), EMP, nxt, mem)]
 
         if isinstance(stmt, SReturn):
             rs = set()
             value = VInt(0)
             if stmt.expr is not None:
                 value = _eval(module, frame, mem, stmt.expr, rs)
-            popped = CshmCore(
-                core.frames[:-1] + (frame.with_kont(rest),), core.nidx
-            )
-            return self._return(popped, mem, frame, value, rs)
+            return self._return(core, value, Footprint(rs), mem)
 
         raise SemanticsError(
-            "unknown Csharpminor statement {!r}".format(stmt)
+            "unknown {} statement {!r}".format(self.name, stmt)
         )
-
-    def _tau(self, core, frame, footprint, mem):
-        nxt = CshmCore(core.frames[:-1] + (frame,), core.nidx)
-        return [Step(TAU, footprint, nxt, mem)]
-
-    def _return(self, core, mem, frame, value, rs):
-        if len(core.frames) > 1:
-            nxt = CshmCore(
-                core.frames[:-1],
-                core.nidx,
-                ("assign-result", frame.ret_dst, value),
-            )
-            return [Step(TAU, Footprint(rs), nxt, mem)]
-        nxt = CshmCore(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), Footprint(rs), nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 CSHARPMINOR = CshmLang()

@@ -9,25 +9,20 @@ from LTL; the CleanupLabels pass runs at this level.
 from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
-from repro.common.immutables import EMPTY_MAP, ImmutableMap
+from repro.common.immutables import EMPTY_MAP
 from repro.common.values import VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
-from repro.lang.steps import Step, StepAbort
+from repro.lang.messages import EventMsg, SpawnMsg
+from repro.lang.steps import StepAbort
 from repro.langs.ir.base import (
-    EvalAbort,
+    alloc_slots,
+    apply_op,
     load_checked,
     store_checked,
     symbol_addr,
 )
-from repro.langs.ir.ltl import _apply_op, _read, _write
-from repro.langs.x86.regs import ARG_REGS, RET_REG
+from repro.langs.ir.calls import RegLanguage
+from repro.langs.ir.ltl import _read, _write
+from repro.langs.x86.regs import ARG_REGS
 
 
 class LinInstr(Node):
@@ -171,53 +166,21 @@ class LinCore(Record):
         )
 
 
-class LinearLang(ModuleLanguage):
+class LinearLang(RegLanguage):
     """The Linear module language (deterministic)."""
 
     name = "Linear"
-
     core_cls = LinCore
-    frame_cls = LinFrame
 
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != func.nparams:
-            return self.core_cls(pending=("arity-abort",))
-        regs = ImmutableMap(dict(zip(ARG_REGS, args)))
-        return self.core_cls(regs=regs, pending=("enter", entry))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError("core is not waiting for an external")
-        return self.core_cls(
-            core.regs, core.frames, core.nidx, ("set-ret", retval)
+    def _enter(self, module, core, mem, flist, fname):
+        func = module.functions[fname]
+        addrs, mem2 = alloc_slots(
+            flist, core.nidx, mem, [VUndef] * func.stacksize
         )
+        frame = LinFrame(fname, 0, EMPTY_MAP, addrs[0] if addrs else None)
+        return self._push(core, frame, addrs, mem2)
 
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
-
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, pending[1])
-            if kind == "set-ret":
-                regs = core.regs.set(RET_REG, pending[1])
-                nxt = self.core_cls(regs, core.frames, core.nidx)
-                return [Step(TAU, EMP, nxt, mem)]
-            if kind == "ext-wait":
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
+    def _run(self, module, core, mem):
         frame = core.frames[-1]
         func = module.functions[frame.fname]
         if frame.pc >= len(func.code):
@@ -228,40 +191,21 @@ class LinearLang(ModuleLanguage):
             module, core, mem, frame, func, func.code[frame.pc]
         )
 
-    def _enter(self, module, core, mem, flist, fname):
-        func = module.functions[fname]
-        ws = set()
-        nidx = core.nidx
-        mem2 = mem
-        sp = None
-        if func.stacksize > 0:
-            sp = flist.addr_at(nidx)
-            for _ in range(func.stacksize):
-                addr = flist.addr_at(nidx)
-                nidx += 1
-                mem2 = mem2.alloc(addr, VUndef)
-                if mem2 is None:
-                    raise SemanticsError("freelist slot already allocated")
-                ws.add(addr)
-        frame = self.frame_cls(fname, 0, EMPTY_MAP, sp)
-        nxt = self.core_cls(core.regs, core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, mem2)]
-
     def _instr_step(self, module, core, mem, frame, func, instr):
         if isinstance(instr, LinLabel):
-            return self._adv(core, frame.at(frame.pc + 1), mem, EMP)
+            return self._tau(core, frame.at(frame.pc + 1), EMP, mem)
 
         if isinstance(instr, LinConst):
             regs, slots = _write(core, frame, instr.dst, VInt(instr.n))
-            return self._adv(
-                core, frame.at(frame.pc + 1, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1, slots), EMP, mem, regs
             )
 
         if isinstance(instr, LinAddrGlobal):
             value = VPtr(symbol_addr(module, instr.name))
             regs, slots = _write(core, frame, instr.dst, value)
-            return self._adv(
-                core, frame.at(frame.pc + 1, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1, slots), EMP, mem, regs
             )
 
         if isinstance(instr, LinAddrStack):
@@ -270,16 +214,16 @@ class LinearLang(ModuleLanguage):
             regs, slots = _write(
                 core, frame, instr.dst, VPtr(frame.sp + instr.ofs)
             )
-            return self._adv(
-                core, frame.at(frame.pc + 1, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1, slots), EMP, mem, regs
             )
 
         if isinstance(instr, LinOp):
             values = [_read(core, frame, l) for l in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             regs, slots = _write(core, frame, instr.dst, result)
-            return self._adv(
-                core, frame.at(frame.pc + 1, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1, slots), EMP, mem, regs
             )
 
         if isinstance(instr, LinLoad):
@@ -289,12 +233,8 @@ class LinearLang(ModuleLanguage):
                 return [StepAbort(reason="load through non-pointer")]
             value = load_checked(module, mem, ptr.addr, rs)
             regs, slots = _write(core, frame, instr.dst, value)
-            return self._adv(
-                core,
-                frame.at(frame.pc + 1, slots),
-                mem,
-                Footprint(rs),
-                regs,
+            return self._tau(
+                core, frame.at(frame.pc + 1, slots), Footprint(rs), mem, regs
             )
 
         if isinstance(instr, LinStore):
@@ -303,11 +243,8 @@ class LinearLang(ModuleLanguage):
             if not isinstance(ptr, VPtr):
                 return [StepAbort(reason="store through non-pointer")]
             mem2 = store_checked(module, mem, ptr.addr, value)
-            return self._adv(
-                core,
-                frame.at(frame.pc + 1),
-                mem2,
-                Footprint((), {ptr.addr}),
+            return self._tau(
+                core, frame.at(frame.pc + 1), Footprint((), {ptr.addr}), mem2
             )
 
         if isinstance(instr, LinCall):
@@ -315,86 +252,49 @@ class LinearLang(ModuleLanguage):
                 _read(core, frame, ARG_REGS[i])
                 for i in range(instr.arity)
             )
-            frames = core.frames[:-1] + (frame.at(frame.pc + 1),)
-            if instr.external:
-                nxt = self.core_cls(
-                    core.regs, frames, core.nidx, ("ext-wait",)
-                )
-                return [Step(CallMsg(instr.fname, args), EMP, nxt, mem)]
-            nxt = self.core_cls(
-                core.regs, frames, core.nidx, ("enter", instr.fname)
+            return self._call(
+                core, frame.at(frame.pc + 1), instr.fname, args,
+                instr.external, mem,
             )
-            return [Step(TAU, EMP, nxt, mem)]
 
         if isinstance(instr, LinTailcall):
-            nxt = self.core_cls(
-                core.regs,
-                core.frames[:-1],
-                core.nidx,
-                ("enter", instr.fname),
-            )
-            return [Step(TAU, EMP, nxt, mem)]
+            return self._tailcall(core, instr.fname, mem)
 
         if isinstance(instr, LinGoto):
-            return self._adv(
-                core, frame.at(func.target(instr.lbl)), mem, EMP
+            return self._tau(
+                core, frame.at(func.target(instr.lbl)), EMP, mem
             )
 
         if isinstance(instr, LinCond):
             values = [_read(core, frame, l) for l in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             taken = result.is_true()
             if taken is None:
                 return [StepAbort(reason="undefined condition")]
             pc = func.target(instr.lbl) if taken else frame.pc + 1
-            return self._adv(core, frame.at(pc), mem, EMP)
+            return self._tau(core, frame.at(pc), EMP, mem)
 
         if isinstance(instr, LinReturn):
-            value = core.regs.get(RET_REG, VUndef)
-            if value is VUndef:
-                return [StepAbort(reason="return with undefined eax")]
-            return self._return(core, mem, value)
+            return self._return(core, mem)
 
         if isinstance(instr, LinSpawn):
-            nxt = self.core_cls(
-                core.regs,
-                core.frames[:-1] + (frame.at(frame.pc + 1),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem,
+                label=SpawnMsg(instr.fname),
             )
-            return [Step(SpawnMsg(instr.fname), EMP, nxt, mem)]
 
         if isinstance(instr, LinPrint):
             value = _read(core, frame, instr.src)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = self.core_cls(
-                core.regs,
-                core.frames[:-1] + (frame.at(frame.pc + 1),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem,
+                label=EventMsg("print", value.n),
             )
-            return [Step(EventMsg("print", value.n), EMP, nxt, mem)]
 
         raise SemanticsError(
             "unknown Linear instruction {!r}".format(instr)
         )
-
-    def _adv(self, core, frame, mem, footprint, regs=None):
-        nxt = self.core_cls(
-            core.regs if regs is None else regs,
-            core.frames[:-1] + (frame,),
-            core.nidx,
-        )
-        return [Step(TAU, footprint, nxt, mem)]
-
-    def _return(self, core, mem, value):
-        if len(core.frames) > 1:
-            nxt = self.core_cls(core.regs, core.frames[:-1], core.nidx)
-            return [Step(TAU, EMP, nxt, mem)]
-        nxt = self.core_cls(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), EMP, nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 LINEAR = LinearLang()

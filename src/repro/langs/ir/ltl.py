@@ -7,32 +7,29 @@ Stacking pass's job. The Allocation pass maintains the CompCert
 invariant that computing instructions use register operands only;
 slots appear exclusively in ``move`` instructions.
 
-Calling convention: arguments in ``ARG_REGS``, result in ``RET_REG``;
-machine registers are shared across the activation stack (they are the
-thread's physical registers), slots are per-activation.
+Calling convention (:class:`repro.langs.ir.calls.RegLanguage`, shared
+with Linear and Mach): arguments in ``ARG_REGS``, result in
+``RET_REG``; machine registers are shared across the activation stack
+(they are the thread's physical registers), slots are per-activation.
 """
 
 from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
-from repro.common.immutables import EMPTY_MAP, ImmutableMap
-from repro.common.values import BINOPS, UNOPS, VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
-from repro.lang.steps import Step, StepAbort
+from repro.common.immutables import EMPTY_MAP
+from repro.common.values import VInt, VPtr, VUndef
+from repro.lang.messages import EventMsg, SpawnMsg
+from repro.lang.steps import StepAbort
 from repro.langs.ir.base import (
     EvalAbort,
+    alloc_slots,
+    apply_op,
     load_checked,
     store_checked,
     symbol_addr,
 )
-from repro.langs.x86.regs import ARG_REGS, RET_REG, is_reg, is_slot
+from repro.langs.ir.calls import RegLanguage
+from repro.langs.x86.regs import ARG_REGS, is_reg, is_slot
 
 
 # ----- instructions -----------------------------------------------------------
@@ -191,65 +188,23 @@ def _write(core, frame, loc, value):
     raise SemanticsError("bad location {!r}".format(loc))
 
 
-def _apply_op(op, values):
-    if op == "move":
-        return values[0]
-    if len(values) == 1:
-        result = UNOPS[op](values[0])
-    else:
-        result = BINOPS[op](values[0], values[1])
-    if result is VUndef:
-        raise EvalAbort("undefined result of {!r}".format(op))
-    return result
-
-
-class LTLLang(ModuleLanguage):
+class LTLLang(RegLanguage):
     """The LTL module language (deterministic)."""
 
     name = "LTL"
+    core_cls = LTLCore
 
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != func.nparams:
-            return LTLCore(pending=("arity-abort",))
-        regs = ImmutableMap(dict(zip(ARG_REGS, args)))
-        return LTLCore(regs=regs, pending=("enter", entry))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError("core is not waiting for an external")
-        return LTLCore(
-            core.regs,
-            core.frames,
-            core.nidx,
-            ("set-ret", retval),
+    def _enter(self, module, core, mem, flist, fname):
+        func = module.functions[fname]
+        addrs, mem2 = alloc_slots(
+            flist, core.nidx, mem, [VUndef] * func.stacksize
         )
+        frame = LTLFrame(
+            fname, func.entry, EMPTY_MAP, addrs[0] if addrs else None
+        )
+        return self._push(core, frame, addrs, mem2)
 
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
-
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, pending[1])
-            if kind == "set-ret":
-                regs = core.regs.set(RET_REG, pending[1])
-                nxt = LTLCore(regs, core.frames, core.nidx)
-                return [Step(TAU, EMP, nxt, mem)]
-            if kind == "ext-wait":
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
+    def _run(self, module, core, mem):
         frame = core.frames[-1]
         func = module.functions[frame.fname]
         instr = func.code.get(frame.pc)
@@ -259,40 +214,21 @@ class LTLLang(ModuleLanguage):
             )
         return self._instr_step(module, core, mem, frame, instr)
 
-    def _enter(self, module, core, mem, flist, fname):
-        func = module.functions[fname]
-        ws = set()
-        nidx = core.nidx
-        mem2 = mem
-        sp = None
-        if func.stacksize > 0:
-            sp = flist.addr_at(nidx)
-            for _ in range(func.stacksize):
-                addr = flist.addr_at(nidx)
-                nidx += 1
-                mem2 = mem2.alloc(addr, VUndef)
-                if mem2 is None:
-                    raise SemanticsError("freelist slot already allocated")
-                ws.add(addr)
-        frame = LTLFrame(fname, func.entry, EMPTY_MAP, sp)
-        nxt = LTLCore(core.regs, core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, mem2)]
-
     def _instr_step(self, module, core, mem, frame, instr):
         if isinstance(instr, Lnop):
-            return self._advance(core, frame.at(instr.next), mem, EMP)
+            return self._tau(core, frame.at(instr.next), EMP, mem)
 
         if isinstance(instr, Lconst):
             regs, slots = _write(core, frame, instr.dst, VInt(instr.n))
-            return self._advance(
-                core, frame.at(instr.next, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(instr.next, slots), EMP, mem, regs
             )
 
         if isinstance(instr, Laddrglobal):
             value = VPtr(symbol_addr(module, instr.name))
             regs, slots = _write(core, frame, instr.dst, value)
-            return self._advance(
-                core, frame.at(instr.next, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(instr.next, slots), EMP, mem, regs
             )
 
         if isinstance(instr, Laddrstack):
@@ -301,8 +237,8 @@ class LTLLang(ModuleLanguage):
             regs, slots = _write(
                 core, frame, instr.dst, VPtr(frame.sp + instr.ofs)
             )
-            return self._advance(
-                core, frame.at(instr.next, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(instr.next, slots), EMP, mem, regs
             )
 
         if isinstance(instr, Lop):
@@ -317,10 +253,10 @@ class LTLLang(ModuleLanguage):
                         "non-register operand {!r} in Lop".format(bad[0])
                     )
             values = [_read(core, frame, l) for l in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             regs, slots = _write(core, frame, instr.dst, result)
-            return self._advance(
-                core, frame.at(instr.next, slots), mem, EMP, regs
+            return self._tau(
+                core, frame.at(instr.next, slots), EMP, mem, regs
             )
 
         if isinstance(instr, Lload):
@@ -330,12 +266,8 @@ class LTLLang(ModuleLanguage):
                 return [StepAbort(reason="load through non-pointer")]
             value = load_checked(module, mem, ptr.addr, rs)
             regs, slots = _write(core, frame, instr.dst, value)
-            return self._advance(
-                core,
-                frame.at(instr.next, slots),
-                mem,
-                Footprint(rs),
-                regs,
+            return self._tau(
+                core, frame.at(instr.next, slots), Footprint(rs), mem, regs
             )
 
         if isinstance(instr, Lstore):
@@ -344,11 +276,8 @@ class LTLLang(ModuleLanguage):
             if not isinstance(ptr, VPtr):
                 return [StepAbort(reason="store through non-pointer")]
             mem2 = store_checked(module, mem, ptr.addr, value)
-            return self._advance(
-                core,
-                frame.at(instr.next),
-                mem2,
-                Footprint((), {ptr.addr}),
+            return self._tau(
+                core, frame.at(instr.next), Footprint((), {ptr.addr}), mem2
             )
 
         if isinstance(instr, Lcall):
@@ -356,79 +285,42 @@ class LTLLang(ModuleLanguage):
                 _read(core, frame, ARG_REGS[i])
                 for i in range(instr.arity)
             )
-            frames = core.frames[:-1] + (frame.at(instr.next),)
-            if instr.external:
-                nxt = LTLCore(
-                    core.regs, frames, core.nidx, ("ext-wait",)
-                )
-                return [Step(CallMsg(instr.fname, args), EMP, nxt, mem)]
-            nxt = LTLCore(
-                core.regs, frames, core.nidx, ("enter", instr.fname)
+            return self._call(
+                core, frame.at(instr.next), instr.fname, args,
+                instr.external, mem,
             )
-            return [Step(TAU, EMP, nxt, mem)]
 
         if isinstance(instr, Ltailcall):
-            nxt = LTLCore(
-                core.regs,
-                core.frames[:-1],
-                core.nidx,
-                ("enter", instr.fname),
-            )
-            return [Step(TAU, EMP, nxt, mem)]
+            return self._tailcall(core, instr.fname, mem)
 
         if isinstance(instr, Lcond):
             values = [_read(core, frame, l) for l in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             taken = result.is_true()
             if taken is None:
                 return [StepAbort(reason="undefined condition")]
             target = instr.iftrue if taken else instr.iffalse
-            return self._advance(core, frame.at(target), mem, EMP)
+            return self._tau(core, frame.at(target), EMP, mem)
 
         if isinstance(instr, Lreturn):
-            value = core.regs.get(RET_REG, VUndef)
-            if value is VUndef:
-                return [StepAbort(reason="return with undefined eax")]
-            return self._return(core, mem, value)
+            return self._return(core, mem)
 
         if isinstance(instr, Lspawn):
-            nxt = LTLCore(
-                core.regs,
-                core.frames[:-1] + (frame.at(instr.next),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(instr.next), EMP, mem,
+                label=SpawnMsg(instr.fname),
             )
-            return [Step(SpawnMsg(instr.fname), EMP, nxt, mem)]
 
         if isinstance(instr, Lprint):
             value = _read(core, frame, instr.src)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = LTLCore(
-                core.regs,
-                core.frames[:-1] + (frame.at(instr.next),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(instr.next), EMP, mem,
+                label=EventMsg("print", value.n),
             )
-            return [Step(EventMsg("print", value.n), EMP, nxt, mem)]
 
         raise SemanticsError("unknown LTL instruction {!r}".format(instr))
-
-    def _advance(self, core, frame, mem, footprint, regs=None):
-        nxt = LTLCore(
-            core.regs if regs is None else regs,
-            core.frames[:-1] + (frame,),
-            core.nidx,
-        )
-        return [Step(TAU, footprint, nxt, mem)]
-
-    def _return(self, core, mem, value):
-        if len(core.frames) > 1:
-            nxt = LTLCore(core.regs, core.frames[:-1], core.nidx)
-            return [Step(TAU, EMP, nxt, mem)]
-        nxt = LTLCore(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), EMP, nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 LTL = LTLLang()

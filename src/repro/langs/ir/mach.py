@@ -14,25 +14,20 @@ of Linear become explicit ``MGetstack``/``MSetstack`` memory accesses.
 from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
-from repro.common.immutables import EMPTY_MAP, ImmutableMap
+from repro.common.immutables import EMPTY_MAP
 from repro.common.values import VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
-from repro.lang.steps import Step, StepAbort
+from repro.lang.messages import EventMsg, SpawnMsg
+from repro.lang.steps import StepAbort
 from repro.langs.ir.base import (
     EvalAbort,
+    alloc_slots,
+    apply_op,
     load_checked,
     store_checked,
     symbol_addr,
 )
-from repro.langs.ir.ltl import _apply_op
-from repro.langs.x86.regs import ARG_REGS, RET_REG, is_reg
+from repro.langs.ir.calls import RegLanguage
+from repro.langs.x86.regs import ARG_REGS, is_reg
 
 
 class MInstr(Node):
@@ -191,54 +186,21 @@ def _reg(core, r):
     return value
 
 
-class MachLang(ModuleLanguage):
+class MachLang(RegLanguage):
     """The Mach module language (deterministic)."""
 
     name = "Mach"
+    core_cls = MachCore
 
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != func.nparams:
-            return MachCore(pending=("arity-abort",))
-        regs = ImmutableMap(dict(zip(ARG_REGS, args)))
-        return MachCore(regs=regs, pending=("enter", entry))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError("core is not waiting for an external")
-        return MachCore(
-            core.regs, core.frames, core.nidx, ("set-ret", retval)
+    def _enter(self, module, core, mem, flist, fname):
+        func = module.functions[fname]
+        addrs, mem2 = alloc_slots(
+            flist, core.nidx, mem, [VUndef] * func.framesize
         )
+        frame = MachFrame(fname, 0, addrs[0] if addrs else None)
+        return self._push(core, frame, addrs, mem2)
 
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
-
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, pending[1])
-            if kind == "set-ret":
-                regs = core.regs.set(RET_REG, pending[1])
-                return [
-                    Step(
-                        TAU, EMP, MachCore(regs, core.frames, core.nidx),
-                        mem,
-                    )
-                ]
-            if kind == "ext-wait":
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
+    def _run(self, module, core, mem):
         frame = core.frames[-1]
         func = module.functions[frame.fname]
         if frame.pc >= len(func.code):
@@ -249,48 +211,29 @@ class MachLang(ModuleLanguage):
             module, core, mem, frame, func, func.code[frame.pc]
         )
 
-    def _enter(self, module, core, mem, flist, fname):
-        func = module.functions[fname]
-        ws = set()
-        nidx = core.nidx
-        mem2 = mem
-        sp = None
-        if func.framesize > 0:
-            sp = flist.addr_at(nidx)
-            for _ in range(func.framesize):
-                addr = flist.addr_at(nidx)
-                nidx += 1
-                mem2 = mem2.alloc(addr, VUndef)
-                if mem2 is None:
-                    raise SemanticsError("freelist slot already allocated")
-                ws.add(addr)
-        frame = MachFrame(fname, 0, sp)
-        nxt = MachCore(core.regs, core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, mem2)]
-
     def _instr_step(self, module, core, mem, frame, func, instr):
         if isinstance(instr, MLabel):
-            return self._adv(core, frame.at(frame.pc + 1), mem, EMP)
+            return self._tau(core, frame.at(frame.pc + 1), EMP, mem)
 
         if isinstance(instr, MConst):
             regs = core.regs.set(instr.dst, VInt(instr.n))
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem, regs
             )
 
         if isinstance(instr, MAddrGlobal):
             value = VPtr(symbol_addr(module, instr.name))
             regs = core.regs.set(instr.dst, value)
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem, regs
             )
 
         if isinstance(instr, MAddrStack):
             if frame.sp is None:
                 return [StepAbort(reason="stack address without frame")]
             regs = core.regs.set(instr.dst, VPtr(frame.sp + instr.ofs))
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem, regs
             )
 
         if isinstance(instr, MGetstack):
@@ -301,8 +244,8 @@ class MachLang(ModuleLanguage):
                 module, mem, frame.sp + instr.idx, rs
             )
             regs = core.regs.set(instr.dst, value)
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, Footprint(rs), regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), Footprint(rs), mem, regs
             )
 
         if isinstance(instr, MSetstack):
@@ -311,19 +254,16 @@ class MachLang(ModuleLanguage):
             value = _reg(core, instr.src)
             addr = frame.sp + instr.idx
             mem2 = store_checked(module, mem, addr, value)
-            return self._adv(
-                core,
-                frame.at(frame.pc + 1),
-                mem2,
-                Footprint((), {addr}),
+            return self._tau(
+                core, frame.at(frame.pc + 1), Footprint((), {addr}), mem2
             )
 
         if isinstance(instr, MOp):
             values = [_reg(core, r) for r in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             regs = core.regs.set(instr.dst, result)
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, EMP, regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem, regs
             )
 
         if isinstance(instr, MLoad):
@@ -333,8 +273,8 @@ class MachLang(ModuleLanguage):
                 return [StepAbort(reason="load through non-pointer")]
             value = load_checked(module, mem, ptr.addr, rs)
             regs = core.regs.set(instr.dst, value)
-            return self._adv(
-                core, frame.at(frame.pc + 1), mem, Footprint(rs), regs
+            return self._tau(
+                core, frame.at(frame.pc + 1), Footprint(rs), mem, regs
             )
 
         if isinstance(instr, MStore):
@@ -343,95 +283,55 @@ class MachLang(ModuleLanguage):
             if not isinstance(ptr, VPtr):
                 return [StepAbort(reason="store through non-pointer")]
             mem2 = store_checked(module, mem, ptr.addr, value)
-            return self._adv(
-                core,
-                frame.at(frame.pc + 1),
-                mem2,
-                Footprint((), {ptr.addr}),
+            return self._tau(
+                core, frame.at(frame.pc + 1), Footprint((), {ptr.addr}), mem2
             )
 
         if isinstance(instr, MCall):
             args = tuple(
                 _reg(core, ARG_REGS[i]) for i in range(instr.arity)
             )
-            frames = core.frames[:-1] + (frame.at(frame.pc + 1),)
-            if instr.external:
-                nxt = MachCore(
-                    core.regs, frames, core.nidx, ("ext-wait",)
-                )
-                return [Step(CallMsg(instr.fname, args), EMP, nxt, mem)]
-            nxt = MachCore(
-                core.regs, frames, core.nidx, ("enter", instr.fname)
+            return self._call(
+                core, frame.at(frame.pc + 1), instr.fname, args,
+                instr.external, mem,
             )
-            return [Step(TAU, EMP, nxt, mem)]
 
         if isinstance(instr, MTailcall):
-            nxt = MachCore(
-                core.regs,
-                core.frames[:-1],
-                core.nidx,
-                ("enter", instr.fname),
-            )
-            return [Step(TAU, EMP, nxt, mem)]
+            return self._tailcall(core, instr.fname, mem)
 
         if isinstance(instr, MGoto):
-            return self._adv(
-                core, frame.at(func.target(instr.lbl)), mem, EMP
+            return self._tau(
+                core, frame.at(func.target(instr.lbl)), EMP, mem
             )
 
         if isinstance(instr, MCond):
             values = [_reg(core, r) for r in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             taken = result.is_true()
             if taken is None:
                 return [StepAbort(reason="undefined condition")]
             pc = func.target(instr.lbl) if taken else frame.pc + 1
-            return self._adv(core, frame.at(pc), mem, EMP)
+            return self._tau(core, frame.at(pc), EMP, mem)
 
         if isinstance(instr, MReturn):
-            value = core.regs.get(RET_REG, VUndef)
-            if value is VUndef:
-                return [StepAbort(reason="return with undefined eax")]
-            return self._return(core, mem, value)
+            return self._return(core, mem)
 
         if isinstance(instr, MSpawn):
-            nxt = MachCore(
-                core.regs,
-                core.frames[:-1] + (frame.at(frame.pc + 1),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem,
+                label=SpawnMsg(instr.fname),
             )
-            return [Step(SpawnMsg(instr.fname), EMP, nxt, mem)]
 
         if isinstance(instr, MPrint):
             value = _reg(core, instr.src)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = MachCore(
-                core.regs,
-                core.frames[:-1] + (frame.at(frame.pc + 1),),
-                core.nidx,
+            return self._tau(
+                core, frame.at(frame.pc + 1), EMP, mem,
+                label=EventMsg("print", value.n),
             )
-            return [Step(EventMsg("print", value.n), EMP, nxt, mem)]
 
         raise SemanticsError("unknown Mach instruction {!r}".format(instr))
-
-    def _adv(self, core, frame, mem, footprint, regs=None):
-        nxt = MachCore(
-            core.regs if regs is None else regs,
-            core.frames[:-1] + (frame,),
-            core.nidx,
-        )
-        return [Step(TAU, footprint, nxt, mem)]
-
-    def _return(self, core, mem, value):
-        if len(core.frames) > 1:
-            nxt = MachCore(core.regs, core.frames[:-1], core.nidx)
-            return [Step(TAU, EMP, nxt, mem)]
-        nxt = MachCore(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), EMP, nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 MACH = MachLang()

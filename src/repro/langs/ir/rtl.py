@@ -14,22 +14,18 @@ from repro.common.astbase import Node, Record
 from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
-from repro.common.values import BINOPS, UNOPS, VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
-from repro.lang.steps import Step, StepAbort
+from repro.common.values import VInt, VPtr, VUndef
+from repro.lang.messages import EventMsg, SpawnMsg
+from repro.lang.steps import StepAbort
 from repro.langs.ir.base import (
     EvalAbort,
+    alloc_slots,
+    apply_op,
     load_checked,
     store_checked,
     symbol_addr,
 )
+from repro.langs.ir.calls import DestLanguage
 
 
 # ----- instructions ----------------------------------------------------------
@@ -167,68 +163,31 @@ def _reg(frame, r):
     return value
 
 
-def _apply_op(op, values):
-    if op == "move":
-        return values[0]
-    if len(values) == 1:
-        result = UNOPS[op](values[0])
-    else:
-        result = BINOPS[op](values[0], values[1])
-    if result is VUndef:
-        raise EvalAbort("undefined result of {!r}".format(op))
-    return result
-
-
-class RTLLang(ModuleLanguage):
+class RTLLang(DestLanguage):
     """The RTL module language (deterministic)."""
 
     name = "RTL"
+    core_cls = RTLCore
 
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != len(func.params):
-            return RTLCore(pending=("arity-abort",))
-        return RTLCore(pending=("enter", entry, tuple(args), None))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError("core is not waiting for an external")
-        return RTLCore(
-            core.frames,
-            core.nidx,
-            ("assign-result", core.pending[1], retval),
+    def _enter(self, module, core, mem, flist, fname, args, ret_dst):
+        func = module.functions[fname]
+        addrs, mem2 = alloc_slots(
+            flist, core.nidx, mem, [VUndef] * func.stacksize
         )
+        frame = RTLFrame(
+            fname,
+            func.entry,
+            ImmutableMap(dict(zip(func.params, args))),
+            addrs[0] if addrs else None,
+            ret_dst,
+        )
+        return self._push(core, frame, addrs, mem2)
 
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
+    @staticmethod
+    def _assign(frame, dst, value):
+        return frame.at(frame.pc, frame.regs.set(dst, value))
 
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, *pending[1:])
-            if kind == "assign-result":
-                _, dst, value = pending
-                frames = core.frames
-                if dst is not None:
-                    frame = frames[-1]
-                    frames = frames[:-1] + (
-                        frame.at(frame.pc, frame.regs.set(dst, value)),
-                    )
-                return [Step(TAU, EMP, RTLCore(frames, core.nidx), mem)]
-            if kind == "ext-wait":
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
+    def _run(self, module, core, mem):
         frame = core.frames[-1]
         func = module.functions[frame.fname]
         instr = func.code.get(frame.pc)
@@ -237,26 +196,6 @@ class RTLLang(ModuleLanguage):
                 "no instruction at {}:{}".format(frame.fname, frame.pc)
             )
         return self._instr_step(module, core, mem, frame, instr)
-
-    def _enter(self, module, core, mem, flist, fname, args, ret_dst):
-        func = module.functions[fname]
-        regs = ImmutableMap(dict(zip(func.params, args)))
-        ws = set()
-        nidx = core.nidx
-        mem2 = mem
-        sp = None
-        if func.stacksize > 0:
-            sp = flist.addr_at(nidx)
-            for _ in range(func.stacksize):
-                addr = flist.addr_at(nidx)
-                nidx += 1
-                mem2 = mem2.alloc(addr, VUndef)
-                if mem2 is None:
-                    raise SemanticsError("freelist slot already allocated")
-                ws.add(addr)
-        frame = RTLFrame(fname, func.entry, regs, sp, ret_dst)
-        nxt = RTLCore(core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, mem2)]
 
     def _instr_step(self, module, core, mem, frame, instr):
         if isinstance(instr, Inop):
@@ -279,7 +218,7 @@ class RTLLang(ModuleLanguage):
 
         if isinstance(instr, Iop):
             values = [_reg(frame, r) for r in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             regs = frame.regs.set(instr.dst, result)
             return self._tau(core, frame.at(instr.next, regs), EMP, mem)
 
@@ -301,40 +240,26 @@ class RTLLang(ModuleLanguage):
                 return [StepAbort(reason="store through non-pointer")]
             mem2 = store_checked(module, mem, ptr.addr, value)
             return self._tau(
-                core,
-                frame.at(instr.next),
-                Footprint((), {ptr.addr}),
-                mem2,
+                core, frame.at(instr.next), Footprint((), {ptr.addr}), mem2
             )
 
         if isinstance(instr, Icall):
             args = tuple(_reg(frame, r) for r in instr.args)
-            frames = core.frames[:-1] + (frame.at(instr.next),)
-            if instr.external:
-                nxt = RTLCore(frames, core.nidx, ("ext-wait", instr.dst))
-                return [Step(CallMsg(instr.fname, args), EMP, nxt, mem)]
-            nxt = RTLCore(
-                frames, core.nidx, ("enter", instr.fname, args, instr.dst)
+            return self._call(
+                core, frame.at(instr.next), instr.fname, args, instr.dst,
+                instr.external, EMP, mem,
             )
-            return [Step(TAU, EMP, nxt, mem)]
 
         if isinstance(instr, Itailcall):
-            args = tuple(_reg(frame, r) for r in instr.args)
-            # The callee replaces this activation and inherits its
-            # return destination.
             # When the tail-callee becomes the bottom activation its
             # eventual return is the module's RetMsg; otherwise the
             # inherited ret_dst routes the value to the original caller.
-            nxt = RTLCore(
-                core.frames[:-1],
-                core.nidx,
-                ("enter", instr.fname, args, frame.ret_dst),
-            )
-            return [Step(TAU, EMP, nxt, mem)]
+            args = tuple(_reg(frame, r) for r in instr.args)
+            return self._tailcall(core, instr.fname, args, mem)
 
         if isinstance(instr, Icond):
             values = [_reg(frame, r) for r in instr.args]
-            result = _apply_op(instr.op, values)
+            result = apply_op(instr.op, values)
             taken = result.is_true()
             if taken is None:
                 return [StepAbort(reason="undefined condition")]
@@ -345,42 +270,23 @@ class RTLLang(ModuleLanguage):
             value = VInt(0)
             if instr.src is not None:
                 value = _reg(frame, instr.src)
-            return self._return(core, mem, frame, value)
+            return self._return(core, value, EMP, mem)
 
         if isinstance(instr, Ispawn):
-            nxt = RTLCore(
-                core.frames[:-1] + (frame.at(instr.next),), core.nidx
+            return self._tau(
+                core, frame.at(instr.next), EMP, mem, SpawnMsg(instr.fname)
             )
-            return [Step(SpawnMsg(instr.fname), EMP, nxt, mem)]
 
         if isinstance(instr, Iprint):
             value = _reg(frame, instr.src)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = RTLCore(
-                core.frames[:-1] + (frame.at(instr.next),), core.nidx
+            return self._tau(
+                core, frame.at(instr.next), EMP, mem,
+                EventMsg("print", value.n),
             )
-            return [Step(EventMsg("print", value.n), EMP, nxt, mem)]
 
         raise SemanticsError("unknown RTL instruction {!r}".format(instr))
-
-    def _tau(self, core, frame, footprint, mem):
-        nxt = RTLCore(core.frames[:-1] + (frame,), core.nidx)
-        return [Step(TAU, footprint, nxt, mem)]
-
-    def _return(self, core, mem, frame, value):
-        if len(core.frames) > 1:
-            nxt = RTLCore(
-                core.frames[:-1],
-                core.nidx,
-                ("assign-result", frame.ret_dst, value),
-            )
-            return [Step(TAU, EMP, nxt, mem)]
-        nxt = RTLCore(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), EMP, nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 RTL = RTLLang()

@@ -23,15 +23,10 @@ from repro.common.errors import SemanticsError
 from repro.common.footprint import EMP, Footprint
 from repro.common.immutables import ImmutableMap
 from repro.common.values import BINOPS, UNOPS, VInt, VPtr, VUndef
-from repro.lang.interface import ModuleLanguage
-from repro.lang.messages import (
-    TAU,
-    CallMsg,
-    EventMsg,
-    RetMsg,
-    SpawnMsg,
-)
+from repro.lang.messages import TAU, EventMsg, SpawnMsg
 from repro.lang.steps import Step, StepAbort
+from repro.langs.ir.base import EvalAbort, alloc_slots
+from repro.langs.ir.calls import DestLanguage
 from repro.langs.minic import ast
 
 
@@ -73,15 +68,9 @@ class MiniCCore(Record):
         )
 
 
-class _EvalAbort(Exception):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def _check_access(module, addr):
     if addr in module.forbidden:
-        raise _EvalAbort(
+        raise EvalAbort(
             "client accessed object-owned address {}".format(addr)
         )
 
@@ -91,7 +80,7 @@ def _load(module, mem, addr, rs):
     rs.add(addr)
     value = mem.load(addr)
     if value is None:
-        raise _EvalAbort("load from unallocated {}".format(addr))
+        raise EvalAbort("load from unallocated {}".format(addr))
     return value
 
 
@@ -106,20 +95,20 @@ def _eval(module, frame, mem, expr, rs):
     if isinstance(expr, ast.Deref):
         ptr = _eval(module, frame, mem, expr.arg, rs)
         if not isinstance(ptr, VPtr):
-            raise _EvalAbort("dereference of non-pointer")
+            raise EvalAbort("dereference of non-pointer")
         return _load(module, mem, ptr.addr, rs)
     if isinstance(expr, ast.Unop):
         arg = _eval(module, frame, mem, expr.arg, rs)
         result = UNOPS[expr.op](arg)
         if result is VUndef:
-            raise _EvalAbort("undefined unop result")
+            raise EvalAbort("undefined unop result")
         return result
     if isinstance(expr, ast.Binop):
         left = _eval(module, frame, mem, expr.left, rs)
         right = _eval(module, frame, mem, expr.right, rs)
         result = BINOPS[expr.op](left, right)
         if result is VUndef:
-            raise _EvalAbort(
+            raise EvalAbort(
                 "undefined result of {!r}".format(expr.op)
             )
         return result
@@ -131,7 +120,7 @@ def _var_addr(module, frame, name, scope):
         return frame.env[name]
     addr = module.symbols.get(name)
     if addr is None:
-        raise _EvalAbort("unresolved global {!r}".format(name))
+        raise EvalAbort("unresolved global {!r}".format(name))
     return addr
 
 
@@ -146,101 +135,53 @@ def _flatten(stmt, rest):
     return (stmt,) + rest
 
 
-class MiniCLang(ModuleLanguage):
+class MiniCLang(DestLanguage):
     """The MiniC module language (deterministic)."""
 
     name = "Clight"
-
-    def init_core(self, module, entry, args=()):
-        func = module.functions.get(entry)
-        if func is None:
-            return None
-        if len(args) != len(func.params):
-            return MiniCCore(pending=("arity-abort",))
-        return MiniCCore(pending=("enter", entry, tuple(args), None))
-
-    def after_external(self, core, retval):
-        if not (core.pending and core.pending[0] == "ext-wait"):
-            raise SemanticsError(
-                "after_external on a core that is not waiting"
-            )
-        dst = core.pending[1]
-        return MiniCCore(
-            core.frames, core.nidx, ("assign-result", dst, retval)
-        )
-
-    def step(self, module, core, mem, flist):
-        if core.done:
-            return []
-        try:
-            return self._step(module, core, mem, flist)
-        except _EvalAbort as abort:
-            return [StepAbort(reason=abort.reason)]
-
-    # ----- pending actions -------------------------------------------------
-
-    def _step(self, module, core, mem, flist):
-        pending = core.pending
-        if pending is not None:
-            kind = pending[0]
-            if kind == "arity-abort":
-                return [StepAbort(reason="arity mismatch at module call")]
-            if kind == "enter":
-                return self._enter(module, core, mem, flist, *pending[1:])
-            if kind == "assign-result":
-                return self._assign_result(
-                    module, core, mem, pending[1], pending[2]
-                )
-            if kind == "ext-wait":
-                # Waiting for the environment: no local steps.
-                return []
-            raise SemanticsError("unknown pending {!r}".format(pending))
-        if not core.frames:
-            raise SemanticsError("MiniC core without frames")
-        frame = core.frames[-1]
-        if not frame.kont:
-            # Implicit return at the end of the body.
-            return self._return(module, core, mem, frame, VInt(0), set())
-        return self._stmt_step(module, core, mem, flist, frame)
+    core_cls = MiniCCore
+    arity_reason = "arity mismatch at module call"
 
     def _enter(self, module, core, mem, flist, fname, args, ret_dst):
         func = module.functions[fname]
-        env = {}
-        ws = set()
-        nidx = core.nidx
-        data_mem = mem
-        values = {name: VUndef for name, _ty in func.locals_}
-        for (name, _ty), value in zip(func.params, args):
-            values[name] = value
-        for name, _ty in func.locals_:
-            addr = flist.addr_at(nidx)
-            nidx += 1
-            data_mem = data_mem.alloc(addr, values[name])
-            if data_mem is None:
-                raise SemanticsError("freelist slot already allocated")
-            env[name] = addr
-            ws.add(addr)
-        frame = MFrame(
-            fname, ImmutableMap(env), _flatten(func.body, ()), ret_dst
+        passed = {name: arg for (name, _ty), arg in zip(func.params, args)}
+        names = [name for name, _ty in func.locals_]
+        addrs, data_mem = alloc_slots(
+            flist, core.nidx, mem, [passed.get(n, VUndef) for n in names]
         )
-        nxt = MiniCCore(core.frames + (frame,), nidx)
-        return [Step(TAU, Footprint((), ws), nxt, data_mem)]
+        frame = MFrame(
+            fname,
+            ImmutableMap(dict(zip(names, addrs))),
+            _flatten(func.body, ()),
+            ret_dst,
+        )
+        return self._push(core, frame, addrs, data_mem)
 
-    def _assign_result(self, module, core, mem, dst, value):
-        frame = core.frames[-1] if core.frames else None
+    def _resume(self, module, core, mem, dst, value):
+        """Write a call's result to its destination lvalue: a memory
+        effect, with its own footprint."""
         nxt = MiniCCore(core.frames, core.nidx)
         if dst is None:
             return [Step(TAU, EMP, nxt, mem)]
         rs = set()
-        addr = self._lhs_addr(module, frame, mem, dst, rs)
+        addr = self._lhs_addr(module, core.frames[-1], mem, dst, rs)
         mem2 = mem.store(addr, value)
         if mem2 is None:
             return [StepAbort(reason="store to unallocated")]
         return [Step(TAU, Footprint(rs, {addr}), nxt, mem2)]
 
+    def _run(self, module, core, mem):
+        if not core.frames:
+            raise SemanticsError("MiniC core without frames")
+        frame = core.frames[-1]
+        if not frame.kont:
+            # Implicit return at the end of the body.
+            return self._return(core, VInt(0), EMP, mem)
+        return self._stmt_step(module, core, mem, frame)
+
     # ----- statements -------------------------------------------------------
 
-    def _stmt_step(self, module, core, mem, flist, frame):
+    def _stmt_step(self, module, core, mem, frame):
         stmt, rest = frame.kont[0], frame.kont[1:]
         advance = frame.with_kont(rest)
 
@@ -272,8 +213,15 @@ class MiniCLang(ModuleLanguage):
             )
 
         if isinstance(stmt, ast.SCallStmt):
+            # An internal call leaves the callee's entry pending, so
+            # allocating its slots carries its own footprint.
+            rs = set()
+            args = tuple(
+                _eval(module, frame, mem, a, rs) for a in stmt.call.args
+            )
             return self._call(
-                module, core, mem, flist, frame, advance, stmt
+                core, advance, stmt.call.fname, args, stmt.dst,
+                stmt.call.external, Footprint(rs), mem,
             )
 
         if isinstance(stmt, ast.SPrint):
@@ -281,17 +229,10 @@ class MiniCLang(ModuleLanguage):
             value = _eval(module, frame, mem, stmt.expr, rs)
             if not isinstance(value, VInt):
                 return [StepAbort(reason="print of non-integer")]
-            nxt = MiniCCore(
-                core.frames[:-1] + (advance,), core.nidx
+            return self._tau(
+                core, advance, Footprint(rs), mem,
+                EventMsg("print", value.n),
             )
-            return [
-                Step(
-                    EventMsg("print", value.n),
-                    Footprint(rs),
-                    nxt,
-                    mem,
-                )
-            ]
 
         if isinstance(stmt, ast.SIf):
             rs = set()
@@ -323,33 +264,16 @@ class MiniCLang(ModuleLanguage):
             )
 
         if isinstance(stmt, ast.SSpawn):
-            nxt = MiniCCore(
-                core.frames[:-1] + (advance,), core.nidx
-            )
-            return [Step(SpawnMsg(stmt.fname), EMP, nxt, mem)]
+            return self._tau(core, advance, EMP, mem, SpawnMsg(stmt.fname))
 
         if isinstance(stmt, ast.SReturn):
             rs = set()
             value = VInt(0)
             if stmt.expr is not None:
                 value = _eval(module, frame, mem, stmt.expr, rs)
-            popped_frame = frame.with_kont(rest)
-            return self._return(
-                module,
-                MiniCCore(
-                    core.frames[:-1] + (popped_frame,), core.nidx
-                ),
-                mem,
-                popped_frame,
-                value,
-                rs,
-            )
+            return self._return(core, value, Footprint(rs), mem)
 
         raise SemanticsError("unknown MiniC statement {!r}".format(stmt))
-
-    def _tau(self, core, frame, fp, mem):
-        nxt = MiniCCore(core.frames[:-1] + (frame,), core.nidx)
-        return [Step(TAU, fp, nxt, mem)]
 
     def _lhs_addr(self, module, frame, mem, lhs, rs):
         if isinstance(lhs, ast.LhsVar):
@@ -357,53 +281,10 @@ class MiniCLang(ModuleLanguage):
         else:
             ptr = _eval(module, frame, mem, lhs.arg, rs)
             if not isinstance(ptr, VPtr):
-                raise _EvalAbort("store through non-pointer")
+                raise EvalAbort("store through non-pointer")
             addr = ptr.addr
         _check_access(module, addr)
         return addr
-
-    def _call(self, module, core, mem, flist, frame, advance, stmt):
-        rs = set()
-        args = tuple(
-            _eval(module, frame, mem, a, rs) for a in stmt.call.args
-        )
-        frames = core.frames[:-1] + (advance,)
-        if stmt.call.external:
-            nxt = MiniCCore(
-                frames, core.nidx, ("ext-wait", stmt.dst)
-            )
-            return [
-                Step(
-                    CallMsg(stmt.call.fname, args),
-                    Footprint(rs),
-                    nxt,
-                    mem,
-                )
-            ]
-        # Internal call: push a new activation (allocating its slots is
-        # the callee-entry step, kept pending so allocation carries its
-        # own footprint).
-        nxt = MiniCCore(
-            frames,
-            core.nidx,
-            ("enter", stmt.call.fname, args, stmt.dst),
-        )
-        return [Step(TAU, Footprint(rs), nxt, mem)]
-
-    def _return(self, module, core, mem, frame, value, rs):
-        if len(core.frames) > 1:
-            dst = frame.ret_dst
-            nxt = MiniCCore(
-                core.frames[:-1],
-                core.nidx,
-                ("assign-result", dst, value),
-            )
-            return [Step(TAU, Footprint(rs), nxt, mem)]
-        nxt = MiniCCore(nidx=core.nidx, done=True)
-        return [Step(RetMsg(value), Footprint(rs), nxt, mem)]
-
-    def is_final(self, module, core):
-        return core is not None and core.done
 
 
 #: Shared language instance.

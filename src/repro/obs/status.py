@@ -383,10 +383,56 @@ def _rate(value):
     return "-" if value is None else "{:,.1f}".format(value)
 
 
+#: Heartbeat fields :func:`render_status` formats as numbers.
+_NUMBER_FIELDS = (
+    "time", "uptime_seconds", "beats", "states", "frontier", "budget",
+    "budget_used", "eta_budget_seconds", "rolling_states_per_second",
+    "overall_states_per_second", "interval_seconds",
+)
+_SHARD_NUMBER_FIELDS = ("states", "frontier", "age_seconds")
+
+
+def _check_numbers(doc, fields, prefix):
+    for field in fields:
+        value = doc.get(field)
+        if value is not None and not isinstance(value, (int, float)):
+            raise ValueError(
+                "field {!r} is not a number".format(prefix + field)
+            )
+
+
+def check_heartbeat(doc):
+    """Raise ``ValueError`` naming the first field of ``doc`` that
+    :func:`render_status` cannot render."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    _check_numbers(doc, _NUMBER_FIELDS, "")
+    interned = doc.get("intern")
+    if interned is not None and not (
+        isinstance(interned, dict)
+        and all(isinstance(v, (int, float)) for v in interned.values())
+    ):
+        raise ValueError("field 'intern' is not an object of numbers")
+    shards = doc.get("shards")
+    if shards is not None:
+        if not (
+            isinstance(shards, list)
+            and all(isinstance(row, dict) for row in shards)
+        ):
+            raise ValueError("field 'shards' is not a list of objects")
+        for row in shards:
+            _check_numbers(row, _SHARD_NUMBER_FIELDS, "shards[].")
+
+
 def render_status(doc, now=None):
-    """The heartbeat as a plain-text block (``repro status FILE``)."""
+    """The heartbeat as a plain-text block (``repro status FILE``).
+
+    Raises ``ValueError`` (see :func:`check_heartbeat`) on a document
+    that parses but is not a heartbeat.
+    """
     from repro.framework.report import format_table
 
+    check_heartbeat(doc)
     if now is None:
         now = time.time()
     age = max(0.0, now - (doc.get("time") or now))

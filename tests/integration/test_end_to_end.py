@@ -2,11 +2,15 @@
 for whole-program semantics preservation; plus fault-injection tests
 showing the validator rejects broken compilers."""
 
+import functools
+
 import pytest
 
+from repro.common.astbase import Node
 from repro.lang.module import ModuleDecl, Program
-from repro.langs.ir import rtl
+from repro.langs.ir import csharpminor, linear, ltl, mach, rtl
 from repro.langs.minic import compile_unit, link_units
+from repro.langs.x86 import ast as x86_ast
 from repro.semantics import equivalent
 from repro.simulation.validate import validate_compilation, validate_pair
 from repro.compiler import compile_minic
@@ -57,23 +61,7 @@ class TestExample22:
 
 
 class _BreakingPass:
-    """Fault injections: corrupt the RTL of a compiled module."""
-
-    @staticmethod
-    def swap_const(module):
-        """Change a constant — wrong values flow to events."""
-        functions = {}
-        for name, func in module.functions.items():
-            code = dict(func.code)
-            for pc, instr in func.code.items():
-                if isinstance(instr, rtl.Iconst) and instr.n != 0:
-                    code[pc] = instr.replace(n=instr.n + 1)
-                    break
-            functions[name] = rtl.RTLFunction(
-                func.name, func.params, func.stacksize, func.entry,
-                code,
-            )
-        return module.with_functions(functions)
+    """Fault injection: corrupt the RTL of a compiled module."""
 
     @staticmethod
     def widen_footprint(module, extra_global):
@@ -96,29 +84,98 @@ class _BreakingPass:
         return module.with_functions(functions)
 
 
+#: The integer-constant forms of the pass outputs, C#minor to x86.
+_CONSTS = (
+    csharpminor.EConst,
+    rtl.Iconst,
+    ltl.Lconst,
+    linear.LinConst,
+    mach.MConst,
+    x86_ast.Pmov_ri,
+)
+
+
+def _bump_first_one(module):
+    """A rebuilt copy of ``module`` whose first integer constant ``1``
+    is ``2``.
+
+    Nothing is edited in place: pass outputs share nodes with their
+    inputs, so an in-place edit would break the previous stage too.
+    """
+    bumped = []
+
+    def rebuild(obj):
+        if isinstance(obj, Node):
+            if isinstance(obj, _CONSTS) and obj.n == 1 and not bumped:
+                bumped.append(obj)
+                return obj.replace(n=2)
+            return type(obj)(*[rebuild(getattr(obj, f)) for f in obj._fields])
+        if isinstance(obj, tuple):
+            return tuple(rebuild(item) for item in obj)
+        if isinstance(obj, dict):
+            return {key: rebuild(value) for key, value in obj.items()}
+        return obj
+
+    def rebuild_function(func):
+        if isinstance(func, Node):
+            return rebuild(func)
+        # Function containers: constructor arguments are their slots
+        # (``labels`` is derived from ``code``).
+        return type(func)(*[
+            rebuild(getattr(func, name))
+            for name in type(func).__slots__
+            if name != "labels"
+        ])
+
+    functions = {
+        name: rebuild_function(func)
+        for name, func in module.functions.items()
+    }
+    assert bumped, "no constant 1 in the module"
+    return module.with_functions(functions)
+
+
+_FAULT_SRC = "int g = 5; void main() { g = g + 1; print(g); }"
+
+
+@functools.lru_cache(maxsize=None)
+def _fault_stages(optimize):
+    mods, genvs, _ = link_units([compile_unit(_FAULT_SRC)])
+    return compile_minic(mods[0], optimize=optimize), genvs[0].memory()
+
+
+#: ``(optimize, pass name)`` of every pass output of both pipelines.
+_FAULT_PASSES = [
+    (optimize, name)
+    for optimize in (False, True)
+    for name, _src, _tgt in _fault_stages(optimize)[0].adjacent_pairs()
+]
+
+
 class TestFaultInjection:
-    SRC = "int g = 5; void main() { g = g + 1; print(g); }"
+    def test_every_pass_output_covered(self):
+        assert len(_FAULT_PASSES) == 27
 
-    def _stages(self):
-        mods, genvs, _ = link_units([compile_unit(self.SRC)])
-        result = compile_minic(mods[0])
-        mem = genvs[0].memory()
-        return result, mem
-
-    def test_wrong_constant_rejected(self):
-        result, mem = self._stages()
-        good = result.stage("Renumber")
-        broken = Stage(
-            "Renumber", RTL, _BreakingPass.swap_const(good.module)
-        )
-        report = validate_pair(
-            result.stage("Tailcall"), broken,
-            [("main", [])], mem, mem.domain(),
-        )
+    @pytest.mark.parametrize(
+        "optimize,pass_name", _FAULT_PASSES,
+        ids=["{}-{}".format("O1" if o else "O0", n)
+             for o, n in _FAULT_PASSES],
+    )
+    def test_wrong_constant_rejected(self, optimize, pass_name):
+        result, mem = _fault_stages(optimize)
+        index = [st.name for st in result.stages].index(pass_name)
+        before, good = result.stages[index - 1], result.stages[index]
+        mutant = Stage(pass_name, good.lang, _bump_first_one(good.module))
+        entries = [("main", [])]
+        assert validate_pair(before, good, entries, mem, mem.domain()).ok
+        report = validate_pair(before, mutant, entries, mem, mem.domain())
         assert not report.ok
+        assert any("message mismatch" in f for f in report.failures), (
+            report.failures
+        )
 
     def test_spurious_store_rejected(self):
-        result, mem = self._stages()
+        result, mem = _fault_stages(False)
         good = result.stage("Renumber")
         broken = Stage(
             "Renumber",
@@ -133,11 +190,3 @@ class TestFaultInjection:
         assert any(
             "FPmatch" in f or "LG" in f for f in report.failures
         )
-
-    def test_sanity_unbroken_pass_accepted(self):
-        result, mem = self._stages()
-        report = validate_pair(
-            result.stage("Tailcall"), result.stage("Renumber"),
-            [("main", [])], mem, mem.domain(),
-        )
-        assert report.ok

@@ -179,9 +179,40 @@ WRONG_TYPED_WITNESSES = [
 TRUNCATED_LEDGER = '{\n  "command": "drf",\n  "config": {\n    "por'
 TRUNCATED_MINIC = "int x = 0;\nvoid t1() { x = "
 
+def _checkpoint_with(done):
+    """A fuzz checkpoint document whose ``payload.done`` is ``done``."""
+    return json.dumps({
+        "type": "fuzz-checkpoint",
+        "version": 1,
+        "payload": {
+            "generator_version": 1, "seed": 0, "count": 1,
+            "kinds": ["minic-seq"], "done": done,
+        },
+    })
+
+
+FUZZ_RESUME = ["fuzz", "--out", "{dir}", "--count", "1",
+               "--kinds", "minic-seq"]
+
+#: Documents that parse but are wrong, with the field the one-line
+#: error must name (``None``: the document is not an object at all).
+WRONG_DOCUMENTS = [
+    pytest.param("st.json", "[1, 2]", ["status", "{f}"], None,
+                 id="status-array"),
+    pytest.param("st.json", '"str"', ["status", "{f}"], None,
+                 id="status-string"),
+    pytest.param("st.json", '{"states": "x"}', ["status", "{f}"],
+                 "states", id="status-states-not-a-number"),
+    pytest.param("checkpoint.json", _checkpoint_with("x"), FUZZ_RESUME,
+                 "payload.done", id="fuzz-checkpoint-done"),
+    pytest.param("findings.json", "[1, 2]", FUZZ_RESUME, None,
+                 id="fuzz-findings-array"),
+]
+
 #: A cut-off, malformed or missing input to each reader must fail as a
 #: user-input error. ``{f}`` is the garbled file (not created when its
-#: text is ``None``), ``{racy}`` a well-formed program.
+#: text is ``None``), ``{dir}`` its directory, ``{racy}`` a well-formed
+#: program.
 GARBLED = [
     pytest.param("w.json", TRUNCATED_WITNESS, ["inspect", "{f}"],
                  id="witness-inspect"),
@@ -223,6 +254,9 @@ GARBLED = [
                     "--threads", "t1,t2"]),
         ("inspect", ["inspect", "{f}"]),
     )
+] + [
+    pytest.param(*param.values[:3], id=param.id)
+    for param in WRONG_DOCUMENTS
 ]
 
 
@@ -233,11 +267,26 @@ class TestGarbledInput:
         path = tmp_path / (name or "missing")
         if text is not None:
             path.write_text(text)
-        argv = [a.format(f=path, racy=racy_file) for a in argv]
+        argv = [
+            a.format(f=path, dir=tmp_path, racy=racy_file) for a in argv
+        ]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("repro: error: "), err
+
+    @pytest.mark.parametrize("name,text,argv,field", WRONG_DOCUMENTS)
+    def test_error_names_file_and_field(self, tmp_path, capsys, name,
+                                        text, argv, field):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([a.format(f=path, dir=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert name in err, err
+        if field is None:
+            assert "not a JSON object" in err, err
+        else:
+            assert "field '{}'".format(field) in err, err
 
 
 class TestWitnessFieldTypes:

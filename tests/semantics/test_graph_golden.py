@@ -6,7 +6,10 @@ thread, atomic bits, sorted memory items and per-thread frame reprs,
 every edge, and the initial/done/stuck/truncated sets. The digests in
 ``graph_golden.json`` pin the explorer's output bit for bit, so any
 change to the exploration loops, the semantics or interning that moves
-a state, an edge or a verdict shows up here. The 3-thread source counter
+a state, an edge or a verdict shows up here. The MiniC suite programs
+and ``counter.c`` are pinned at every stage of both compiler pipelines,
+so each IR interpreter (C#minor to Mach) has graphs of its own. The
+3-thread source counter
 and the x86-TSO cases are explored a second time with a heartbeat
 written at every stride of the loop; they must give the same digests,
 so telemetry cannot perturb exploration.
@@ -25,7 +28,7 @@ import sys
 
 import pytest
 
-from repro.framework.build import lock_counter_system
+from repro.framework.build import ClientSystem, lock_counter_system
 from repro.obs import status
 from repro.semantics import (
     GlobalContext,
@@ -35,7 +38,7 @@ from repro.semantics import (
 )
 from repro.semantics.explore import _HB_STRIDE
 
-from tests.helpers import example_programs
+from tests.helpers import EXAMPLES_DIR, SUITE, example_programs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "graph_golden.json")
 
@@ -53,6 +56,42 @@ MODES = {
 LOCK3_LEVELS = ("source", "sc", "tso")
 LOCK3_MODES = ("preemptive-full", "preemptive-por")
 LOCK3_MAX_STATES = 60000
+
+
+#: Pipelines whose every stage is pinned: ``tag -> optimize``.
+STAGE_PIPELINES = {"O0": False, "O1": True}
+
+
+def _stage_sources():
+    """``name -> (sources, entries, use_lock)`` of the stage cases."""
+    with open(os.path.join(EXAMPLES_DIR, "counter.c")) as handle:
+        counter = handle.read()
+    systems = {
+        "minic-" + name: ([src], ("main",), False)
+        for name, src in SUITE.items()
+    }
+    systems["counter.c"] = ([counter], ("inc", "inc"), True)
+    return systems
+
+
+def _stage_cases():
+    """``name -> thunk`` exploring each program at each pipeline stage
+    (preemptive, full exploration)."""
+    found = {}
+    for name, (sources, entries, use_lock) in sorted(
+        _stage_sources().items()
+    ):
+        for tag, optimize in STAGE_PIPELINES.items():
+            system = ClientSystem(
+                sources, entries, use_lock=use_lock, optimize=optimize
+            )
+            for stage in system.results[0].stages:
+                found["stage-{}/{}/{}".format(name, tag, stage.name)] = (
+                    lambda system=system, stage=stage.name: _explore(
+                        system.stage_program(stage), "preemptive-full"
+                    )
+                )
+    return found
 
 
 def _lock3_program(level):
@@ -136,6 +175,7 @@ def cases():
                     _lock3_program(level), mode, LOCK3_MAX_STATES
                 )
             )
+    found.update(_stage_cases())
     return found
 
 
