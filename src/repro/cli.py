@@ -16,12 +16,13 @@ Commands:
   program and verify its verdict reproduces (``--minimize`` /
   ``--witness-out`` shrink and re-save it);
 * ``inspect ARTIFACT`` — render a witness as a per-thread timeline,
-  or summarize a ``--trace`` JSONL file;
-* ``profile TRACE`` — decompose where a metered run's wall-clock
-  went: per-shard phase breakdown, top spans by self-time,
-  utilization timelines, the wire-cost table, and (when the run
-  collected them) the heap/interning census (see
-  :mod:`repro.obs.profile`);
+  a run manifest as a fact sheet, or a ``--trace`` JSONL file as the
+  report ``profile`` prints (see :mod:`repro.obs.explain`);
+* ``profile FILE`` — render a trace or a run manifest exactly as
+  ``inspect`` does: for a trace, where a metered run's wall-clock went
+  (per-shard phase breakdown, utilization timelines, top spans by
+  self-time, event tallies, the wire-cost table and the final metrics;
+  see :mod:`repro.obs.profile`);
 * ``npdrf FILE --threads e1,e2`` — race-check under the
   *non-preemptive* semantics (the paper's NPDRF);
 * ``fuzz --seed S --count N [--out DIR] [--jobs N]`` — run a
@@ -39,16 +40,13 @@ All commands accept ``--metrics`` (print a metrics summary table) and
 ``--trace FILE`` (write a JSON-lines span trace); the
 ``REPRO_METRICS`` / ``REPRO_TRACE`` environment variables switch the
 same machinery on without flags.
-``--metrics-format prom`` switches the printed summary (and ``repro
-profile``'s output) from the plain-text table to Prometheus text
-exposition. ``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) additionally
-writes a versioned run manifest — resolved config, content hash of the
-input + pass pipeline, phase wall times, final metrics, behaviour
-fingerprint, verdict and exit status — the artifact ``repro compare``
-consumes. The exploration commands also take ``--status FILE`` (or
-``REPRO_STATUS=FILE``) for a ~1s-interval heartbeat snapshot and
-``--heap-profile`` (or ``REPRO_HEAP_PROFILE=1``) for the post-run
-heap/interning census plus tracemalloc phase gauges.
+``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) additionally writes the
+run record: a versioned manifest — resolved config, content hash of
+the input + pass pipeline, phase wall times, peak RSS, final metrics,
+behaviour fingerprint, verdict and exit status — that ``repro
+inspect`` and ``repro profile`` render and ``repro compare`` diffs.
+The exploration commands also take ``--status FILE`` (or
+``REPRO_STATUS=FILE``) for a ~1s-interval heartbeat snapshot.
 
 ``run`` and ``drf`` accept ``--por/--no-por`` to control the
 footprint-directed partial-order reduction (default: the ``REPRO_POR``
@@ -63,7 +61,8 @@ DRF, behaviours printed, validation passed, replay reproduced);
 failed, a replay diverged); **2** — usage or internal error (bad
 flags, unknown thread entries, unreadable files, crashes, a forked
 worker that died, which ends the run within seconds) or an
-inconclusive verdict (an exploration that exceeded ``--max-states``);
+inconclusive verdict (an exploration that exceeded ``--max-states``,
+or a ``run`` whose behaviour enumeration hit its node cap);
 **130** — interrupted (Ctrl-C / SIGINT), the conventional 128+signal
 code, after the run ledger and heartbeat have been finalized and any
 forked workers reaped. Scripts can therefore distinguish "the tool
@@ -81,7 +80,7 @@ from repro.common.errors import ParseError, TypeCheckError
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
-from repro.obs import heap, ledger
+from repro.obs import ledger
 from repro.obs import status as live_status
 from repro.semantics import (
     ExplorationLimit,
@@ -197,14 +196,7 @@ def _note_run_config(args, result, entries):
 
     por = args.por if args.por is not None else default_reduce()
     pipeline = tuple(s.name for s in result.stages)
-    gates = tuple(
-        name
-        for name, on in (
-            ("por", bool(por)),
-            ("heap-profile", heap.enabled()),
-        )
-        if on
-    )
+    gates = ("por",) if por else ()
     ledger.set_config(
         file=args.file,
         threads=list(entries),
@@ -214,7 +206,6 @@ def _note_run_config(args, result, entries):
         jobs=getattr(args, "jobs", 1),
         max_states=getattr(args, "max_states", None),
         max_atomic_steps=getattr(args, "max_atomic_steps", None),
-        heap_profile=heap.enabled(),
     )
     ledger.note(
         content_hash=ledger.content_hash(args.file, pipeline, gates),
@@ -241,6 +232,7 @@ def cmd_run(args):
         max_states=args.max_states,
         reduce=args.por,
         jobs=args.jobs,
+        strict=True,
     )
     ledger.note(
         verdict="behaviours",
@@ -417,45 +409,26 @@ def cmd_fuzz(args):
     return 1 if stats.unexpected else 0
 
 
-def cmd_inspect(args):
+def _print_artifact(verb, path, **kw):
     from repro.obs.explain import inspect_path
 
     try:
-        text = inspect_path(args.artifact)
+        text = inspect_path(path, **kw)
     except (OSError, ValueError, KeyError, CaptureError) as exc:
-        raise UsageError(
-            "cannot inspect {}: {}".format(args.artifact, exc)
-        )
+        raise UsageError("cannot {} {}: {}".format(verb, path, exc))
     print(text)
     return 0
 
 
+def cmd_inspect(args):
+    return _print_artifact("inspect", args.artifact)
+
+
 def cmd_profile(args):
-    from repro.obs.explain import sniff_artifact
-    from repro.obs.profile import load_profile, render_profile
-
-    try:
-        kind = sniff_artifact(args.trace_file)
-        profile = load_profile(args.trace_file) if kind == "trace" else None
-    except OSError as exc:
-        raise UsageError("cannot read profile inputs: {}".format(exc))
-    if profile is None:
-        raise UsageError(
-            "cannot profile {}: no trace records".format(args.trace_file)
-        )
-    if args.metrics_format == "prom":
-        if profile["metrics"] is None:
-            raise UsageError(
-                "no metrics snapshot found: re-run the traced command "
-                "with --metrics or --ledger so the trace ends with a "
-                "metrics record"
-            )
-        from repro.obs.prom import render_prometheus
-
-        sys.stdout.write(render_prometheus(profile["metrics"]))
-        return 0
-    print(render_profile(profile, top=args.top))
-    return 0
+    return _print_artifact(
+        "profile", args.trace_file, kinds=("trace", "run-manifest"),
+        top=args.top,
+    )
 
 
 def cmd_npdrf(args):
@@ -516,11 +489,15 @@ def cmd_status(args):
 
 
 def cmd_compare(args):
-    try:
-        a = ledger.load_manifest(args.a)
-        b = ledger.load_manifest(args.b)
-    except (OSError, ValueError) as exc:
-        raise UsageError("cannot load run manifest: {}".format(exc))
+    docs = []
+    for path in (args.a, args.b):
+        try:
+            docs.append(ledger.load_manifest(path))
+        except (OSError, ValueError) as exc:
+            raise UsageError(
+                "cannot load run manifest {}: {}".format(path, exc)
+            )
+    a, b = docs
     report, regressions = ledger.compare_manifests(
         a, b, tolerance=args.tolerance
     )
@@ -569,12 +546,6 @@ def _parser_tree():
             "(also REPRO_TRACE=FILE)",
         )
         p.add_argument(
-            "--metrics-format", choices=("table", "prom"),
-            default="table", metavar="FMT",
-            help="metrics summary format: 'table' (default) or 'prom' "
-            "(Prometheus text exposition)",
-        )
-        p.add_argument(
             "--ledger", metavar="FILE",
             help="write a versioned run manifest (config, content "
             "hash, phase times, metrics, verdict) to FILE "
@@ -620,13 +591,6 @@ def _parser_tree():
             "about once per second (also REPRO_STATUS=FILE; "
             "interval via REPRO_STATUS_INTERVAL); watch with "
             "'repro status FILE'",
-        )
-        p.add_argument(
-            "--heap-profile", action="store_true",
-            help="census the intern tables and the explored graph's "
-            "sharing-aware deep size after the run (implies "
-            "--metrics; also REPRO_HEAP_PROFILE=1), plus "
-            "tracemalloc phase gauges",
         )
 
     p = sub.add_parser("compile", help="run the pipeline")
@@ -811,11 +775,13 @@ def _parser_tree():
 
     p = sub.add_parser(
         "inspect",
-        help="render a witness timeline or summarize a trace file",
+        help="render a witness, trace, run manifest, heartbeat or "
+        "fuzz artifact",
     )
     p.add_argument(
         "artifact",
-        help="witness JSON or --trace JSONL file to render",
+        help="witness, run manifest, heartbeat or fuzz JSON, or a "
+        "--trace JSONL file, to render",
     )
     p.add_argument(
         "--metrics", action="store_true", help=argparse.SUPPRESS
@@ -824,21 +790,16 @@ def _parser_tree():
 
     p = sub.add_parser(
         "profile",
-        help="decompose where a metered run's wall-clock went",
+        help="render a trace or run manifest: where a metered run's "
+        "wall-clock went",
     )
     # NB: dest must not be "trace" — main() treats args.trace as the
     # *output* trace to open for writing, which would truncate the
     # very file we are here to read.
     p.add_argument(
-        "trace_file", metavar="TRACE",
-        help="--trace JSONL file from the run (per-worker .w* sibling "
-        "files are picked up automatically)",
-    )
-    p.add_argument(
-        "--metrics-format", choices=("table", "prom"),
-        default="table", metavar="FMT",
-        help="emit the full report ('table', default) or just the "
-        "metrics snapshot as Prometheus text exposition ('prom')",
+        "trace_file", metavar="FILE",
+        help="--trace JSONL file (per-worker .w* sibling files are "
+        "picked up automatically) or --ledger run manifest",
     )
     p.add_argument(
         "--top", type=int, default=12, metavar="N",
@@ -898,13 +859,11 @@ def main(argv=None):
         print("repro: cannot open trace file: {}".format(exc),
               file=sys.stderr)
         return 2
-    # Live layer: heartbeat, run ledger, heap census. Flags layer on
-    # the env vars the same way the obs sinks do.
+    # Live layer: heartbeat and run ledger. Flags layer on the env vars
+    # the same way the obs sinks do.
     live_status.configure_from_env()
     if getattr(args, "status", None):
         live_status.configure(args.status)
-    if getattr(args, "heap_profile", False):
-        heap.set_enabled(True)
     ledger.configure_from_env(
         args.command, argv=sys.argv[1:] if argv is None else list(argv)
     )
@@ -913,15 +872,12 @@ def main(argv=None):
             args.ledger, args.command,
             argv=sys.argv[1:] if argv is None else list(argv),
         )
-    if ledger.active is not None or heap.enabled():
-        # Both the manifest's metrics section and the census gauges
-        # need the registry, whether or not --metrics was passed.
+    if ledger.active is not None:
+        # The manifest's metrics section needs the registry, whether
+        # or not --metrics was passed.
         obs.configure(metrics=True)
-    if heap.enabled():
-        heap.start_tracemalloc()
-    # --ledger and --heap-profile imply the registry but not the stdout
-    # table; only an explicit --metrics (or REPRO_METRICS) prints the
-    # summary.
+    # --ledger implies the registry but not the stdout table; only an
+    # explicit --metrics (or REPRO_METRICS) prints the summary.
     show_summary = getattr(args, "metrics", False) or os.environ.get(
         obs.ENV_METRICS, ""
     ).strip().lower() in ("1", "true", "yes", "on")
@@ -929,11 +885,8 @@ def main(argv=None):
     try:
         result = args.func(args)
         if show_summary and obs.metrics_enabled():
-            if getattr(args, "metrics_format", "table") == "prom":
-                sys.stdout.write(obs.render_prom())
-            else:
-                print()
-                print(obs.render_summary())
+            print()
+            print(obs.render_summary())
         code = result
         return result
     except BrokenPipeError:
@@ -944,10 +897,14 @@ def main(argv=None):
         print("repro: error: {}".format(exc), file=sys.stderr)
         return 2
     except ExplorationLimit as exc:
-        # Not a crash: the bound cut the search before a verdict.
+        # Not a crash: a bound cut the search before a verdict. Only
+        # the state bound has a flag to raise.
         print(
-            "repro: inconclusive: {}; raise --max-states to explore "
-            "further".format(exc),
+            "repro: inconclusive: {}{}".format(
+                exc,
+                "; raise --max-states to explore further"
+                if exc.bound == "states" else "",
+            ),
             file=sys.stderr,
         )
         return 2
@@ -977,8 +934,6 @@ def main(argv=None):
         # must record the exit status. Neither may mask the command's
         # own outcome.
         try:
-            if heap.enabled():
-                heap.phase_snapshot("total")
             ledger.finalize(code, obs.dump())
         except Exception as exc:
             print(
@@ -992,7 +947,6 @@ def main(argv=None):
                 "repro: status write failed: {}".format(exc),
                 file=sys.stderr,
             )
-        heap.set_enabled(None)
         obs.shutdown()
 
 

@@ -27,9 +27,10 @@ observability-layer lookups on the hot path); :func:`stats` and
 :func:`totals` expose them, and the explorer publishes per-run deltas
 through ``repro.obs`` as the aggregate ``intern.hits`` /
 ``intern.misses`` counters plus per-table ``intern.table.<name>.*``
-metrics. ``peak_size`` survives wholesale clears — it records the
-largest population a table ever held, which is what the heap census
-(:mod:`repro.obs.heap`) needs to reason about occupancy honestly.
+metrics (the suite benchmark reads the frame table's); the heartbeat
+samples each table's size. ``peak_size`` survives wholesale clears —
+it records the largest population a table ever held, so occupancy is
+reported honestly across evictions.
 Callers that manipulate ``table`` directly for speed (the inlined
 intern paths of frames and footprints) must maintain ``clears`` and
 ``peak_size`` at their own clear/insert sites.

@@ -24,18 +24,17 @@ validation, the compiler pipeline) report through. Its contract:
   Identical messages are printed only the first time; repeats are
   counted and a per-message suppression summary is printed on
   :func:`shutdown`, so a hot loop cannot flood stderr.
-* **A live layer on top.** Three sibling modules reuse this
+* **A live layer on top.** Two sibling modules reuse this
   switchboard for *during-* and *after-the-run* introspection:
   :mod:`~repro.obs.status` (``--status`` / ``REPRO_STATUS``) has the
   exploration loops atomically rewrite a small heartbeat JSON every
   interval — progress, rolling states/s, per-shard liveness — read
   back by ``repro status FILE``; :mod:`~repro.obs.ledger`
-  (``--ledger`` / ``REPRO_LEDGER``) writes a versioned run manifest
-  (resolved config, content hash, phase times, verdict, behaviour
-  fingerprint) that ``repro compare`` diffs; :mod:`~repro.obs.heap`
-  (``--heap-profile``) measures the interning tables and the
-  sharing-aware deep size of the explored state graph, published as
-  ``intern.table.*`` / ``heap.*`` metrics.
+  (``--ledger`` / ``REPRO_LEDGER``) writes the run record, a
+  versioned manifest (resolved config, content hash, phase times,
+  peak RSS, the final metrics, verdict, behaviour fingerprint) that
+  ``repro inspect`` and ``repro profile`` render and ``repro compare``
+  diffs.
 
 Typical instrumentation::
 
@@ -77,7 +76,6 @@ __all__ = [
     "counter_value",
     "gauge_value",
     "render_summary",
-    "render_prom",
     "read_trace",
     "NULL_SPAN",
 ]
@@ -360,12 +358,3 @@ def render_summary():
 
     return render_metrics(snapshot())
 
-
-def render_prom():
-    """The metrics in Prometheus text exposition format (exact
-    histogram buckets, straight from the live registry's reservoirs)."""
-    from repro.obs.prom import render_prometheus
-
-    return render_prometheus(
-        dump() if registry is not None else snapshot()
-    )

@@ -12,11 +12,13 @@ spans/events/metrics, written by ``--trace``), **run manifests**
   thread did (``τ``, an event, a context switch, the abort) with the
   step footprint alongside and every address involved in the racy
   conflict marked with ``*``;
-* a trace becomes a summary — per-span aggregates (count / total /
-  mean / max seconds), event and warning tallies, and the final
+* a trace renders through :func:`repro.obs.profile.render_profile`,
+  the one trace renderer ``repro profile`` prints too — spans by
+  self-time, event and warning tallies, per-shard phases and the final
   metrics snapshot when one was appended;
 * a run manifest becomes a compact fact sheet — command, verdict,
-  wall/phase times, states/s, resolved config and content hash;
+  wall/phase times, peak RSS, states/s, resolved config, content hash
+  and the final counters and gauges;
 * a heartbeat renders through the same view ``repro status`` uses;
 * a fuzz campaign's **findings log** becomes a per-finding table
   (kind, generator, input hash, expected?, witness path) and its
@@ -28,8 +30,6 @@ never re-executes anything (that is ``repro replay``'s job).
 """
 
 import json
-
-from repro.obs.trace import read_trace
 
 
 def racy_addrs(race):
@@ -157,86 +157,6 @@ def render_witness(record):
     return "\n".join(lines)
 
 
-def render_trace_summary(records):
-    """Aggregate a trace's records into a plain-text summary."""
-    from repro.framework.report import format_table
-    from repro.obs.render import render_metrics
-
-    spans = {}
-    events = {}
-    warnings = {}
-    metrics = None
-    meta = None
-    for rec in records:
-        kind = rec.get("type")
-        if kind == "span":
-            name = rec.get("name", "?")
-            agg = spans.setdefault(name, [0, 0.0, 0.0])
-            agg[0] += 1
-            dur = rec.get("dur", 0.0) or 0.0
-            agg[1] += dur
-            agg[2] = max(agg[2], dur)
-        elif kind == "event":
-            name = rec.get("name", "?")
-            if name == "warning":
-                msg = (rec.get("attrs") or {}).get("message", "?")
-                warnings[msg] = warnings.get(msg, 0) + 1
-            else:
-                events[name] = events.get(name, 0) + 1
-        elif kind == "metrics":
-            metrics = rec.get("data")
-        elif kind == "meta":
-            meta = rec
-    lines = [
-        "trace: {} record(s){}".format(
-            len(records),
-            ""
-            if meta is None
-            else ", schema v{}".format(meta.get("version")),
-        )
-    ]
-    if spans:
-        rows = [
-            (
-                name,
-                agg[0],
-                "{:.6f}".format(agg[1]),
-                "{:.6f}".format(agg[1] / agg[0]),
-                "{:.6f}".format(agg[2]),
-            )
-            for name, agg in sorted(spans.items())
-        ]
-        lines.append("")
-        lines.append(
-            format_table(
-                rows,
-                headers=("Span", "Count", "Total s", "Mean s",
-                         "Max s"),
-            )
-        )
-    if events:
-        lines.append("")
-        lines.append(
-            format_table(
-                sorted(events.items()),
-                headers=("Event", "Count"),
-            )
-        )
-    if warnings:
-        lines.append("")
-        lines.append(
-            format_table(
-                [(m, n) for m, n in sorted(warnings.items())],
-                headers=("Warning", "Count"),
-            )
-        )
-    if metrics is not None:
-        lines.append("")
-        lines.append("final metrics:")
-        lines.append(render_metrics(metrics))
-    return "\n".join(lines)
-
-
 def render_manifest_summary(doc):
     """A run manifest as a compact plain-text fact sheet."""
     from repro.framework.report import format_table
@@ -247,10 +167,12 @@ def render_manifest_summary(doc):
             doc.get("verdict", "?"),
             doc.get("exit_status"),
         ),
-        "started {}  finished {}  wall {:.3f}s".format(
+        "started {}  finished {}  wall {:.3f}s{}".format(
             doc.get("started_at", "?"),
             doc.get("finished_at", "?"),
             doc.get("wall_seconds") or 0.0,
+            "" if doc.get("peak_rss_mib") is None
+            else "  peak RSS {:.1f} MiB".format(doc["peak_rss_mib"]),
         ),
     ]
     if doc.get("argv"):
@@ -291,6 +213,17 @@ def render_manifest_summary(doc):
                 headers=("Phase", "Seconds"),
             )
         )
+    metrics = doc.get("metrics") or {}
+    if metrics.get("counters") or metrics.get("gauges"):
+        from repro.obs.render import render_metrics
+
+        lines.append("")
+        lines.append("final counters and gauges:")
+        lines.append(render_metrics({
+            "counters": metrics.get("counters") or {},
+            "gauges": metrics.get("gauges") or {},
+            "histograms": {},
+        }))
     return "\n".join(lines)
 
 
@@ -415,8 +348,15 @@ def sniff_artifact(path):
     return None
 
 
-def inspect_path(path):
-    """Render whichever artifact lives at ``path``."""
+def inspect_path(path, kinds=None, top=12):
+    """Render whichever artifact lives at ``path``.
+
+    ``kinds`` restricts the accepted artifact kinds (``repro profile``
+    takes traces and run manifests only); ``top`` is the number of
+    spans the trace report ranks.
+    """
+    from repro.obs import ledger
+    from repro.obs.profile import load_profile, render_profile
     from repro.semantics.witness import load_witness
 
     kind = sniff_artifact(path)
@@ -425,20 +365,22 @@ def inspect_path(path):
             "not a witness, run manifest, heartbeat, fuzz artifact or "
             "trace: no line parses as a JSON object"
         )
+    if kinds is not None and kind not in kinds:
+        raise ValueError(
+            "a {}, not a {}".format(kind, " or ".join(kinds))
+        )
+    if kind == "trace":
+        return render_profile(load_profile(path), top=top)
     if kind == "witness":
         return render_witness(load_witness(path))
     if kind == "run-manifest":
-        with open(path) as handle:
-            return render_manifest_summary(json.load(handle))
+        return render_manifest_summary(ledger.load_manifest(path))
+    with open(path) as handle:
+        doc = json.load(handle)
     if kind == "heartbeat":
         from repro.obs.status import render_status
 
-        with open(path) as handle:
-            return render_status(json.load(handle))
+        return render_status(doc)
     if kind == "fuzz-findings":
-        with open(path) as handle:
-            return render_findings_summary(json.load(handle))
-    if kind == "fuzz-checkpoint":
-        with open(path) as handle:
-            return render_checkpoint_summary(json.load(handle))
-    return render_trace_summary(read_trace(path))
+        return render_findings_summary(doc)
+    return render_checkpoint_summary(doc)

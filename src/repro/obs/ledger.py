@@ -4,8 +4,11 @@
 command write one ``run.json`` manifest on exit: the fully *resolved*
 configuration (POR/jobs/wire gates — what actually ran, not
 what was typed), the hash seed, a content hash of the input program
-plus the pass pipeline, per-phase wall times, the final metrics
-snapshot, the behaviour fingerprint, the verdict and the exit status.
+plus the pass pipeline, per-phase wall times, the peak resident set
+size, the final metrics, the behaviour fingerprint, the verdict and
+the exit status. It is the one run record: ``repro inspect`` and
+``repro profile`` render it, and :func:`load_manifest` checks every
+field they read.
 
 Two consumers motivate the shape:
 
@@ -30,8 +33,11 @@ previous manifest intact rather than a torn one.
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
+
+from repro.obs.status import check_number_map, check_numbers, write_atomic
 
 #: Manifest schema version.
 VERSION = 1
@@ -141,6 +147,7 @@ class RunLedger:
             "finished_at": _iso(time.time()),
             "wall_seconds": round(wall, 6),
             "exit_status": exit_status,
+            "peak_rss_mib": round(peak_rss_mib(), 3),
             "config": dict(self.config),
             "seeds": {
                 "python_hash_seed": os.environ.get("PYTHONHASHSEED"),
@@ -166,9 +173,16 @@ class RunLedger:
         return doc
 
     def finalize(self, exit_status, snapshot=None):
-        from repro.obs.status import write_atomic
-
         write_atomic(self.path, self.document(exit_status, snapshot))
+
+
+def peak_rss_mib():
+    """Peak resident set size in MiB: the larger of this process's
+    and its reaped children's (forked workers), as the suite benchmark
+    measures it."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, forked) / 1024.0
 
 
 def _iso(epoch):
@@ -252,14 +266,39 @@ _DIRECTED = (
 _TOP_ROWS = 12
 
 
+#: Top-level manifest fields the renderers format as numbers.
+_NUMBER_FIELDS = (
+    "wall_seconds", "states", "states_per_second", "peak_rss_mib",
+)
+
+
+def check_manifest(doc):
+    """Raise ``ValueError`` naming the first field of ``doc`` that
+    :func:`compare_manifests` or the ``repro inspect`` fact sheet
+    cannot read."""
+    if not isinstance(doc, dict) or doc.get("type") != "run-manifest":
+        raise ValueError("not a run manifest (expected type=run-manifest)")
+    check_numbers(doc, _NUMBER_FIELDS)
+    check_number_map(doc, "phases")
+    for field, kind, what in (
+        ("config", dict, "an object"),
+        ("argv", list, "a list"),
+        ("metrics", dict, "an object"),
+    ):
+        value = doc.get(field)
+        if value is not None and not isinstance(value, kind):
+            raise ValueError("field {!r} is not {}".format(field, what))
+    metrics = doc.get("metrics") or {}
+    check_number_map(metrics, "counters", "metrics.")
+    check_number_map(metrics, "gauges", "metrics.")
+
+
 def load_manifest(path):
+    """The run manifest at ``path``, checked by :func:`check_manifest`
+    (``OSError`` or ``ValueError`` otherwise)."""
     with open(path) as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("type") != "run-manifest":
-        raise ValueError(
-            "{}: not a run manifest (expected type=run-manifest)"
-            .format(path)
-        )
+    check_manifest(doc)
     return doc
 
 

@@ -1,8 +1,9 @@
-"""``repro profile``: decompose where a run's wall-clock went.
+"""Render a ``--trace`` file: what a run did and where its time went.
 
-The inspector (:mod:`repro.obs.explain`) answers "what happened"; this
-module answers "what did it *cost*". It reads the artifacts a metered
-run leaves behind —
+This is the one renderer of a trace: ``repro inspect TRACE`` and
+``repro profile TRACE`` both print :func:`render_profile` of
+:func:`load_profile`. It reads the artifacts a metered run leaves
+behind —
 
 * the main ``--trace`` JSONL file,
 * the per-worker sibling files a parallel run writes next to it
@@ -12,38 +13,32 @@ run leaves behind —
   on shutdown when the registry was on (``--metrics`` or
   ``--ledger``) —
 
-and renders four sections:
+and renders these sections, each only when the trace has its data:
 
 1. **Per-shard phase breakdown** — for every worker, the wall-clock
    split into expand / encode / decode / idle (from the
    ``parallel.worker.phases`` event each worker appends to its own
    trace), with a coverage column showing how much of the worker's
    wall the four phases explain, plus the coordinator's merge cost.
-2. **Top spans by self-time** — span durations minus their children's,
-   aggregated by name across all trace files, so inclusive parents
-   (``explore``, ``race.find``) don't drown the leaves that actually
-   burn the time.
-3. **Per-shard utilization timeline** — each worker's run bucketed
+2. **Per-shard utilization timeline** — each worker's run bucketed
    into a fixed-width bar, idle intervals (the blocking
    ``parallel.worker.idle`` spans) rendered dark, so convoy patterns
    and stragglers are visible at a glance.
-4. **Wire-cost table** — bytes shipped per direction, batch-size /
+3. **Top spans by self-time** — span durations minus their children's,
+   aggregated by name across all trace files, so inclusive parents
+   (``explore``, ``race.find``) don't drown the leaves that actually
+   burn the time; each row also carries the longest single span.
+4. **Event and warning tallies** across all trace files.
+5. **Wire-cost table** — bytes shipped per direction, batch-size /
    per-world-size histograms and the send-memo hit rate, read from
    the *generically merged* metrics snapshot (the coordinator absorbs
    every worker's full registry; nothing here is hand-picked), ending
    with the expansion-vs-transport verdict that answers "why is
    ``--jobs 2`` slower".
-5. **Heap** — the interning/heap census when the run collected one
-   (``--heap-profile``; see :mod:`repro.obs.heap`): the explored
-   graph's bytes-unique vs bytes-if-copied sharing factor, the
-   per-type byte breakdown, the per-intern-table occupancy/hit-rate
-   rows, and any tracemalloc phase gauges.
+6. **Final metrics** — the whole snapshot as the ``--metrics`` table.
 
 Rendering is pure string-building over the artifacts; nothing is
-re-executed. ``--metrics-format prom`` short-circuits the report and
-emits the snapshot as Prometheus text exposition instead
-(:mod:`repro.obs.prom`) — the scrape format the future ``repro
-serve`` dashboard consumes.
+re-executed.
 """
 
 import glob
@@ -89,15 +84,23 @@ def load_profile(trace_path):
             wid = int(path.rsplit(".w", 1)[-1])
         workers[wid] = records
     metrics = None
+    meta = None
     for rec in main_records:
         if rec.get("type") == "metrics":
             metrics = rec.get("data")
+        elif rec.get("type") == "meta" and meta is None:
+            meta = rec
     return {
         "trace_path": str(trace_path),
+        "meta": meta,
         "main": main_records,
         "workers": workers,
         "metrics": metrics,
     }
+
+
+def _all_records(profile):
+    return [profile["main"]] + list(profile["workers"].values())
 
 
 # ----- per-shard phases -----------------------------------------------------
@@ -189,12 +192,11 @@ def _aggregate_phase_rows(metrics):
 
 
 def self_times(profile):
-    """Aggregate span self-time (duration minus children) by name
-    across the main and all worker traces."""
+    """``{name: [count, self s, total s, max s]}``: span self-time
+    (duration minus children) aggregated by name across the main and
+    all worker traces."""
     agg = {}
-    for records in [profile["main"]] + list(
-        profile["workers"].values()
-    ):
+    for records in _all_records(profile):
         spans = [r for r in records if r.get("type") == "span"]
         child_total = {}
         for rec in spans:
@@ -209,12 +211,35 @@ def self_times(profile):
                 0.0, dur - child_total.get(rec.get("sid"), 0.0)
             )
             entry = agg.setdefault(
-                rec.get("name", "?"), [0, 0.0, 0.0]
+                rec.get("name", "?"), [0, 0.0, 0.0, 0.0]
             )
             entry[0] += 1
             entry[1] += self_dur
             entry[2] += dur
+            entry[3] = max(entry[3], dur)
     return agg
+
+
+# ----- events and warnings --------------------------------------------------
+
+
+def event_tallies(profile):
+    """``(events, warnings)``: occurrence counts of each event name
+    (warnings excluded) and of each warning message, across the main
+    and all worker traces."""
+    events = {}
+    warnings = {}
+    for records in _all_records(profile):
+        for rec in records:
+            if rec.get("type") != "event":
+                continue
+            name = rec.get("name", "?")
+            if name == "warning":
+                msg = (rec.get("attrs") or {}).get("message", "?")
+                warnings[msg] = warnings.get(msg, 0) + 1
+            else:
+                events[name] = events.get(name, 0) + 1
+    return events, warnings
 
 
 # ----- utilization timeline -------------------------------------------------
@@ -335,58 +360,6 @@ def wire_rows(metrics):
     return scalars, hist_rows
 
 
-# ----- heap / interning census ---------------------------------------------
-
-
-def _gauge_group(gauges, prefix):
-    """``{name: {field: value}}`` for dotted gauges under ``prefix``."""
-    out = {}
-    for key, value in gauges.items():
-        if not key.startswith(prefix):
-            continue
-        name, _, field = key[len(prefix):].rpartition(".")
-        if name:
-            out.setdefault(name, {})[field] = value
-    return out
-
-
-def heap_rows(metrics):
-    """``(graph, per_type, tables, tracemalloc)`` census groups from
-    the snapshot's ``heap.*`` / ``intern.table.*`` gauges (empty dicts
-    when the run didn't census — the section is simply omitted)."""
-    gauges = metrics.get("gauges", {}) if metrics else {}
-    counters = metrics.get("counters", {}) if metrics else {}
-    graph = {
-        key[len("heap.graph."):]: value
-        for key, value in gauges.items()
-        if key.startswith("heap.graph.")
-    }
-    per_type = _gauge_group(gauges, "heap.type.")
-    tables = _gauge_group(gauges, "intern.table.")
-    for name, entry in _gauge_group(counters, "intern.table.").items():
-        tables.setdefault(name, {}).update(entry)
-    tracemalloc = {
-        key[len("heap.tracemalloc."):]: value
-        for key, value in gauges.items()
-        if key.startswith("heap.tracemalloc.")
-    }
-    return graph, per_type, tables, tracemalloc
-
-
-def _bytes(value):
-    if value is None:
-        return "-"
-    value = float(value)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024.0 or unit == "GiB":
-            return (
-                "{:,.0f} {}".format(value, unit)
-                if unit == "B"
-                else "{:,.1f} {}".format(value, unit)
-            )
-        value /= 1024.0
-
-
 # ----- rendering ------------------------------------------------------------
 
 
@@ -403,10 +376,21 @@ def _num(value):
 
 
 def render_profile(profile, top=12):
-    """The full plain-text profile report."""
+    """The full plain-text report of a :func:`load_profile` dict."""
     from repro.framework.report import format_table
+    from repro.obs.render import render_metrics
 
-    lines = ["profile: {}".format(profile["trace_path"])]
+    meta = profile["meta"]
+    lines = [
+        "profile: {}".format(profile["trace_path"]),
+        "trace: {} record(s){}{}".format(
+            len(profile["main"]),
+            "" if meta is None
+            else ", schema v{}".format(meta.get("version")),
+            "" if not profile["workers"]
+            else ", {} worker trace(s)".format(len(profile["workers"])),
+        ),
+    ]
     metrics = profile["metrics"]
 
     rows, totals = phase_rows(profile)
@@ -492,16 +476,26 @@ def render_profile(profile, top=12):
         lines.append(
             format_table(
                 [
-                    (
-                        name,
-                        entry[0],
-                        "{:.6f}".format(entry[1]),
-                        "{:.6f}".format(entry[2]),
-                    )
+                    (name, entry[0])
+                    + tuple("{:.6f}".format(v) for v in entry[1:])
                     for name, entry in ranked
                 ],
-                headers=("Span", "Count", "Self s", "Total s"),
+                headers=("Span", "Count", "Self s", "Total s", "Max s"),
             )
+        )
+
+    events, warnings = event_tallies(profile)
+    if events:
+        lines.append("")
+        lines.append(
+            format_table(sorted(events.items()),
+                         headers=("Event", "Count"))
+        )
+    if warnings:
+        lines.append("")
+        lines.append(
+            format_table(sorted(warnings.items()),
+                         headers=("Warning", "Count"))
         )
 
     if metrics:
@@ -541,97 +535,15 @@ def render_profile(profile, top=12):
                 )
             )
 
-    if metrics:
-        graph_g, type_g, table_g, tm_g = heap_rows(metrics)
-        if graph_g or table_g:
-            lines.append("")
-            lines.append(
-                "heap (interning census; graph deep-size needs "
-                "--heap-profile):"
-            )
-        if graph_g:
-            lines.append(
-                "  graph: {:,} state key(s), {:,} edge(s), {:,} "
-                "stack(s), {:,} memory(ies), {:,} object(s); {} unique "
-                "vs {} if-copied -> sharing factor {:.2f}x "
-                "({} B/state unique)".format(
-                    int(graph_g.get("worlds", 0)),
-                    int(graph_g.get("edges", 0)),
-                    int(graph_g.get("stacks", 0)),
-                    int(graph_g.get("mems", 0)),
-                    int(graph_g.get("objects", 0)),
-                    _bytes(graph_g.get("bytes_unique")),
-                    _bytes(graph_g.get("bytes_if_copied")),
-                    graph_g.get("sharing_factor", 0.0) or 0.0,
-                    _num(graph_g.get("bytes_per_world_unique")),
-                )
-            )
-        if type_g:
-            ranked = sorted(
-                type_g.items(),
-                key=lambda kv: -(kv[1].get("bytes") or 0),
-            )
-            lines.append(
-                format_table(
-                    [
-                        (
-                            name,
-                            _num(entry.get("count")),
-                            _bytes(entry.get("bytes")),
-                        )
-                        for name, entry in ranked
-                    ],
-                    headers=("Type", "Objects", "Unique bytes"),
-                )
-            )
-        if table_g:
-            table = []
-            for name, entry in sorted(table_g.items()):
-                hits = entry.get("hits")
-                misses = entry.get("misses")
-                if entry.get("hit_rate") is not None:
-                    rate = "{:.1%}".format(entry["hit_rate"])
-                elif hits is not None and misses is not None:
-                    total = hits + misses
-                    rate = (
-                        "{:.1%}".format(hits / total) if total else "-"
-                    )
-                else:
-                    rate = "-"
-                table.append(
-                    (
-                        name,
-                        _num(entry.get("size")),
-                        _num(entry.get("peak_size")),
-                        _num(entry.get("clears")),
-                        rate,
-                        _num(entry.get("collisions_estimate")),
-                    )
-                )
-            lines.append("")
-            lines.append(
-                format_table(
-                    table,
-                    headers=(
-                        "Intern table", "Size", "Peak", "Clears",
-                        "Hit rate", "Collisions (est)",
-                    ),
-                )
-            )
-        if tm_g:
-            lines.append("")
-            lines.append(
-                "tracemalloc: "
-                + "  ".join(
-                    "{}={}".format(name, _bytes(value))
-                    for name, value in sorted(tm_g.items())
-                )
-            )
-
     verdict = _verdict(rows, totals, merge, metrics)
     if verdict:
         lines.append("")
         lines.append(verdict)
+
+    if metrics is not None:
+        lines.append("")
+        lines.append("final metrics:")
+        lines.append(render_metrics(metrics))
     return "\n".join(lines)
 
 

@@ -392,7 +392,9 @@ _NUMBER_FIELDS = (
 _SHARD_NUMBER_FIELDS = ("states", "frontier", "age_seconds")
 
 
-def _check_numbers(doc, fields, prefix):
+def check_numbers(doc, fields, prefix=""):
+    """Raise ``ValueError`` naming the first of ``fields`` present in
+    ``doc`` whose value is not a number."""
     for field in fields:
         value = doc.get(field)
         if value is not None and not isinstance(value, (int, float)):
@@ -401,18 +403,26 @@ def _check_numbers(doc, fields, prefix):
             )
 
 
+def check_number_map(doc, field, prefix=""):
+    """Raise ``ValueError`` unless ``doc[field]`` is absent or an
+    object whose values are all numbers."""
+    value = doc.get(field)
+    if value is not None and not (
+        isinstance(value, dict)
+        and all(isinstance(v, (int, float)) for v in value.values())
+    ):
+        raise ValueError(
+            "field {!r} is not an object of numbers".format(prefix + field)
+        )
+
+
 def check_heartbeat(doc):
     """Raise ``ValueError`` naming the first field of ``doc`` that
     :func:`render_status` cannot render."""
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
-    _check_numbers(doc, _NUMBER_FIELDS, "")
-    interned = doc.get("intern")
-    if interned is not None and not (
-        isinstance(interned, dict)
-        and all(isinstance(v, (int, float)) for v in interned.values())
-    ):
-        raise ValueError("field 'intern' is not an object of numbers")
+    check_numbers(doc, _NUMBER_FIELDS)
+    check_number_map(doc, "intern")
     shards = doc.get("shards")
     if shards is not None:
         if not (
@@ -421,7 +431,7 @@ def check_heartbeat(doc):
         ):
             raise ValueError("field 'shards' is not a list of objects")
         for row in shards:
-            _check_numbers(row, _SHARD_NUMBER_FIELDS, "shards[].")
+            check_numbers(row, _SHARD_NUMBER_FIELDS, "shards[].")
 
 
 def render_status(doc, now=None):

@@ -44,6 +44,7 @@ is not reported as divergence, so that ``silent_div`` marks *program*
 divergence (e.g. a spin loop that can spin forever).
 """
 
+import sys
 from collections import deque
 
 from repro import obs
@@ -52,7 +53,6 @@ from repro.common.astbase import Record
 from repro.common.memory import STATS as MEM_STATS
 from repro.lang import closure as _closure
 from repro.lang.messages import EventMsg
-from repro.obs import heap as _heap
 from repro.obs import status as _status
 from repro.semantics.engine import SW
 from repro.semantics.keyspace import KeySpace
@@ -66,7 +66,15 @@ _HB_STRIDE = 64
 
 
 class ExplorationLimit(Exception):
-    """Raised when a state-space bound is exceeded and strict=True."""
+    """Raised when a bound is exceeded and strict=True.
+
+    ``bound`` names which: ``"states"`` (exploration's ``max_states``)
+    or ``"nodes"`` (:func:`behaviours`' enumeration cap).
+    """
+
+    def __init__(self, message, bound="states"):
+        super().__init__(message)
+        self.bound = bound
 
 
 class Behaviour(Record):
@@ -270,10 +278,6 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
         if reducer is not None:
             hb.update(por_counters=reducer.snapshot())
         hb.force(states=graph.state_count(), frontier=0)
-    if _heap.enabled():
-        # Post-run heap census (own span, outside "explore" so the
-        # states/s denominator never includes census time).
-        _heap.collect(graph)
     return graph
 
 
@@ -544,8 +548,8 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
 
 def _record_intern_table_metrics(stats0, stats1):
     """Per-table intern counters as per-run deltas, plus occupancy
-    gauges — the honest inputs the heap census needs (tables created
-    mid-run simply have a zero baseline)."""
+    gauges (tables created mid-run simply have a zero baseline); the
+    suite benchmark reads the frame table's rows."""
     for name, s1 in stats1.items():
         s0 = stats0.get(
             name, {"hits": 0, "misses": 0, "clears": 0}
@@ -556,6 +560,13 @@ def _record_intern_table_metrics(stats0, stats1):
         obs.inc(prefix + "clears", s1["clears"] - s0["clears"])
         obs.set_gauge(prefix + "size", s1["size"])
         obs.gauge_max(prefix + "peak_size", s1["peak_size"])
+
+
+def key_bytes(graph):
+    """The summed ``sys.getsizeof`` of the graph's state keys: what
+    the explored state set itself costs (its edges and the key space's
+    tables excluded)."""
+    return sum(map(sys.getsizeof, graph.keys))
 
 
 def _record_explore_metrics(graph, frontier_hwm, sp):
@@ -591,6 +602,7 @@ def _record_explore_metrics(graph, frontier_hwm, sp):
     obs.inc("explore.done_states", len(graph.done))
     obs.inc("explore.stuck_states", len(graph.stuck))
     obs.gauge_max("explore.frontier_hwm", frontier_hwm)
+    obs.set_gauge("explore.key_bytes", key_bytes(graph))
     obs.observe("explore.states_per_run", n_states)
     sp.set(
         states=n_states,
@@ -675,7 +687,12 @@ def _progress_divergent_states(graph):
     return div
 
 
-def behaviours(graph, max_events=10, max_nodes=200000, strict=False):
+#: :func:`behaviours`' default enumeration bound, in (state, trace)
+#: nodes.
+MAX_BEHAVIOUR_NODES = 200000
+
+
+def behaviours(graph, max_events=10, max_nodes=None, strict=False):
     """The behaviour set of an explored graph.
 
     Enumerates event traces by BFS over ``(state, trace)`` pairs with
@@ -687,8 +704,11 @@ def behaviours(graph, max_events=10, max_nodes=200000, strict=False):
     is reported as ``Behaviour.CUT``, which comparisons already treat
     as inconclusive — matching :func:`explore`'s truncation policy
     instead of crashing report pipelines mid-run. ``strict=True``
-    raises :class:`ExplorationLimit`.
+    raises :class:`ExplorationLimit`. ``max_nodes=None`` means
+    :data:`MAX_BEHAVIOUR_NODES`.
     """
+    if max_nodes is None:
+        max_nodes = MAX_BEHAVIOUR_NODES
     with obs.span("behaviours", max_events=max_events) as sp:
         result = _behaviours(graph, max_events, max_nodes, strict)
         if obs.enabled:
@@ -740,7 +760,9 @@ def _behaviours(graph, max_events, max_nodes, strict):
         if len(visited) > max_nodes:
             if strict:
                 raise ExplorationLimit(
-                    "behaviour enumeration bound exceeded"
+                    "behaviour enumeration bound of {} nodes "
+                    "exceeded".format(max_nodes),
+                    bound="nodes",
                 )
             # Graceful degradation: pending traces are inconclusive.
             obs.warn(
@@ -798,7 +820,7 @@ def _behaviours(graph, max_events, max_nodes, strict):
 
 
 def program_behaviours(ctx, semantics, max_states=50000, max_events=10,
-                       reduce=None, jobs=None):
+                       reduce=None, jobs=None, strict=False):
     """Explore and extract behaviours in one call.
 
     ``reduce=None`` defers to the ``REPRO_POR`` environment default
@@ -806,9 +828,15 @@ def program_behaviours(ctx, semantics, max_states=50000, max_events=10,
     pins POR-on and POR-off to identical behaviour sets; pass
     ``reduce=False`` to force the full graph. ``jobs`` shards the
     exploration across worker processes (the behaviour set is
-    unchanged — see :mod:`repro.semantics.parallel`).
+    unchanged — see :mod:`repro.semantics.parallel`). ``strict=True``
+    raises :class:`ExplorationLimit` when either the state bound or the
+    behaviour enumeration bound is hit, instead of reporting ``cut``
+    behaviours (a trace longer than ``max_events`` is still ``cut``).
     """
     if reduce is None:
         reduce = default_reduce()
-    graph = explore(ctx, semantics, max_states, reduce=reduce, jobs=jobs)
-    return behaviours(graph, max_events)
+    graph = explore(
+        ctx, semantics, max_states, strict=strict, reduce=reduce,
+        jobs=jobs,
+    )
+    return behaviours(graph, max_events, strict=strict)

@@ -108,7 +108,6 @@ from queue import Empty
 from repro import obs
 from repro.common import pool as _pool
 from repro.common.pool import available
-from repro.obs import heap as _heap
 from repro.obs import status as _status
 from repro.common.serialize import (
     ChannelDecoder,
@@ -123,6 +122,7 @@ from repro.semantics.explore import (
     Behaviour,
     ExplorationLimit,
     StateGraph,
+    key_bytes,
 )
 from repro.semantics.keyspace import KeySpace
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
@@ -882,10 +882,6 @@ def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
         # merged graph's true state count.
         pool.beat(phase="merged", force=True)
         hb.force(states=graph.state_count(), frontier=0)
-    if _heap.enabled():
-        # Parent-side census over the merged graph (workers censusing
-        # their shards would double-count shared structure).
-        _heap.collect(graph)
     return graph, witness, stats
 
 
@@ -988,6 +984,7 @@ def _publish(jobs, coord_sent, stats, graph, merge_seconds,
     # batch counts arrived via the merge above.
     obs.inc("parallel.batches", sum(coord_sent))
     obs.inc("explore.states_visited", graph.state_count())
+    obs.set_gauge("explore.key_bytes", key_bytes(graph))
     # Durations are gauges, not counters (counters are integer-minded
     # monotone event counts): total idle across shards, and the
     # coordinator's decode+BFS merge cost.

@@ -60,7 +60,7 @@ def _intern_frame(mod_idx, flist, core):
     if len(table) >= _FRAMES.max_size:
         # Inlined mirror of InternTable.intern's bookkeeping: the
         # capacity eviction and the occupancy peak must stay visible
-        # to the census (obs/heap) even on this hand-inlined path.
+        # to the per-table metrics even on this hand-inlined path.
         _FRAMES.clears += 1
         table.clear()
     frame = Frame(mod_idx, flist, core)

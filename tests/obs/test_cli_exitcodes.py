@@ -107,6 +107,46 @@ class TestExitCodes:
             "--max-states to explore further"
         ]
 
+    def test_run_two_on_exceeded_state_bound(self, capsys):
+        # run keeps the same contract as drf: no 'cut' behaviours
+        # printed as if they were an answer.
+        counter = os.path.join(EXAMPLES_DIR, "counter.c")
+        assert main(["run", counter, "--threads", "inc,inc", "--lock",
+                     "--max-states", "50"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "repro: inconclusive: state bound 50 exceeded; raise "
+            "--max-states to explore further"
+        ]
+
+    def test_run_two_on_behaviour_node_cap(self, monkeypatch, capsys):
+        # The enumeration cap has no flag, so the line names no flag.
+        import importlib
+
+        explore = importlib.import_module("repro.semantics.explore")
+        monkeypatch.setattr(explore, "MAX_BEHAVIOUR_NODES", 40)
+        counter = os.path.join(EXAMPLES_DIR, "counter.c")
+        assert main(["run", counter, "--threads", "inc,inc",
+                     "--lock"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "repro: inconclusive: behaviour enumeration bound of 40 "
+            "nodes exceeded"
+        ]
+
+    def test_run_long_traces_stay_cut(self, tmp_path, capsys):
+        # A trace longer than the event cap (10) is a 'cut' behaviour,
+        # not an inconclusive run.
+        src = tmp_path / "long.c"
+        src.write_text(
+            "void main() { int i = 0; "
+            "while (i < 12) { print(i); i = i + 1; } }\n"
+        )
+        assert main(["run", str(src)]) == 0
+        assert "cut" in capsys.readouterr().out
+
     def test_two_on_bad_witness_file(self, racy_file, tmp_path,
                                      capsys):
         bad = tmp_path / "bad.json"
@@ -196,6 +236,27 @@ FUZZ_RESUME = ["fuzz", "--out", "{dir}", "--count", "1",
 
 #: Documents that parse but are wrong, with the field the one-line
 #: error must name (``None``: the document is not an object at all).
+def _manifest_with(**fields):
+    """A run manifest document carrying ``fields``."""
+    return json.dumps(dict({"type": "run-manifest", "version": 1},
+                           **fields))
+
+
+#: Wrong-typed run-manifest fields: ``(field, fields)``.
+WRONG_TYPED_MANIFESTS = [
+    ("phases", {"phases": [1, 2]}),
+    ("metrics.counters", {"metrics": {"counters": {"a": "x"}}}),
+    ("wall_seconds", {"wall_seconds": "x"}),
+    ("states", {"states": [5]}),
+]
+
+#: Every command that reads a run manifest, with its argv.
+MANIFEST_READERS = [
+    ("inspect", ["inspect", "{f}"]),
+    ("profile", ["profile", "{f}"]),
+    ("compare", ["compare", "{f}", "{f}"]),
+]
+
 WRONG_DOCUMENTS = [
     pytest.param("st.json", "[1, 2]", ["status", "{f}"], None,
                  id="status-array"),
@@ -207,6 +268,11 @@ WRONG_DOCUMENTS = [
                  "payload.done", id="fuzz-checkpoint-done"),
     pytest.param("findings.json", "[1, 2]", FUZZ_RESUME, None,
                  id="fuzz-findings-array"),
+] + [
+    pytest.param("run.json", _manifest_with(**fields), argv, field,
+                 id="manifest-{}-{}".format(field, command))
+    for field, fields in WRONG_TYPED_MANIFESTS
+    for command, argv in MANIFEST_READERS
 ]
 
 #: A cut-off, malformed or missing input to each reader must fail as a
@@ -287,6 +353,23 @@ class TestGarbledInput:
             assert "not a JSON object" in err, err
         else:
             assert "field '{}'".format(field) in err, err
+
+
+class TestManifestFieldTypes:
+    @pytest.mark.parametrize("verb,argv", [
+        ("inspect", ["inspect", "{f}"]),
+        ("profile", ["profile", "{f}"]),
+        ("load run manifest", ["compare", "{f}", "{f}"]),
+    ])
+    def test_one_line_names_verb_file_and_field(self, tmp_path, capsys,
+                                                verb, argv):
+        path = tmp_path / "run.json"
+        path.write_text(_manifest_with(phases=[1, 2]))
+        assert main([a.format(f=path) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: cannot {} {}: field 'phases' is not an "
+            "object of numbers\n".format(verb, path)
+        )
 
 
 class TestWitnessFieldTypes:

@@ -225,6 +225,8 @@ class TestLedgerMetrics:
     # leftover uses of them finds none.
     @pytest.mark.parametrize("command,flag", [
         ("run", "--metrics-" "out"), ("profile", "--metrics-" "in"),
+        ("drf", "--metrics-" "format"), ("profile", "--metrics-" "format"),
+        ("drf", "--heap-" "profile"),
     ])
     def test_retired_metrics_file_flags_rejected(
         self, quickstart_file, tmp_path, command, flag, capsys

@@ -7,10 +7,10 @@ from repro import obs
 from repro.obs.explain import (
     inspect_path,
     racy_addrs,
-    render_trace_summary,
     render_witness,
     sniff_artifact,
 )
+from repro.obs.profile import load_profile, render_profile
 from repro.semantics import (
     GlobalContext,
     PreemptiveSemantics,
@@ -105,6 +105,14 @@ class TestRenderWitness:
 
 
 class TestRenderTraceSummary:
+    """A trace renders through the one trace report, which keeps what
+    the old trace summary printed."""
+
+    def _render(self, tmp_path, records):
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return render_profile(load_profile(str(path)))
+
     def _trace_records(self):
         buf = io.StringIO()
         obs.configure(metrics=True, trace=buf)
@@ -117,24 +125,24 @@ class TestRenderTraceSummary:
         obs.shutdown()
         return obs.read_trace(io.StringIO(buf.getvalue()))
 
-    def test_span_aggregates(self):
-        text = render_trace_summary(self._trace_records())
+    def test_span_aggregates(self, tmp_path):
+        text = self._render(tmp_path, self._trace_records())
         assert "explore" in text
         assert "Span" in text and "Count" in text
         assert "schema v1" in text
 
-    def test_events_and_warnings_tallied(self):
-        text = render_trace_summary(self._trace_records())
+    def test_events_and_warnings_tallied(self, tmp_path):
+        text = self._render(tmp_path, self._trace_records())
         assert "witness.captured" in text
         assert "something odd" in text
 
-    def test_final_metrics_shown(self):
-        text = render_trace_summary(self._trace_records())
+    def test_final_metrics_shown(self, tmp_path):
+        text = self._render(tmp_path, self._trace_records())
         assert "final metrics:" in text
         assert "explore.states_visited" in text
 
-    def test_empty_trace(self):
-        assert "0 record(s)" in render_trace_summary([])
+    def test_empty_trace(self, tmp_path):
+        assert "0 record(s)" in self._render(tmp_path, [])
 
 
 class TestSniffAndInspect:

@@ -161,6 +161,25 @@ class TestManifestWriting:
         ) == 0
         assert load_manifest(str(out))["verdict"] == "drf"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_drf_manifest_records_memory(self, tmp_path, capsys, jobs):
+        """The record keeps peak RSS and the explored keys' bytes, and
+        ``inspect`` shows both."""
+        src = tmp_path / "p.c"
+        src.write_text(QUICKSTART)
+        out = tmp_path / "drf.json"
+        assert main(["drf", str(src), "--jobs", jobs, "--ledger",
+                     str(out)]) == 0
+        doc = load_manifest(str(out))
+        assert doc["peak_rss_mib"] > 0
+        key_bytes = doc["metrics"]["gauges"]["explore.key_bytes"]
+        assert key_bytes >= doc["states"] * 24  # one int per state
+        capsys.readouterr()
+        assert main(["inspect", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "peak RSS {:.1f} MiB".format(doc["peak_rss_mib"]) in text
+        assert "explore.key_bytes" in text and str(key_bytes) in text
+
 
 class TestCompareManifests:
     def test_self_compare_has_no_regressions(self, manifest):

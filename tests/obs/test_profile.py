@@ -1,4 +1,4 @@
-"""The ``repro profile`` report (PR 6).
+"""The trace report ``repro profile`` and ``repro inspect`` print.
 
 Unit tests build synthetic trace files (deterministic timings), so the
 assertions can be exact; the CLI integration test drives a real
@@ -118,11 +118,12 @@ def test_old_compile_seconds_is_ignored(synthetic):
 def test_self_time_subtracts_children(synthetic):
     profile = prof.load_profile(str(synthetic))
     agg = prof.self_times(profile)
-    count, self_s, total_s = agg["parallel.worker.run"]
+    count, self_s, total_s, max_s = agg["parallel.worker.run"]
     assert count == 2
     # Each run span (1.0s) contains one 0.5s idle child.
     assert self_s == pytest.approx(1.0)
     assert total_s == pytest.approx(2.0)
+    assert max_s == pytest.approx(1.0)
 
 
 def test_utilization_marks_idle_middle(synthetic):
@@ -204,25 +205,6 @@ class TestProfileCLI:
         counters = json.loads(run.read_text())["metrics"]["counters"]
         assert counters.get("closure.modules_staged", 0) > 0
 
-    def test_profile_prom_output(self, tmp_path, capsys):
-        src = tmp_path / "racy.c"
-        src.write_text(RACY)
-        trace = tmp_path / "run.jsonl"
-        main(
-            [
-                "drf", str(src), "--threads", "t1,t2", "--jobs", "2",
-                "--trace", str(trace),
-                "--ledger", str(tmp_path / "run.json"),
-            ]
-        )
-        capsys.readouterr()
-        assert main(
-            ["profile", str(trace), "--metrics-format", "prom"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_parallel_shards_total counter" in out
-        assert "repro_parallel_shards_total 2" in out
-
     def test_worker_traces_are_fork_safe_and_wid_stamped(
         self, tmp_path
     ):
@@ -254,77 +236,52 @@ class TestProfileCLI:
     def test_profile_missing_trace_is_usage_error(self, tmp_path):
         assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
 
-    def test_profile_prom_without_metrics_is_usage_error(
-        self, tmp_path, capsys
-    ):
-        trace = tmp_path / "t.jsonl"
-        _write_jsonl(trace, [{"type": "meta", "version": 1}])
-        assert main(
-            ["profile", str(trace), "--metrics-format", "prom"]
-        ) == 2
 
 
-class TestHeapSection:
-    METRICS = {
-        "counters": {
-            "intern.table.frame.hits": 90,
-            "intern.table.frame.misses": 10,
-        },
-        "gauges": {
-            "heap.graph.worlds": 5028,
-            "heap.graph.edges": 14016,
-            "heap.graph.stacks": 79,
-            "heap.graph.mems": 105,
-            "heap.graph.objects": 40000,
-            "heap.graph.bytes_unique": 1144000,
-            "heap.graph.bytes_if_copied": 57400000,
-            "heap.graph.sharing_factor": 50.17,
-            "heap.graph.bytes_per_world_unique": 227.6,
-            "heap.graph.bytes_per_world_copied": 11418.0,
-            "heap.type.Frame.bytes": 300000,
-            "heap.type.Frame.count": 5028,
-            "intern.table.frame.size": 6330,
-            "intern.table.frame.peak_size": 6330,
-            "intern.table.frame.clears": 0,
-            "intern.table.frame.hit_rate": 0.9,
-            "intern.table.frame.collisions_estimate": 12,
-            "intern.table.frame.table_bytes": 295000,
-            "heap.tracemalloc.total.peak_bytes": 9000000,
-        },
-        "histograms": {},
-    }
+class TestOneRenderer:
+    """``inspect`` and ``profile`` print the same report."""
 
-    def _profile(self, tmp_path, metrics):
-        trace = tmp_path / "t.jsonl"
-        _write_jsonl(trace, [
-            {"type": "meta", "version": 1},
-            {"type": "span", "name": "explore", "sid": 1,
-             "parent": None, "ts": 0.0, "dur": 1.0},
-            {"type": "metrics", "data": metrics},
-        ])
-        return prof.load_profile(str(trace))
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_inspect_and_profile_agree_on_a_trace(self, tmp_path, capsys,
+                                                  jobs):
+        src = tmp_path / "racy.c"
+        src.write_text(RACY)
+        trace = tmp_path / "run.jsonl"
+        main(["drf", str(src), "--threads", "t1,t2", "--jobs", jobs,
+              "--trace", str(trace), "--ledger", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        assert main(["inspect", str(trace)]) == 0
+        inspected = capsys.readouterr().out
+        assert main(["profile", str(trace)]) == 0
+        assert capsys.readouterr().out == inspected
+        assert "top spans by self-time" in inspected
+        assert "final metrics:" in inspected
+        if jobs == "2":
+            assert "per-shard phase breakdown" in inspected
 
-    def test_heap_rows_groups_gauges_and_counters(self):
-        graph, per_type, tables, tm = prof.heap_rows(self.METRICS)
-        assert graph["sharing_factor"] == 50.17
-        assert per_type["Frame"]["bytes"] == 300000
-        # Counters (hits/misses) merge into the gauge-backed rows.
-        assert tables["frame"]["size"] == 6330
-        assert tables["frame"]["hits"] == 90
-        assert tm["total.peak_bytes"] == 9000000
+    def test_inspect_and_profile_agree_on_a_manifest(self, tmp_path,
+                                                     capsys):
+        src = tmp_path / "racy.c"
+        src.write_text(RACY)
+        run = tmp_path / "run.json"
+        main(["drf", str(src), "--threads", "t1,t2", "--ledger",
+              str(run)])
+        capsys.readouterr()
+        assert main(["inspect", str(run)]) == 0
+        inspected = capsys.readouterr().out
+        assert main(["profile", str(run)]) == 0
+        assert capsys.readouterr().out == inspected
+        assert inspected.startswith("run manifest: command=drf")
 
-    def test_heap_section_renders(self, tmp_path):
-        profile = self._profile(tmp_path, self.METRICS)
-        text = prof.render_profile(profile)
-        assert "heap (interning census" in text
-        assert "sharing factor 50.17x" in text
-        assert "5,028 state key(s), 14,016 edge(s), 79 stack(s)" in text
-        assert "Frame" in text
-        assert "Intern table" in text
-        assert "90.0%" in text
-
-    def test_heap_section_omitted_without_census(self, tmp_path):
-        profile = self._profile(
-            tmp_path, {"counters": {}, "gauges": {}, "histograms": {}}
+    def test_profile_rejects_other_artifacts(self, tmp_path, capsys):
+        src = tmp_path / "racy.c"
+        src.write_text(RACY)
+        witness = tmp_path / "w.json"
+        main(["drf", str(src), "--threads", "t1,t2", "--witness-out",
+              str(witness)])
+        capsys.readouterr()
+        assert main(["profile", str(witness)]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: cannot profile {}: a witness, not a trace or "
+            "run-manifest\n".format(witness)
         )
-        assert "heap (" not in prof.render_profile(profile)
