@@ -249,8 +249,9 @@ def cmd_validate(args):
     result = compile_minic(module, optimize=args.optimize)
     mem = genv.memory()
     cap = max(args.max_failures, 0)
-    ok = True
-    for v in validate_compilation(result, mem, mem.domain()):
+
+    def show(v):
+        # Each pass's lines go out as soon as it is validated.
         status = "ok" if v.ok else "FAILED"
         print("{:14s} {}".format(v.pass_name, status))
         shown = v.report.failures[:cap]
@@ -259,8 +260,12 @@ def cmd_validate(args):
         extra = len(v.report.failures) - len(shown)
         if extra > 0:
             print("     (+{} more)".format(extra))
-        ok = ok and v.ok
-    return 0 if ok else 1
+        sys.stdout.flush()
+
+    validations = validate_compilation(
+        result, mem, mem.domain(), on_pass=show
+    )
+    return 0 if all(v.ok for v in validations) else 1
 
 
 def cmd_drf(args):

@@ -10,13 +10,25 @@
   premises (including the object simulation, checked contextually).
 * :func:`framework_steps` — the eight implications of Fig. 2, each
   checked on the system.
+
+Each program is explored once:
+:func:`~repro.semantics.race.race_and_behaviours` takes the source's
+DRF premise and its behaviour set from one on-the-fly race search, and
+the target side is one :func:`program_behaviours` call. Under ``⊑′``
+(Thm 15) both sets are built with ``termination_sensitive=False``, so
+neither pays for the divergence analysis the comparison would discard.
+
+A behaviour set holding ``cut`` traces (a bound was hit) fails no
+premise: the check reports ``inconclusive`` with ``ok=False``.
 """
 
 from repro.common.freelist import FreeList
 from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
-from repro.semantics.race import find_race
-from repro.semantics.refinement import refines, safe
+# ``find_race`` stays importable from here: perfbench's ``race`` layer
+# wraps ``theorems.find_race``.
+from repro.semantics.race import find_race, race_and_behaviours
+from repro.semantics.refinement import INCONCLUSIVE_DETAIL, refines, safe
 from repro.semantics.world import GlobalContext
 from repro.simulation.compose import (
     check_compositionality,
@@ -34,13 +46,19 @@ from repro.langs.minic.semantics import MINIC
 
 
 class TheoremResult:
-    """A theorem check: premises, conclusion, details."""
+    """A theorem check: premises, conclusion, details.
 
-    def __init__(self, name, ok, detail="", premises=None):
+    ``inconclusive``: no premise failed, but ``cut`` behaviours left the
+    conclusion open; ``ok`` is then ``False``.
+    """
+
+    def __init__(self, name, ok, detail="", premises=None,
+                 inconclusive=False):
         self.name = name
         self.ok = ok
         self.detail = detail
         self.premises = dict(premises or {})
+        self.inconclusive = inconclusive
 
     def __bool__(self):
         return self.ok
@@ -117,16 +135,44 @@ def check_idtrans(system):
     return ok
 
 
+def _source_premises(system, semantics, max_states, max_events,
+                     termination_sensitive):
+    """Safe and DRF of the source program from one exploration:
+    ``(premises, source behaviours)``. ``cut`` behaviours do not fail
+    ``safe``; they make the conclusion inconclusive."""
+    src_ctx = GlobalContext(system.source_program())
+    witness, src_b = race_and_behaviours(
+        src_ctx, semantics, max_states, max_events,
+        termination_sensitive=termination_sensitive,
+    )
+    premises = {"safe": safe(src_b).holds, "drf": witness is None}
+    return premises, src_b
+
+
+def _conclude(name, result, holds, premises):
+    """The verdict of a check whose conclusion is the refinement
+    ``result``, under ``premises``."""
+    premised = all(premises.values())
+    inconclusive = premised and result.inconclusive
+    if inconclusive:
+        detail = INCONCLUSIVE_DETAIL
+    elif result:
+        detail = holds
+    else:
+        detail = "refinement fails ({} cex)".format(
+            len(result.counterexamples)
+        )
+    return TheoremResult(
+        name, bool(result) and premised, detail, premises, inconclusive
+    )
+
+
 def check_gcorrect(system, max_states=400000, max_events=10):
     """Thm 14: source premises + whole-program refinement to x86-SC."""
     semantics = PreemptiveSemantics()
-    src_prog = system.source_program()
-    src_ctx = GlobalContext(src_prog)
-    src_b = program_behaviours(src_ctx, semantics, max_states, max_events)
-
-    premises = {}
-    premises["safe"] = bool(safe(src_b))
-    premises["drf"] = find_race(src_ctx, semantics, max_states) is None
+    premises, src_b = _source_premises(
+        system, semantics, max_states, max_events, True
+    )
     correct_ok, _ = check_correct(system)
     premises["correct_seqcomp"] = correct_ok
     premises["correct_idtrans"] = check_idtrans(system)
@@ -146,49 +192,29 @@ def check_gcorrect(system, max_states=400000, max_events=10):
     tgt_b = program_behaviours(
         GlobalContext(tgt_prog), semantics, max_states, max_events
     )
-    result = refines(tgt_b, src_b)
-    return TheoremResult(
-        "GCorrect",
-        bool(result),
-        "target ⊑ source"
-        if result
-        else "refinement fails ({} cex)".format(
-            len(result.counterexamples)
-        ),
-        premises,
+    return _conclude(
+        "GCorrect", refines(tgt_b, src_b), "target ⊑ source", premises
     )
 
 
 def check_theorem15(system, max_states=400000, max_events=10):
     """Thm 15: ``P_rmm ⊑′ P`` with the TSO object implementation."""
     semantics = PreemptiveSemantics()
-    src_prog = system.source_program()
-    src_ctx = GlobalContext(src_prog)
-    src_b = program_behaviours(src_ctx, semantics, max_states, max_events)
-
-    premises = {}
-    premises["safe"] = bool(safe(src_b))
-    premises["drf"] = find_race(src_ctx, semantics, max_states) is None
+    premises, src_b = _source_premises(
+        system, semantics, max_states, max_events, False
+    )
     correct_ok, _ = check_correct(system)
     premises["correct_seqcomp"] = correct_ok
 
     tso_prog = system.tso_program()
     tso_b = program_behaviours(
-        GlobalContext(tso_prog), semantics, max_states, max_events
+        GlobalContext(tso_prog), semantics, max_states, max_events,
+        termination_sensitive=False,
     )
     # Premise 4 (object simulation) is itself checked contextually: the
     # refinement below *is* its observable content for this context.
     result = refines(tso_b, src_b, termination_sensitive=False)
-    return TheoremResult(
-        "Theorem15",
-        bool(result) and all(premises.values()),
-        "P_rmm ⊑′ P"
-        if result
-        else "refinement fails ({} cex)".format(
-            len(result.counterexamples)
-        ),
-        premises,
-    )
+    return _conclude("Theorem15", result, "P_rmm ⊑′ P", premises)
 
 
 def framework_steps(system, max_states=400000, max_events=10):

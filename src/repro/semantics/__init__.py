@@ -19,7 +19,14 @@ from repro.semantics.refinement import (
     refines,
     safe,
 )
-from repro.semantics.race import RaceWitness, drf, find_race, npdrf, predict
+from repro.semantics.race import (
+    RaceWitness,
+    drf,
+    find_race,
+    npdrf,
+    predict,
+    race_and_behaviours,
+)
 from repro.semantics.por import AmpleReducer, default_reduce
 from repro.semantics.parallel import (
     default_jobs,
@@ -68,6 +75,7 @@ __all__ = [
     "RaceWitness",
     "predict",
     "find_race",
+    "race_and_behaviours",
     "drf",
     "npdrf",
     "default_jobs",

@@ -692,12 +692,18 @@ def _progress_divergent_states(graph):
 MAX_BEHAVIOUR_NODES = 200000
 
 
-def behaviours(graph, max_events=10, max_nodes=None, strict=False):
+def behaviours(graph, max_events=10, max_nodes=None, strict=False,
+               termination_sensitive=True):
     """The behaviour set of an explored graph.
 
     Enumerates event traces by BFS over ``(state, trace)`` pairs with
     deduplication; finite because the graph is finite and traces are
     capped at ``max_events`` (longer traces surface as ``cut``).
+
+    ``termination_sensitive=False`` skips the divergence analysis
+    (:func:`_progress_divergent_states`) and reports no ``silent_div``
+    behaviour: the set is exactly the default one without its
+    ``silent_div`` members, all that ``⊑′`` and ``safe()`` read.
 
     When the ``max_nodes`` enumeration bound is hit, the default
     (``strict=False``) degrades gracefully — every still-pending trace
@@ -710,7 +716,9 @@ def behaviours(graph, max_events=10, max_nodes=None, strict=False):
     if max_nodes is None:
         max_nodes = MAX_BEHAVIOUR_NODES
     with obs.span("behaviours", max_events=max_events) as sp:
-        result = _behaviours(graph, max_events, max_nodes, strict)
+        result = _behaviours(
+            graph, max_events, max_nodes, strict, termination_sensitive
+        )
         if obs.enabled:
             obs.inc("behaviours.traces", len(result))
             sp.set(traces=len(result))
@@ -727,7 +735,8 @@ _DONE, _ABORT, _DIV, _CUT = range(4)
 _F_DIV, _F_TRUNC, _F_STUCK, _F_DONE = 1, 2, 4, 8
 
 
-def _behaviours(graph, max_events, max_nodes, strict):
+def _behaviours(graph, max_events, max_nodes, strict,
+                termination_sensitive):
     """BFS over ``(sid, trace)`` nodes, each packed into one int.
 
     A trace is a node of a trie, ``{(trace_id, event): trace_id}``,
@@ -737,7 +746,10 @@ def _behaviours(graph, max_events, max_nodes, strict):
     ``trace_id * 4 + end code``.
     """
     n = graph.state_count()
-    flags = _progress_divergent_states(graph)
+    if termination_sensitive:
+        flags = _progress_divergent_states(graph)
+    else:
+        flags = bytearray(n)
     for sid in graph.truncated:
         flags[sid] |= _F_TRUNC
     for sid in graph.stuck:
@@ -820,7 +832,8 @@ def _behaviours(graph, max_events, max_nodes, strict):
 
 
 def program_behaviours(ctx, semantics, max_states=50000, max_events=10,
-                       reduce=None, jobs=None, strict=False):
+                       reduce=None, jobs=None, strict=False,
+                       termination_sensitive=True):
     """Explore and extract behaviours in one call.
 
     ``reduce=None`` defers to the ``REPRO_POR`` environment default
@@ -832,6 +845,8 @@ def program_behaviours(ctx, semantics, max_states=50000, max_events=10,
     raises :class:`ExplorationLimit` when either the state bound or the
     behaviour enumeration bound is hit, instead of reporting ``cut``
     behaviours (a trace longer than ``max_events`` is still ``cut``).
+    ``termination_sensitive=False`` drops ``silent_div`` and skips the
+    divergence analysis, as in :func:`behaviours`.
     """
     if reduce is None:
         reduce = default_reduce()
@@ -839,4 +854,7 @@ def program_behaviours(ctx, semantics, max_states=50000, max_events=10,
         ctx, semantics, max_states, strict=strict, reduce=reduce,
         jobs=jobs,
     )
-    return behaviours(graph, max_events, strict=strict)
+    return behaviours(
+        graph, max_events, strict=strict,
+        termination_sensitive=termination_sensitive,
+    )

@@ -28,6 +28,12 @@ report a witness. Callers holding worlds (the sharded explorer, the
 replayer) use the same checker through its world entry point, memoized
 per ``(top frame, memory, atomic bit)``.
 
+A race-free on-the-fly search has explored the whole program, so
+:func:`race_and_behaviours` reads the behaviour set off the same graph:
+the theorem checkers get the DRF premise and the program's behaviours
+from one exploration. Only a racy program, whose search halted on a
+prefix, is explored a second time for its behaviours.
+
 Witnesses are *replayable*: :func:`find_race` attaches the schedule
 (the edge-index path from an initial world to the racy world, with
 per-step labels and footprints) to every witness it returns, so a
@@ -44,7 +50,11 @@ from repro.common.footprint import EMP, conflict_atomic
 from repro.lang.messages import ENT_ATOM, is_silent
 from repro.lang import closure as _closure
 from repro.lang.steps import Step
-from repro.semantics.explore import explore
+from repro.semantics.explore import (
+    behaviours,
+    explore,
+    program_behaviours,
+)
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.por import default_reduce
 from repro.semantics.preemptive import PreemptiveSemantics
@@ -364,6 +374,46 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
     of several witnesses is reported first is a scheduling artifact,
     exactly as in the sequential search.
     """
+    return _search(
+        ctx, semantics, max_states, max_atomic_steps, reduce, on_the_fly,
+        capture, jobs,
+    )[0]
+
+
+def race_and_behaviours(ctx, semantics, max_states=50000, max_events=10,
+                        termination_sensitive=True):
+    """``(find_race(...), program_behaviours(...))`` from one
+    exploration: ``(witness or None, behaviour set)``.
+
+    The on-the-fly race search explores the whole program when it
+    finds no race, so the behaviours are extracted from its graph
+    (strict on the state bound, like :func:`find_race`: a program over
+    ``max_states`` raises
+    :class:`~repro.semantics.explore.ExplorationLimit`). A race halts
+    the search on a prefix of the graph; the behaviours then come from
+    a separate observer-free :func:`program_behaviours` run.
+    ``termination_sensitive`` is :func:`behaviours`' flag: ``False``
+    skips the divergence analysis for ``⊑′`` and ``safe()``. Both parts
+    follow the ``REPRO_POR`` default.
+    """
+    witness, graph = _search(ctx, semantics, max_states)
+    if witness is None:
+        behs = behaviours(
+            graph, max_events, termination_sensitive=termination_sensitive
+        )
+    else:
+        behs = program_behaviours(
+            ctx, semantics, max_states, max_events,
+            termination_sensitive=termination_sensitive,
+        )
+    return witness, behs
+
+
+def _search(ctx, semantics, max_states, max_atomic_steps=None,
+            reduce=None, on_the_fly=True, capture=True, jobs=None):
+    """:func:`find_race`, returning ``(witness or None, graph)``. With
+    the defaults (sequential, on the fly) the graph is the whole
+    reachable one unless a race halted the search."""
     quantum = isinstance(semantics, NonPreemptiveSemantics)
     if max_atomic_steps is None:
         max_atomic_steps = getattr(semantics, "max_atomic_steps", 64)
@@ -434,7 +484,7 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
             sp.set(racy=witness is not None)
             if witness is not None and witness.schedule is not None:
                 sp.set(schedule_steps=len(witness.schedule))
-    return witness
+    return witness, graph
 
 
 def drf(program, max_states=50000, max_atomic_steps=64, reduce=None,

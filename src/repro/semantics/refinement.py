@@ -11,6 +11,13 @@ Any ``cut`` behaviour (exploration bound hit) makes a comparison
 
 from repro.semantics.explore import Behaviour
 
+#: The detail of a theorem check whose verdict ``cut`` behaviours left
+#: open: no premise failed and no counterexample is conclusive.
+INCONCLUSIVE_DETAIL = (
+    "inconclusive: behaviours were cut at a bound; raise max_events "
+    "or max_states"
+)
+
 
 class RefinementResult:
     """Outcome of a behaviour-set comparison."""

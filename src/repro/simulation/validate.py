@@ -100,14 +100,15 @@ def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
 
 def validate_compilation(result, initial_mem, shared, entries=None,
                          lockstep=False, rely_limit=1,
-                         include_end_to_end=True):
+                         include_end_to_end=True, on_pass=None):
     """Validate every pass of a :class:`CompilationResult`.
 
     ``entries`` defaults to every function of the source module, each
     with representative arguments. Returns a list of
     :class:`PassValidation`, one per pass (plus a final synthetic
     ``"end-to-end"`` entry checking source ≼ x86 directly, witnessing
-    transitivity).
+    transitivity). ``on_pass``, if given, is called with each
+    :class:`PassValidation` as soon as its pass is validated.
     """
     source_module = result.source.module
     if entries is None:
@@ -115,22 +116,19 @@ def validate_compilation(result, initial_mem, shared, entries=None,
             (name, sample_args(func))
             for name, func in sorted(source_module.functions.items())
         ]
+    pairs = result.adjacent_pairs()
+    if include_end_to_end:
+        pairs.append(("end-to-end", result.source, result.target))
     validations = []
     with obs.span("validate", passes=len(result.stages) - 1):
-        for pass_name, src_stage, tgt_stage in result.adjacent_pairs():
-            validations.append(
-                _validate_one(
-                    pass_name, src_stage, tgt_stage, entries,
-                    initial_mem, shared, lockstep, rely_limit,
-                )
+        for pass_name, src_stage, tgt_stage in pairs:
+            v = _validate_one(
+                pass_name, src_stage, tgt_stage, entries, initial_mem,
+                shared, lockstep, rely_limit,
             )
-        if include_end_to_end:
-            validations.append(
-                _validate_one(
-                    "end-to-end", result.source, result.target,
-                    entries, initial_mem, shared, lockstep, rely_limit,
-                )
-            )
+            validations.append(v)
+            if on_pass is not None:
+                on_pass(v)
     return validations
 
 

@@ -10,6 +10,11 @@ makes the program DRF under SC, then the all-TSO program refines
 conclusion on a concrete program; :func:`check_plain_drf_guarantee` is
 the degenerate corollary (empty object): DRF x86 clients behave the
 same under TSO as under SC.
+
+Both explore the SC program once, for its DRF premise and its behaviour
+set together (:func:`~repro.semantics.race.race_and_behaviours`), and
+build both sets without the divergence analysis ``⊑′`` discards. A set
+holding ``cut`` traces makes the check inconclusive, never vacuous.
 """
 
 from repro.lang.module import ModuleDecl, Program
@@ -17,17 +22,21 @@ from repro.langs.x86.sc import X86SC
 from repro.langs.x86.tso import X86TSO
 from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
-from repro.semantics.race import find_race
-from repro.semantics.refinement import refines, safe
+from repro.semantics.race import find_race, race_and_behaviours
+from repro.semantics.refinement import INCONCLUSIVE_DETAIL, refines, safe
 from repro.semantics.world import GlobalContext
 from repro.tso.objectsim import sc_program, tso_program
 
 
 class GuaranteeResult:
-    def __init__(self, ok, detail, premises=None):
+    """A Lem. 16 check; ``inconclusive`` as in
+    :class:`~repro.framework.theorems.TheoremResult`."""
+
+    def __init__(self, ok, detail, premises=None, inconclusive=False):
         self.ok = ok
         self.detail = detail
         self.premises = dict(premises or {})
+        self.inconclusive = inconclusive
 
     def __bool__(self):
         return self.ok
@@ -51,14 +60,14 @@ def check_strengthened_drf_guarantee(client_stages, client_genvs,
     prog_tso = tso_program(
         client_stages, client_genvs, impl_module, impl_ge, entries
     )
-    sc_ctx = GlobalContext(prog_sc)
-    sc_b = program_behaviours(sc_ctx, semantics, max_states, max_events)
+    witness, sc_b = race_and_behaviours(
+        GlobalContext(prog_sc), semantics, max_states, max_events,
+        termination_sensitive=False,
+    )
 
     premises = {}
-    premises["safe_sc"] = bool(safe(sc_b))
-    premises["drf_sc"] = (
-        find_race(sc_ctx, semantics, max_states) is None
-    )
+    premises["safe_sc"] = safe(sc_b).holds
+    premises["drf_sc"] = witness is None
     premises["tso_has_races"] = (
         find_race(GlobalContext(prog_tso), semantics, max_states)
         is not None
@@ -68,13 +77,12 @@ def check_strengthened_drf_guarantee(client_stages, client_genvs,
             True, "premises fail; theorem vacuous", premises
         )
     tso_b = program_behaviours(
-        GlobalContext(prog_tso), semantics, max_states, max_events
+        GlobalContext(prog_tso), semantics, max_states, max_events,
+        termination_sensitive=False,
     )
-    result = refines(tso_b, sc_b, termination_sensitive=False)
-    return GuaranteeResult(
-        bool(result),
-        "P_tso ⊑′ P_sc" if result else "refinement fails",
-        premises,
+    return _conclude(
+        refines(tso_b, sc_b, termination_sensitive=False),
+        "P_tso ⊑′ P_sc", "refinement fails", premises,
     )
 
 
@@ -96,15 +104,27 @@ def check_plain_drf_guarantee(client_stages, client_genvs, entries,
         ],
         entries,
     )
-    sc_ctx = GlobalContext(sc_prog)
-    if find_race(sc_ctx, semantics, max_states) is not None:
-        return GuaranteeResult(True, "not DRF; vacuous")
-    sc_b = program_behaviours(sc_ctx, semantics, max_states, max_events)
-    tso_b = program_behaviours(
-        GlobalContext(tso_prog), semantics, max_states, max_events
+    witness, sc_b = race_and_behaviours(
+        GlobalContext(sc_prog), semantics, max_states, max_events,
+        termination_sensitive=False,
     )
-    result = refines(tso_b, sc_b, termination_sensitive=False)
+    if witness is not None:
+        return GuaranteeResult(True, "not DRF; vacuous")
+    tso_b = program_behaviours(
+        GlobalContext(tso_prog), semantics, max_states, max_events,
+        termination_sensitive=False,
+    )
+    return _conclude(
+        refines(tso_b, sc_b, termination_sensitive=False),
+        "TSO ⊑′ SC", "TSO exhibits non-SC behaviour",
+    )
+
+
+def _conclude(result, holds, fails, premises=None):
+    if result.inconclusive:
+        return GuaranteeResult(
+            False, INCONCLUSIVE_DETAIL, premises, inconclusive=True
+        )
     return GuaranteeResult(
-        bool(result),
-        "TSO ⊑′ SC" if result else "TSO exhibits non-SC behaviour",
+        bool(result), holds if result else fails, premises
     )

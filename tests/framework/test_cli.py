@@ -1,5 +1,8 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import io
+import sys
+
 import pytest
 
 from repro.cli import main, make_parser
@@ -164,6 +167,37 @@ class TestValidate:
         assert main(["validate", client_file, "--lock"]) == 0
         out = capsys.readouterr().out
         assert out.count(" ok") >= 13
+
+    def test_each_pass_is_printed_as_it_is_validated(
+        self, client_file, monkeypatch
+    ):
+        from repro.simulation import validate
+
+        class Stdout(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        out = Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        before = []
+        real = validate.validate_pair
+
+        def spy(*args, **kwargs):
+            before.append(out.flushed)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(validate, "validate_pair", spy)
+        assert main(["validate", client_file, "--lock"]) == 0
+        lines = out.getvalue().splitlines(True)
+        assert len(lines) == len(before) >= 13
+        # Before each pass is validated, every earlier pass's line is
+        # out: the first is written before the last pass starts.
+        for i, text in enumerate(before):
+            assert text == "".join(lines[:i])
+        assert lines[0] == "{:14s} ok\n".format("Cshmgen")
+        assert lines[-1] == "{:14s} ok\n".format("end-to-end")
 
 
 class TestDrf:

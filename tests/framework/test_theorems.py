@@ -20,6 +20,20 @@ def system():
     return lock_counter_system(2)
 
 
+_PREMISES_14 = ("safe", "drf", "correct_seqcomp", "correct_idtrans",
+                "reach_close")
+_HOLDS_14 = (True, "target ⊑ source", dict.fromkeys(_PREMISES_14, True),
+             False)
+_HOLDS_15 = (True, "P_rmm ⊑′ P",
+             {"safe": True, "drf": True, "correct_seqcomp": True}, False)
+
+
+def _verdict(result):
+    """What a theorem check reports; pinned below to the verdicts the
+    checkers gave when they explored each source twice."""
+    return result.ok, result.detail, result.premises, result.inconclusive
+
+
 class TestBuild:
     def test_lock_system_structure(self, system):
         assert system.use_lock
@@ -60,8 +74,7 @@ class TestCorrect(object):
 class TestGCorrect:
     def test_theorem14(self, system):
         result = check_gcorrect(system, max_states=800000)
-        assert result.ok, result.detail
-        assert all(result.premises.values())
+        assert _verdict(result) == _HOLDS_14
 
     def test_premise_failure_reported(self):
         racy = ClientSystem(
@@ -72,15 +85,40 @@ class TestGCorrect:
             ["t1", "t2"],
         )
         result = check_gcorrect(racy)
-        assert not result.ok
-        assert not result.premises["drf"]
-        assert "premise" in result.detail
+        premises = dict.fromkeys(_PREMISES_14, True)
+        premises["drf"] = False
+        assert _verdict(result) == (
+            False, "premise(s) failed: drf", premises, False
+        )
 
 
 class TestTheorem15:
     def test_extended_framework(self, system):
         result = check_theorem15(system, max_states=1500000)
-        assert result.ok, result.detail
+        assert _verdict(result) == _HOLDS_15
+
+
+class TestInconclusive:
+    """A ``cut`` behaviour set leaves the verdict open: ``ok`` is False,
+    but no premise is reported failed and no refinement refuted."""
+
+    @pytest.mark.parametrize("check", [check_gcorrect, check_theorem15])
+    def test_truncated_traces(self, system, check):
+        result = check(system, max_events=1)
+        assert not result.ok
+        assert result.inconclusive
+        assert result.detail.startswith("inconclusive: ")
+        assert all(result.premises.values()), result.premises
+
+    def test_failed_premise_is_not_inconclusive(self):
+        racy = ClientSystem(
+            ["int x = 0; void t1() { x = 1; print(x); } "
+             "void t2() { x = 2; }"],
+            ["t1", "t2"],
+        )
+        result = check_gcorrect(racy, max_events=0)
+        assert not result.ok and not result.inconclusive
+        assert result.detail == "premise(s) failed: drf"
 
 
 class TestOptimizedSystem:
@@ -94,9 +132,9 @@ class TestOptimizedSystem:
         names = [s.name for s in system.results[0].stages]
         assert "CSE" in names
         result = check_gcorrect(system, max_states=1500000)
-        assert result.ok, (result.detail, result.premises)
+        assert _verdict(result) == _HOLDS_14
         result15 = check_theorem15(system, max_states=2000000)
-        assert result15.ok, result15.detail
+        assert _verdict(result15) == _HOLDS_15
 
 
 class TestFrameworkSteps:

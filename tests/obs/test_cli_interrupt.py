@@ -107,7 +107,7 @@ def test_validate_optimized(tmp_path):
     proc = _start(["validate", "-O", str(src), "--lock", "--trace",
                    str(trace), "--ledger", str(run)])
     # The trace opens after start-up; validation then runs for tens of
-    # seconds before printing anything.
+    # seconds.
     _wait_for(proc, trace.exists)
     time.sleep(0.5)
     _interrupt(proc, run)

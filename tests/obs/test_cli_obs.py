@@ -134,16 +134,27 @@ class TestTraceFlag:
 
 
 class TestValidateFailureCap:
-    def _fake_validations(self, nfailures):
+    def _fake_validation(self, nfailures):
+        """A ``validate_compilation`` stand-in: one Cshmgen pass with
+        ``nfailures`` failures, handed to ``on_pass`` like the real
+        one does."""
         report = SimulationReport()
         for i in range(nfailures):
             report.fail("failure {}".format(i))
-        return [PassValidation("Cshmgen", report, 0.01)]
+        validations = [PassValidation("Cshmgen", report, 0.01)]
+
+        def fake(*args, on_pass=None, **kwargs):
+            if on_pass is not None:
+                for v in validations:
+                    on_pass(v)
+            return validations
+
+        return fake
 
     def test_more_suffix(self, quickstart_file, capsys, monkeypatch):
         monkeypatch.setattr(
             "repro.cli.validate_compilation",
-            lambda *a, **k: self._fake_validations(7),
+            self._fake_validation(7),
         )
         assert main(["validate", quickstart_file]) == 1
         out = capsys.readouterr().out
@@ -155,7 +166,7 @@ class TestValidateFailureCap:
     ):
         monkeypatch.setattr(
             "repro.cli.validate_compilation",
-            lambda *a, **k: self._fake_validations(7),
+            self._fake_validation(7),
         )
         assert main(
             ["validate", quickstart_file, "--max-failures", "5"]
@@ -169,7 +180,7 @@ class TestValidateFailureCap:
     ):
         monkeypatch.setattr(
             "repro.cli.validate_compilation",
-            lambda *a, **k: self._fake_validations(2),
+            self._fake_validation(2),
         )
         assert main(["validate", quickstart_file]) == 1
         out = capsys.readouterr().out

@@ -7,13 +7,16 @@ form: ``(sid, trace)`` tuples and dict-based Tarjan. On every example
 program, with POR on and off and under the non-preemptive semantics,
 both must give the same behaviour set, the same divergent states, and —
 when the ``max_nodes`` bound cuts the enumeration — the same number of
-pending traces in the truncation warning.
+pending traces in the truncation warning. Without the divergence
+analysis (``termination_sensitive=False``) the set must lose exactly
+its ``silent_div`` behaviours.
 """
 
 import pytest
 
 from repro import obs
 from repro.semantics import (
+    Behaviour,
     GlobalContext,
     NonPreemptiveSemantics,
     PreemptiveSemantics,
@@ -97,3 +100,25 @@ def test_the_cube_covers_truncation_and_divergence(monkeypatch):
     assert pending
     assert any(_progress_divergent_states(graph))
     assert any(_progress_divergent_states(_graph("cimp-spin", "full")))
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+def test_termination_insensitive_drops_only_silent_div(name, mode):
+    # ``termination_sensitive=False`` skips the divergence analysis: the
+    # set must be the default one without its ``silent_div`` members.
+    graph = _graph(name, mode)
+    full = behaviours(graph, max_events=_MAX_EVENTS)
+    assert behaviours(
+        graph, max_events=_MAX_EVENTS, termination_sensitive=False
+    ) == {b for b in full if b.end != Behaviour.SILENT_DIV}
+
+
+def test_the_cube_meets_silent_div():
+    # The comparison above drops something on some graph.
+    assert any(
+        b.end == Behaviour.SILENT_DIV
+        for b in behaviours(
+            _graph("cimp-spin", "full"), max_events=_MAX_EVENTS
+        )
+    )

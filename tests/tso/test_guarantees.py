@@ -72,6 +72,18 @@ class TestStrengthenedGuarantee:
         # The theorem is *strengthened*: the TSO side really races.
         assert result.premises["tso_has_races"]
 
+    def test_truncated_traces_are_inconclusive_not_vacuous(self):
+        # A 'cut' SC behaviour set fails no premise, so the theorem is
+        # neither vacuous nor refuted.
+        s = build()
+        result = check_strengthened_drf_guarantee(
+            s["stages"], s["genvs"], *s["impl"], *s["spec"],
+            s["entries"], max_states=1500000, max_events=1,
+        )
+        assert not result.ok and result.inconclusive
+        assert result.detail.startswith("inconclusive: ")
+        assert result.premises["safe_sc"] and result.premises["drf_sc"]
+
     def test_vacuous_when_sc_program_races(self):
         racy = """
         extern void lock();
@@ -100,7 +112,21 @@ class TestPlainGuarantee:
         verdict = check_plain_drf_guarantee(
             [result.target], [genvs[0]], ["t1"]
         )
-        assert verdict.ok
+        assert verdict.ok and not verdict.inconclusive
+
+    def test_truncated_traces_are_inconclusive(self):
+        src = """
+        int a = 0;
+        void t1() { a = 1; print(a); print(a); }
+        """
+        units = [compile_unit(src)]
+        mods, genvs, _ = link_units(units)
+        result = compile_minic(mods[0])
+        verdict = check_plain_drf_guarantee(
+            [result.target], [genvs[0]], ["t1"], max_events=1
+        )
+        assert not verdict.ok and verdict.inconclusive
+        assert verdict.detail.startswith("inconclusive: ")
 
     def test_racy_clients_vacuous(self):
         # The SB litmus shape: racy, so the plain guarantee does not
