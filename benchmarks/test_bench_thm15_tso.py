@@ -16,7 +16,8 @@ from repro.framework import check_theorem15, lock_counter_system
 from repro.langs.ir.base import IRModule
 from repro.langs.x86 import X86SC, X86TSO, X86Function
 from repro.langs.x86 import ast as x
-from repro.lang.module import GlobalEnv, ModuleDecl, Program
+from repro.lang.module import GlobalEnv, ModuleDecl, Program, link_program
+from repro.langs.cimp import CIMP
 from repro.common.values import VInt
 from repro.langs.minic import compile_unit, link_units
 from repro.compiler import compile_minic
@@ -60,8 +61,17 @@ def test_fig10_object_refinement(benchmark):
         kwargs={"max_states": 2000000}, rounds=1, iterations=1,
     )
     assert verdict.ok, verdict.detail
-    tso_done = done_traces(verdict.tso_behaviours)
-    sc_done = done_traces(verdict.sc_behaviours)
+    tso_done, sc_done = (
+        done_traces(behaviours_of(
+            link_program([result_c.target], [genv], ["inc", "inc"],
+                         machine, obj),
+            max_states=2000000,
+        ))
+        for machine, obj in (
+            (X86TSO, ModuleDecl(X86TSO, impl_ge, impl_mod)),
+            (X86SC, ModuleDecl(CIMP, spec_ge, spec_mod)),
+        )
+    )
     assert tso_done == sc_done == {(0, 1), (1, 0)}, (
         "mutual exclusion: both increments observed, no lost update"
     )

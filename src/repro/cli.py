@@ -77,8 +77,7 @@ import sys
 
 from repro import obs
 from repro.common.errors import ParseError, TypeCheckError
-from repro.lang.module import ModuleDecl, Program
-from repro.langs.cimp.semantics import CIMP
+from repro.lang.module import link_program
 from repro.langs.minic import compile_unit, link_units
 from repro.obs import ledger
 from repro.obs import status as live_status
@@ -102,7 +101,7 @@ from repro.fuzz.generators import DEFAULT_KINDS as DEFAULT_FUZZ_KINDS
 from repro.semantics.parallel import default_jobs
 from repro.semantics.witness import CaptureError
 from repro.simulation.validate import validate_compilation
-from repro.tso import DEFAULT_LOCK_ADDR, lock_spec
+from repro.tso import DEFAULT_LOCK_ADDR, lock_spec_decl
 
 
 class UsageError(Exception):
@@ -161,11 +160,10 @@ def _build(path, use_lock):
 
 
 def _program(stage, genv, entries, use_lock):
-    decls = [ModuleDecl(stage.lang, genv, stage.module)]
-    if use_lock:
-        spec_mod, spec_ge = lock_spec()
-        decls.append(ModuleDecl(CIMP, spec_ge, spec_mod))
-    return Program(decls, entries)
+    return link_program(
+        [stage], [genv], entries,
+        obj=lock_spec_decl() if use_lock else None,
+    )
 
 
 def cmd_compile(args):
@@ -939,7 +937,7 @@ def main(argv=None):
         # must record the exit status. Neither may mask the command's
         # own outcome.
         try:
-            ledger.finalize(code, obs.dump())
+            ledger.finalize(code, obs.snapshot())
         except Exception as exc:
             print(
                 "repro: ledger write failed: {}".format(exc),

@@ -4,7 +4,6 @@ Fig. 13-style effort reports."""
 
 from repro.framework.build import ClientSystem, lock_counter_system
 from repro.framework.theorems import (
-    TheoremResult,
     check_correct,
     check_gcorrect,
     check_idtrans,
@@ -17,7 +16,6 @@ from repro.framework.report import PassRow, format_table, per_pass_table
 __all__ = [
     "ClientSystem",
     "lock_counter_system",
-    "TheoremResult",
     "check_correct",
     "check_reachclose_all",
     "check_idtrans",

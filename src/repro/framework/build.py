@@ -8,13 +8,12 @@ consistent global addresses across modules, the object's permission
 region threaded into every client as ``forbidden``.
 """
 
-from repro.lang.module import ModuleDecl, Program
-from repro.langs.cimp.semantics import CIMP
+from repro.lang.module import link_program
 from repro.langs.minic import compile_unit, link_units
 from repro.langs.x86.tso import X86TSO
 from repro.compiler.pipeline import compile_minic
-from repro.tso.lockimpl import lock_impl
-from repro.tso.lockspec import DEFAULT_LOCK_ADDR, lock_spec
+from repro.tso.lockimpl import lock_impl_decl
+from repro.tso.lockspec import DEFAULT_LOCK_ADDR, lock_spec_decl
 
 
 class ClientSystem:
@@ -34,11 +33,10 @@ class ClientSystem:
             modules = [
                 m.with_forbidden({lock_addr}) for m in modules
             ]
-            self.spec_module, self.spec_ge = lock_spec(lock_addr)
-            self.impl_module, self.impl_ge = lock_impl(lock_addr)
+            self.spec = lock_spec_decl(lock_addr)
+            self.impl = lock_impl_decl(lock_addr)
         else:
-            self.spec_module = self.spec_ge = None
-            self.impl_module = self.impl_ge = None
+            self.spec = self.impl = None
         self.client_modules = modules
         self.client_genvs = genvs
         self.symbols = symbols
@@ -48,44 +46,32 @@ class ClientSystem:
 
     # ----- program constructors -------------------------------------------
 
-    def _object_decl(self, use_impl=False, impl_lang=X86TSO):
-        if not self.use_lock:
-            return None
-        if use_impl:
-            return ModuleDecl(impl_lang, self.impl_ge, self.impl_module)
-        return ModuleDecl(CIMP, self.spec_ge, self.spec_module)
-
-    def _program(self, stages, client_lang=None, use_impl=False,
-                 client_decls_lang=None):
-        decls = []
-        for stage, ge in zip(stages, self.client_genvs):
-            lang = client_decls_lang or stage.lang
-            decls.append(ModuleDecl(lang, ge, stage.module))
-        obj = self._object_decl(use_impl)
-        if obj is not None:
-            decls.append(obj)
-        return Program(decls, self.entries)
-
     def source_program(self):
         """``P``: Clight clients + γ_o (Fig. 3 top)."""
-        return self._program([r.source for r in self.results])
+        return link_program(
+            [r.source for r in self.results], self.client_genvs,
+            self.entries, obj=self.spec,
+        )
 
     def stage_program(self, pass_name):
         """Clients at a named pipeline stage + γ_o."""
-        return self._program(
-            [r.stage(pass_name) for r in self.results]
+        return link_program(
+            [r.stage(pass_name) for r in self.results], self.client_genvs,
+            self.entries, obj=self.spec,
         )
 
     def sc_program(self):
         """``P_sc``: x86-SC clients + γ_o (Fig. 3 middle)."""
-        return self._program([r.target for r in self.results])
+        return link_program(
+            [r.target for r in self.results], self.client_genvs,
+            self.entries, obj=self.spec,
+        )
 
     def tso_program(self):
         """``P_rmm``: x86-TSO clients + π_o (Fig. 3 bottom)."""
-        return self._program(
-            [r.target for r in self.results],
-            use_impl=True,
-            client_decls_lang=X86TSO,
+        return link_program(
+            [r.target for r in self.results], self.client_genvs,
+            self.entries, X86TSO, self.impl,
         )
 
     # ----- shared state ----------------------------------------------------

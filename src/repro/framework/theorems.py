@@ -18,7 +18,9 @@ the target side is one :func:`program_behaviours` call. Under ``⊑′``
 (Thm 15) both sets are built with ``termination_sensitive=False``, so
 neither pays for the divergence analysis the comparison would discard.
 
-A behaviour set holding ``cut`` traces (a bound was hit) fails no
+Both checks report a :class:`~repro.semantics.refinement.Verdict`: a
+failed premise fails the theorem before the target is explored, and a
+bound (``cut`` traces, or a source over ``max_states``) fails no
 premise: the check reports ``inconclusive`` with ``ok=False``.
 """
 
@@ -28,7 +30,13 @@ from repro.semantics.preemptive import PreemptiveSemantics
 # ``find_race`` stays importable from here: perfbench's ``race`` layer
 # wraps ``theorems.find_race``.
 from repro.semantics.race import find_race, race_and_behaviours
-from repro.semantics.refinement import INCONCLUSIVE_DETAIL, refines, safe
+from repro.semantics.refinement import (
+    checker,
+    conclude,
+    gate,
+    refines,
+    safe,
+)
 from repro.semantics.world import GlobalContext
 from repro.simulation.compose import (
     check_compositionality,
@@ -43,30 +51,6 @@ from repro.simulation.validate import (
     validate_compilation,
 )
 from repro.langs.minic.semantics import MINIC
-
-
-class TheoremResult:
-    """A theorem check: premises, conclusion, details.
-
-    ``inconclusive``: no premise failed, but ``cut`` behaviours left the
-    conclusion open; ``ok`` is then ``False``.
-    """
-
-    def __init__(self, name, ok, detail="", premises=None,
-                 inconclusive=False):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.premises = dict(premises or {})
-        self.inconclusive = inconclusive
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "TheoremResult({}, ok={}, {})".format(
-            self.name, self.ok, self.detail
-        )
 
 
 def check_correct(system, lockstep=False):
@@ -118,17 +102,14 @@ def check_idtrans(system):
     from repro.simulation.rg import Mu
 
     mem = system.initial_memory()
-    checker = LocalSimulationChecker(
-        CIMP,
-        system.spec_module,
-        CIMP,
-        system.spec_module,
-        Mu.identity(mem.domain()),
+    spec = system.spec.code
+    sim = LocalSimulationChecker(
+        CIMP, spec, CIMP, spec, Mu.identity(mem.domain())
     )
     flist = FreeList.for_thread(0)
     ok = True
-    for entry in sorted(system.spec_module.functions):
-        report = checker.check_entry(
+    for entry in sorted(spec.functions):
+        report = sim.check_entry(
             entry, (), mem, mem, flist, flist
         )
         ok = ok and report.ok
@@ -149,78 +130,56 @@ def _source_premises(system, semantics, max_states, max_events,
     return premises, src_b
 
 
-def _conclude(name, result, holds, premises):
-    """The verdict of a check whose conclusion is the refinement
-    ``result``, under ``premises``."""
-    premised = all(premises.values())
-    inconclusive = premised and result.inconclusive
-    if inconclusive:
-        detail = INCONCLUSIVE_DETAIL
-    elif result:
-        detail = holds
-    else:
-        detail = "refinement fails ({} cex)".format(
-            len(result.counterexamples)
-        )
-    return TheoremResult(
-        name, bool(result) and premised, detail, premises, inconclusive
-    )
-
-
+@checker("GCorrect")
 def check_gcorrect(system, max_states=400000, max_events=10):
     """Thm 14: source premises + whole-program refinement to x86-SC."""
     semantics = PreemptiveSemantics()
     premises, src_b = _source_premises(
         system, semantics, max_states, max_events, True
     )
-    correct_ok, _ = check_correct(system)
-    premises["correct_seqcomp"] = correct_ok
+    premises["correct_seqcomp"] = check_correct(system)[0]
     premises["correct_idtrans"] = check_idtrans(system)
-    rc_ok, _ = check_reachclose_all(system)
-    premises["reach_close"] = rc_ok
-
-    if not all(premises.values()):
-        failed = [k for k, v in premises.items() if not v]
-        return TheoremResult(
-            "GCorrect",
-            False,
-            "premise(s) failed: {}".format(", ".join(failed)),
-            premises,
-        )
-
-    tgt_prog = system.sc_program()
+    premises["reach_close"] = check_reachclose_all(system)[0]
+    failed = gate(premises)
+    if failed is not None:
+        return failed
     tgt_b = program_behaviours(
-        GlobalContext(tgt_prog), semantics, max_states, max_events
+        GlobalContext(system.sc_program()), semantics, max_states,
+        max_events,
     )
-    return _conclude(
-        "GCorrect", refines(tgt_b, src_b), "target ⊑ source", premises
+    return conclude(
+        "target ⊑ source", (refines(tgt_b, src_b), "refinement fails"),
+        premises=premises,
     )
 
 
+@checker("Theorem15")
 def check_theorem15(system, max_states=400000, max_events=10):
     """Thm 15: ``P_rmm ⊑′ P`` with the TSO object implementation."""
     semantics = PreemptiveSemantics()
     premises, src_b = _source_premises(
         system, semantics, max_states, max_events, False
     )
-    correct_ok, _ = check_correct(system)
-    premises["correct_seqcomp"] = correct_ok
-
-    tso_prog = system.tso_program()
+    premises["correct_seqcomp"] = check_correct(system)[0]
+    failed = gate(premises)
+    if failed is not None:
+        return failed
     tso_b = program_behaviours(
-        GlobalContext(tso_prog), semantics, max_states, max_events,
-        termination_sensitive=False,
+        GlobalContext(system.tso_program()), semantics, max_states,
+        max_events, termination_sensitive=False,
     )
     # Premise 4 (object simulation) is itself checked contextually: the
     # refinement below *is* its observable content for this context.
     result = refines(tso_b, src_b, termination_sensitive=False)
-    return _conclude("Theorem15", result, "P_rmm ⊑′ P", premises)
+    return conclude(
+        "P_rmm ⊑′ P", (result, "refinement fails"), premises=premises
+    )
 
 
 def framework_steps(system, max_states=400000, max_events=10):
     """The Fig. 2 implications, checked on this system.
 
-    Returns an ordered dict-like list of (step, ComposeResult).
+    Returns an ordered list of ``(step, Verdict)``.
     """
     src = system.source_program()
     tgt = system.sc_program()

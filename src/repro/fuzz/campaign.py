@@ -41,7 +41,7 @@ from repro import obs
 from repro.common import pool as _pool
 from repro.common.values import VInt
 from repro.compiler import compile_minic
-from repro.lang.module import GlobalEnv, ModuleDecl, Program
+from repro.lang.module import GlobalEnv, ModuleDecl, Program, link_program
 from repro.langs.cimp import CIMP, parse_module as parse_cimp
 from repro.langs.minic import compile_unit, link_units
 from repro.obs import ledger
@@ -57,7 +57,7 @@ from repro.semantics import (
     record_race,
 )
 from repro.simulation.validate import validate_compilation
-from repro.tso import DEFAULT_LOCK_ADDR, lock_spec
+from repro.tso import DEFAULT_LOCK_ADDR, lock_spec_decl
 from repro.fuzz.corpus import Corpus, CorpusError
 from repro.fuzz.generators import (
     DEFAULT_KINDS,
@@ -154,11 +154,9 @@ def _build_minic(inp):
 
 
 def _minic_program(stage, genv, entries, lock):
-    decls = [ModuleDecl(stage.lang, genv, stage.module)]
-    if lock:
-        spec_mod, spec_ge = lock_spec()
-        decls.append(ModuleDecl(CIMP, spec_ge, spec_mod))
-    return Program(decls, list(entries))
+    return link_program(
+        [stage], [genv], entries, obj=lock_spec_decl() if lock else None
+    )
 
 
 def _cimp_program(inp):

@@ -7,6 +7,9 @@
   environment, code.
 * :class:`Program` — ``let Π in f1 ∥ … ∥ fn``: a set of modules and one
   entry name per thread.
+* :func:`link_program` — client modules at a compiler stage, optionally
+  on a machine model, plus an optional object: every program the
+  checkers build.
 
 Linking (``GE(Π)``, Fig. 7) takes the union of all global environments;
 it is defined only when they are compatible, i.e. agree on common symbols
@@ -153,3 +156,17 @@ class Program:
     def shared_addresses(self):
         """The shared region ``S``: the domain of the linked globals."""
         return self.global_env().domain()
+
+
+def link_program(stages, genvs, entries, machine=None, obj=None):
+    """The clients at compiler ``stages`` (one per genv), each on the
+    ``machine`` model when given (x86-SC or x86-TSO) and otherwise in
+    its stage's language, linked with the object declaration ``obj``
+    when there is one."""
+    decls = [
+        ModuleDecl(machine or stage.lang, ge, stage.module)
+        for stage, ge in zip(stages, genvs)
+    ]
+    if obj is not None:
+        decls.append(obj)
+    return Program(decls, entries)

@@ -18,7 +18,7 @@ spans/events/metrics, written by ``--trace``), **run manifests**
   metrics snapshot when one was appended;
 * a run manifest becomes a compact fact sheet — command, verdict,
   wall/phase times, peak RSS, states/s, resolved config, content hash
-  and the final counters and gauges;
+  and the final metrics (counters, gauges and histogram summaries);
 * a heartbeat renders through the same view ``repro status`` uses;
 * a fuzz campaign's **findings log** becomes a per-finding table
   (kind, generator, input hash, expected?, witness path) and its
@@ -214,16 +214,16 @@ def render_manifest_summary(doc):
             )
         )
     metrics = doc.get("metrics") or {}
-    if metrics.get("counters") or metrics.get("gauges"):
+    sections = {
+        key: metrics.get(key) or {}
+        for key in ("counters", "gauges", "histograms")
+    }
+    if any(sections.values()):
         from repro.obs.render import render_metrics
 
         lines.append("")
-        lines.append("final counters and gauges:")
-        lines.append(render_metrics({
-            "counters": metrics.get("counters") or {},
-            "gauges": metrics.get("gauges") or {},
-            "histograms": {},
-        }))
+        lines.append("final metrics:")
+        lines.append(render_metrics(sections))
     return "\n".join(lines)
 
 

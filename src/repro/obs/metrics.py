@@ -137,6 +137,7 @@ class Histogram:
         mean = self.total / self.count if self.count else None
         return {
             "count": self.count,
+            "total": self.total,
             "min": self.vmin,
             "max": self.vmax,
             "mean": mean,

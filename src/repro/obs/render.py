@@ -34,14 +34,9 @@ def render_metrics(snapshot):
             format_table(sorted(scalars), headers=("Metric", "Value"))
         )
     hists = [
-        (
-            name,
-            summ["count"],
-            _fmt(summ["min"]),
-            _fmt(summ["max"]),
-            _fmt(summ["mean"]),
-            _fmt(summ["p50"]),
-            _fmt(summ["p95"]),
+        (name, summ["count"]) + tuple(
+            _fmt(summ.get(key))
+            for key in ("min", "max", "mean", "p50", "p95")
         )
         for name, summ in snapshot["histograms"].items()
     ]

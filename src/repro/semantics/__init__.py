@@ -15,6 +15,7 @@ from repro.semantics.explore import (
 )
 from repro.semantics.refinement import (
     RefinementResult,
+    Verdict,
     equivalent,
     refines,
     safe,
@@ -69,6 +70,7 @@ __all__ = [
     "behaviours",
     "program_behaviours",
     "RefinementResult",
+    "Verdict",
     "refines",
     "equivalent",
     "safe",

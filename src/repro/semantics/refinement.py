@@ -7,12 +7,20 @@ termination: we realize it by ignoring divergence markers.
 
 Any ``cut`` behaviour (exploration bound hit) makes a comparison
 *inconclusive* rather than silently passing — results carry a flag.
+
+Every whole-program checker (Thms 14/15, Lem. 16, the object
+refinement, Lems. 6–9) reports one :class:`Verdict`, reached in the
+same three steps: :func:`gate` returns on a failed premise before the
+target is explored, :func:`conclude` reads the verdict off the
+comparisons, and :func:`checker` applies the bound rule.
 """
 
-from repro.semantics.explore import Behaviour
+import functools
 
-#: The detail of a theorem check whose verdict ``cut`` behaviours left
-#: open: no premise failed and no counterexample is conclusive.
+from repro.semantics.explore import Behaviour, ExplorationLimit
+
+#: The detail of a verdict that ``cut`` behaviours left open: no
+#: premise failed and no counterexample is conclusive.
 INCONCLUSIVE_DETAIL = (
     "inconclusive: behaviours were cut at a bound; raise max_events "
     "or max_states"
@@ -93,3 +101,88 @@ def safe(behs):
         ),
         inconclusive=bool(cuts),
     )
+
+
+class Verdict:
+    """The verdict of a whole-program checker: premises ⇒ conclusion.
+
+    ``premises`` maps each premise the checker read to whether it
+    held. ``inconclusive``: no premise failed, but a bound left the
+    conclusion open; ``ok`` is then ``False``.
+    """
+
+    __slots__ = ("name", "ok", "detail", "premises", "inconclusive")
+
+    def __init__(self, ok, detail, premises=None, inconclusive=False):
+        self.name = None  # set by :func:`checker`
+        self.ok = ok
+        self.detail = detail
+        self.premises = dict(premises or {})
+        self.inconclusive = inconclusive
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        return "Verdict({}, ok={}, {})".format(
+            self.name, self.ok, self.detail
+        )
+
+
+def gate(premises, vacuous=False):
+    """Step 1: ``None`` when every premise holds, else the verdict that
+    names the failed ones, so the checker returns before it explores
+    its target. A failed premise makes a ``vacuous`` checker pass
+    (Lems. 8, 9, 16) and any other fail (Thms 14, 15)."""
+    failed = [name for name, held in premises.items() if not held]
+    if not failed:
+        return None
+    detail = "premise(s) failed: " + ", ".join(failed)
+    return Verdict(
+        vacuous, detail + "; vacuous" if vacuous else detail, premises
+    )
+
+
+def conclude(holds, *checks, premises=None):
+    """Step 2: the verdict over ``checks``, ``(RefinementResult, what
+    fails)`` pairs in order. The first cut comparison makes it
+    inconclusive, the first refuted one fails it with its
+    counterexample count; otherwise ``holds`` is the detail."""
+    for result, fails in checks:
+        if result.inconclusive:
+            return Verdict(
+                False, INCONCLUSIVE_DETAIL, premises, inconclusive=True
+            )
+        if not result.holds:
+            return Verdict(
+                False,
+                "{} ({} counterexamples)".format(
+                    fails, len(result.counterexamples)
+                ),
+                premises,
+            )
+    return Verdict(True, holds, premises)
+
+
+def checker(name):
+    """Step 3, the bound rule, as a decorator of a checker whose body
+    returns a :class:`Verdict`: the verdict is named ``name``, and a
+    strict search that hits its state bound (``ExplorationLimit``)
+    gives an inconclusive verdict instead of raising."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            try:
+                verdict = body(*args, **kwargs)
+            except ExplorationLimit as exc:
+                verdict = Verdict(
+                    False, "inconclusive: {}".format(exc),
+                    inconclusive=True,
+                )
+            verdict.name = name
+            return verdict
+
+        return check
+
+    return decorate

@@ -13,7 +13,6 @@ from repro.simulation.determinism import (
     check_determinism,
 )
 from repro.simulation.compose import (
-    ComposeResult,
     check_compositionality,
     check_drf_npdrf_equivalence,
     check_npdrf_preservation,
@@ -45,7 +44,6 @@ __all__ = [
     "check_reach_close",
     "DeterminismReport",
     "check_determinism",
-    "ComposeResult",
     "check_compositionality",
     "check_npdrf_preservation",
     "check_semantics_equivalence",

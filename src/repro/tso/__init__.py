@@ -17,14 +17,8 @@ from repro.tso.counterobj import (
     counter_spec,
     counter_spec_decl,
 )
-from repro.tso.objectsim import (
-    ObjectSimResult,
-    check_object_refinement,
-    sc_program,
-    tso_program,
-)
+from repro.tso.objectsim import check_object_refinement
 from repro.tso.drf_guarantee import (
-    GuaranteeResult,
     check_plain_drf_guarantee,
     check_strengthened_drf_guarantee,
 )
@@ -41,11 +35,7 @@ __all__ = [
     "counter_spec_decl",
     "counter_impl",
     "counter_impl_decl",
-    "ObjectSimResult",
     "check_object_refinement",
-    "sc_program",
-    "tso_program",
-    "GuaranteeResult",
     "check_plain_drf_guarantee",
     "check_strengthened_drf_guarantee",
 ]

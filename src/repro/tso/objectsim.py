@@ -6,57 +6,21 @@ relaxed semantics produces no more observable behaviours than using
 ``γ_o`` under SC, as long as the γ_o-program is DRF. We check exactly
 that consequence over client contexts: behaviour inclusion of the
 π_o-linked TSO program in the γ_o-linked SC program, termination-
-insensitively (the paper's ``⊑′``).
+insensitively (the paper's ``⊑′``). The check reads no premise; a
+bound makes it inconclusive.
 """
 
-from repro.lang.module import ModuleDecl, Program
+from repro.lang.module import ModuleDecl, link_program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.x86.sc import X86SC
 from repro.langs.x86.tso import X86TSO
 from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
-from repro.semantics.refinement import refines
+from repro.semantics.refinement import checker, conclude, refines
 from repro.semantics.world import GlobalContext
 
 
-class ObjectSimResult:
-    """Outcome of the contextual ``≼ᵒ`` check for one client context."""
-
-    def __init__(self, ok, detail, tso_behaviours, sc_behaviours):
-        self.ok = ok
-        self.detail = detail
-        self.tso_behaviours = tso_behaviours
-        self.sc_behaviours = sc_behaviours
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "ObjectSimResult(ok={}, {})".format(self.ok, self.detail)
-
-
-def tso_program(client_stages, client_genvs, impl_module, impl_ge,
-                entries):
-    """``P_rmm``: every module on the TSO machine (clients + π_o)."""
-    decls = [
-        ModuleDecl(X86TSO, ge, stage.module)
-        for stage, ge in zip(client_stages, client_genvs)
-    ]
-    decls.append(ModuleDecl(X86TSO, impl_ge, impl_module))
-    return Program(decls, entries)
-
-
-def sc_program(client_stages, client_genvs, spec_module, spec_ge,
-               entries):
-    """``P_sc``: SC clients + the abstract object γ_o."""
-    decls = [
-        ModuleDecl(X86SC, ge, stage.module)
-        for stage, ge in zip(client_stages, client_genvs)
-    ]
-    decls.append(ModuleDecl(CIMP, spec_ge, spec_module))
-    return Program(decls, entries)
-
-
+@checker("ObjectRefinement")
 def check_object_refinement(client_stages, client_genvs, impl_module,
                             impl_ge, spec_module, spec_ge, entries,
                             max_states=400000, max_events=10):
@@ -66,26 +30,25 @@ def check_object_refinement(client_stages, client_genvs, impl_module,
     modules (syntactically identical under SC and TSO — the paper's
     identity transformation with a semantics change).
     """
-    prog_tso = tso_program(
-        client_stages, client_genvs, impl_module, impl_ge, entries
+    prog_tso = link_program(
+        client_stages, client_genvs, entries, X86TSO,
+        ModuleDecl(X86TSO, impl_ge, impl_module),
     )
-    prog_sc = sc_program(
-        client_stages, client_genvs, spec_module, spec_ge, entries
+    prog_sc = link_program(
+        client_stages, client_genvs, entries, X86SC,
+        ModuleDecl(CIMP, spec_ge, spec_module),
     )
     semantics = PreemptiveSemantics()
+    # ``⊑′`` reads no ``silent_div`` end: skip the divergence analysis.
     tso_b = program_behaviours(
-        GlobalContext(prog_tso), semantics, max_states, max_events
+        GlobalContext(prog_tso), semantics, max_states, max_events,
+        termination_sensitive=False,
     )
     sc_b = program_behaviours(
-        GlobalContext(prog_sc), semantics, max_states, max_events
+        GlobalContext(prog_sc), semantics, max_states, max_events,
+        termination_sensitive=False,
     )
-    result = refines(tso_b, sc_b, termination_sensitive=False)
-    detail = (
-        "⊑′ holds"
-        if result
-        else "⊑′ fails: {} counterexamples{}".format(
-            len(result.counterexamples),
-            " (inconclusive)" if result.inconclusive else "",
-        )
+    return conclude(
+        "⊑′ holds",
+        (refines(tso_b, sc_b, termination_sensitive=False), "⊑′ fails"),
     )
-    return ObjectSimResult(bool(result), detail, tso_b, sc_b)

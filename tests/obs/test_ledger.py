@@ -180,6 +180,26 @@ class TestManifestWriting:
         assert "peak RSS {:.1f} MiB".format(doc["peak_rss_mib"]) in text
         assert "explore.key_bytes" in text and str(key_bytes) in text
 
+    def test_manifest_stores_histogram_summaries(self, manifest, capsys):
+        """Each histogram is stored as its summary, not its raw
+        reservoir, and the fact sheet renders the summaries."""
+        doc = load_manifest(manifest)
+        hists = doc["metrics"]["histograms"]
+        assert hists
+        for summ in hists.values():
+            assert "values" not in summ
+            assert set(summ) == {
+                "count", "total", "min", "max", "mean", "p50", "p95"
+            }
+        assert doc["phases"]["explore"] == round(
+            hists["span.explore.seconds"]["total"], 6
+        )
+        assert main(["inspect", manifest]) == 0
+        text = capsys.readouterr().out
+        assert "final metrics:" in text
+        assert "Histogram" in text and "P95" in text
+        assert "span.explore.seconds" in text
+
 
 class TestCompareManifests:
     def test_self_compare_has_no_regressions(self, manifest):

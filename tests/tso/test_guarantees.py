@@ -1,7 +1,10 @@
 """Tests for the object simulation ``≼ᵒ`` and the strengthened
 DRF-guarantee theorem (Lem. 16)."""
 
+from repro.lang.module import ModuleDecl, link_program
+from repro.langs.cimp import CIMP
 from repro.langs.minic import compile_unit, link_units
+from repro.langs.x86 import X86SC, X86TSO
 from repro.compiler import compile_minic
 from repro.tso import (
     DEFAULT_LOCK_ADDR,
@@ -12,7 +15,7 @@ from repro.tso import (
     lock_spec,
 )
 
-from tests.helpers import LOCK_CLIENT
+from tests.helpers import LOCK_CLIENT, behaviours_of, done_traces
 
 LOCK = DEFAULT_LOCK_ADDR
 
@@ -42,13 +45,20 @@ class TestObjectRefinement:
         )
         assert result.ok, result.detail
         # The terminating traces coincide in this context.
-        done_tso = {
-            b for b in result.tso_behaviours if b.end == "done"
-        }
-        done_sc = {
-            b for b in result.sc_behaviours if b.end == "done"
-        }
-        assert done_tso == done_sc
+        impl_mod, impl_ge = s["impl"]
+        spec_mod, spec_ge = s["spec"]
+        done_tso, done_sc = (
+            done_traces(behaviours_of(
+                link_program(s["stages"], s["genvs"], s["entries"],
+                             machine, obj),
+                max_states=1500000,
+            ))
+            for machine, obj in (
+                (X86TSO, ModuleDecl(X86TSO, impl_ge, impl_mod)),
+                (X86SC, ModuleDecl(CIMP, spec_ge, spec_mod)),
+            )
+        )
+        assert done_tso == done_sc == {(0, 1), (1, 0)}
 
     def test_single_thread_context(self):
         s = build(nthreads=1)
