@@ -9,9 +9,13 @@ Commands:
   semantics (optionally linked against the lock object);
 * ``validate FILE [-O] [--max-failures N]`` — translation-validate
   every pass;
-* ``drf FILE --threads entry1,entry2 [--lock]`` — race-check; with
-  ``--witness-out W`` a found race is written as a replayable witness
-  artifact (``--minimize`` shrinks it first);
+* ``drf FILE --threads entry1,entry2 [--lock]`` — race-check under
+  the preemptive semantics (DRF); with ``--witness-out W`` a found race
+  is written as a replayable witness artifact (``--minimize`` shrinks
+  it first);
+* ``npdrf FILE --threads e1,e2`` — the same check under the
+  *non-preemptive* semantics (the paper's NPDRF), without the witness
+  flags; one command body serves both names;
 * ``replay FILE --witness W`` — re-execute a witness against the
   program and verify its verdict reproduces (``--minimize`` /
   ``--witness-out`` shrink and re-save it);
@@ -23,21 +27,22 @@ Commands:
   (per-shard phase breakdown, utilization timelines, top spans by
   self-time, event tallies, the wire-cost table and the final metrics;
   see :mod:`repro.obs.profile`);
-* ``npdrf FILE --threads e1,e2`` — race-check under the
-  *non-preemptive* semantics (the paper's NPDRF);
 * ``fuzz --seed S --count N [--out DIR] [--jobs N]`` — run a
   persistent differential fuzzing campaign (see :mod:`repro.fuzz`):
-  seeded generators, a content-hash-deduplicated corpus, auto-minimized
-  replayable witnesses for every divergence, and an atomically
-  checkpointed resume that survives ``kill -9``;
+  seeded generators, each family decided by the framework's checkers
+  (a bound gives an expected ``inconclusive`` finding), a
+  content-hash-deduplicated corpus, auto-minimized replayable witnesses
+  for every race, and an atomically checkpointed resume that survives
+  ``kill -9``;
 * ``status FILE [--watch]`` — render a live heartbeat file written by
   a running ``run``/``drf``/``npdrf`` with ``--status`` (see
   :mod:`repro.obs.status`);
 * ``compare A B [--fail-on-regression]`` — diff two run manifests
   written with ``--ledger`` (see :mod:`repro.obs.ledger`).
 
-All commands accept ``--metrics`` (print a metrics summary table) and
-``--trace FILE`` (write a JSON-lines span trace); the
+Every command that reads a MiniC file, and ``fuzz``, accepts
+``--metrics`` (print a metrics summary table) and ``--trace FILE``
+(write a JSON-lines span trace); the
 ``REPRO_METRICS`` / ``REPRO_TRACE`` environment variables switch the
 same machinery on without flags.
 ``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) additionally writes the
@@ -48,7 +53,7 @@ inspect`` and ``repro profile`` render and ``repro compare`` diffs.
 The exploration commands also take ``--status FILE`` (or
 ``REPRO_STATUS=FILE``) for a ~1s-interval heartbeat snapshot.
 
-``run`` and ``drf`` accept ``--por/--no-por`` to control the
+``run``, ``drf`` and ``npdrf`` accept ``--por/--no-por`` to control the
 footprint-directed partial-order reduction (default: the ``REPRO_POR``
 environment setting, on unless set to ``0``), ``--jobs N`` to
 shard the exploration across ``N`` forked worker processes (default:
@@ -159,16 +164,35 @@ def _build(path, use_lock):
     return modules[0], genvs[0]
 
 
-def _program(stage, genv, entries, use_lock):
-    return link_program(
+def _load(args):
+    """The preamble of every command that reads a MiniC file: build
+    ``args.file`` (against the lock object with ``args.lock``) and
+    compile it. With ``args.threads``, the program at ``args.stage``
+    (the source when absent) is linked on those entries and checked
+    against them. Returns ``(result, genv, ctx, entries)``; ``ctx`` and
+    ``entries`` are ``None`` without threads.
+
+    It builds through this module's ``compile_unit``, ``link_units``
+    and ``compile_minic``, not ``ClientSystem``: perfbench times the
+    front-end and compile layers by wrapping those three names here."""
+    module, genv = _build(args.file, args.lock)
+    result = compile_minic(module, optimize=args.optimize)
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        return result, genv, None, None
+    stage = getattr(args, "stage", "source")
+    stage = result.source if stage == "source" else result.stage(stage)
+    entries = _parse_threads(threads)
+    ctx = GlobalContext(link_program(
         [stage], [genv], entries,
-        obj=lock_spec_decl() if use_lock else None,
-    )
+        obj=lock_spec_decl() if args.lock else None,
+    ))
+    _check_entries(ctx, entries)
+    return result, genv, ctx, entries
 
 
 def cmd_compile(args):
-    module, _genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
+    result = _load(args)[0]
     if args.dump == "all":
         print(dump_pipeline(result))
         return 0
@@ -212,17 +236,7 @@ def _note_run_config(args, result, entries):
 
 
 def cmd_run(args):
-    module, genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
-    stage = (
-        result.source
-        if args.stage == "source"
-        else result.stage(args.stage)
-    )
-    entries = _parse_threads(args.threads)
-    prog = _program(stage, genv, entries, args.lock)
-    ctx = GlobalContext(prog)
-    _check_entries(ctx, entries)
+    result, _genv, ctx, entries = _load(args)
     _note_run_config(args, result, entries)
     behs = program_behaviours(
         ctx,
@@ -243,8 +257,7 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    module, genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
+    result, genv, _ctx, _entries = _load(args)
     mem = genv.memory()
     cap = max(args.max_failures, 0)
 
@@ -266,15 +279,20 @@ def cmd_validate(args):
     return 0 if all(v.ok for v in validations) else 1
 
 
+#: The semantics each race-check command explores: ``drf`` the
+#: preemptive one, ``npdrf`` the non-preemptive one (the paper's NPDRF).
+_RACE_SEMANTICS = {
+    "drf": PreemptiveSemantics,
+    "npdrf": NonPreemptiveSemantics,
+}
+
+
 def cmd_drf(args):
-    module, genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
-    entries = _parse_threads(args.threads)
-    prog = _program(result.source, genv, entries, args.lock)
-    ctx = GlobalContext(prog)
-    _check_entries(ctx, entries)
+    """``drf`` and ``npdrf``: the command name picks the semantics;
+    only ``drf`` writes witnesses."""
+    result, _genv, ctx, entries = _load(args)
     _note_run_config(args, result, entries)
-    semantics = PreemptiveSemantics(
+    semantics = _RACE_SEMANTICS[args.command](
         max_atomic_steps=args.max_atomic_steps
     )
     witness = find_race(
@@ -285,9 +303,9 @@ def cmd_drf(args):
         jobs=args.jobs,
     )
     verdict = witness is None
-    ledger.note(verdict="drf" if verdict else "race")
-    print("DRF:", verdict)
-    if witness is not None and args.witness_out:
+    ledger.note(verdict=args.command if verdict else "race")
+    print(args.command.upper() + ":", verdict)
+    if witness is not None and getattr(args, "witness_out", None):
         record = record_race(
             witness,
             program={
@@ -334,12 +352,8 @@ def cmd_replay(args):
         if args.optimize is None
         else args.optimize
     )
-    module, genv = _build(args.file, use_lock)
-    result = compile_minic(module, optimize=optimize)
-    entries = _parse_threads(threads)
-    prog = _program(result.source, genv, entries, use_lock)
-    ctx = GlobalContext(prog)
-    _check_entries(ctx, entries)
+    args.threads, args.lock, args.optimize = threads, use_lock, optimize
+    _result, _genv, ctx, _entries = _load(args)
     try:
         res = replay_witness(ctx, record)
     except ReplayDivergence as exc:
@@ -378,7 +392,6 @@ def cmd_fuzz(args):
             jobs=args.jobs,
             max_states=args.max_states,
             max_events=args.max_events,
-            max_atomic_steps=args.max_atomic_steps,
             minimize_rounds=args.minimize_rounds,
             minimize_seconds=args.minimize_seconds,
             duration=args.duration,
@@ -432,30 +445,6 @@ def cmd_profile(args):
         "profile", args.trace_file, kinds=("trace", "run-manifest"),
         top=args.top,
     )
-
-
-def cmd_npdrf(args):
-    module, genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
-    entries = _parse_threads(args.threads)
-    prog = _program(result.source, genv, entries, args.lock)
-    ctx = GlobalContext(prog)
-    _check_entries(ctx, entries)
-    _note_run_config(args, result, entries)
-    semantics = NonPreemptiveSemantics(
-        max_atomic_steps=args.max_atomic_steps
-    )
-    witness = find_race(
-        ctx,
-        semantics,
-        max_states=args.max_states,
-        reduce=args.por,
-        jobs=args.jobs,
-    )
-    verdict = witness is None
-    ledger.note(verdict="npdrf" if verdict else "race")
-    print("NPDRF:", verdict)
-    return 0 if verdict else 1
 
 
 def _render_status_file(path, doc):
@@ -642,43 +631,33 @@ def _parser_tree():
     )
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("drf", help="data-race-freedom check")
-    common(p)
-    por_flag(p)
-    jobs_flag(p)
-    live_flags(p)
-    p.add_argument("--threads", default="main")
-    p.add_argument("--max-states", type=int, default=400000)
-    p.add_argument(
-        "--max-atomic-steps", type=int, default=64, metavar="N",
-        help="bound on atomic-block prediction runs (recorded in "
-        "witness metadata so replay uses the same horizon)",
-    )
-    p.add_argument(
-        "--witness-out", metavar="FILE",
-        help="write a found race as a replayable witness artifact",
-    )
-    p.add_argument(
-        "--minimize", action="store_true",
-        help="shrink the witness schedule before writing it",
-    )
-    p.set_defaults(func=cmd_drf)
-
-    p = sub.add_parser(
-        "npdrf",
-        help="race-check under the non-preemptive semantics (NPDRF)",
-    )
-    common(p)
-    por_flag(p)
-    jobs_flag(p)
-    live_flags(p)
-    p.add_argument("--threads", default="main")
-    p.add_argument("--max-states", type=int, default=400000)
-    p.add_argument(
-        "--max-atomic-steps", type=int, default=64, metavar="N",
-        help="bound on atomic-block prediction runs",
-    )
-    p.set_defaults(func=cmd_npdrf)
+    for name, summary in (
+        ("drf", "data-race-freedom check"),
+        ("npdrf", "race-check under the non-preemptive semantics "
+         "(NPDRF)"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        por_flag(p)
+        jobs_flag(p)
+        live_flags(p)
+        p.add_argument("--threads", default="main")
+        p.add_argument("--max-states", type=int, default=400000)
+        p.add_argument(
+            "--max-atomic-steps", type=int, default=64, metavar="N",
+            help="bound on atomic-block prediction runs",
+        )
+        if name == "drf":
+            p.add_argument(
+                "--witness-out", metavar="FILE",
+                help="write a found race as a replayable witness "
+                "artifact",
+            )
+            p.add_argument(
+                "--minimize", action="store_true",
+                help="shrink the witness schedule before writing it",
+            )
+        p.set_defaults(func=cmd_drf)
 
     p = sub.add_parser(
         "fuzz",
@@ -731,10 +710,6 @@ def _parser_tree():
         "(default 24)",
     )
     p.add_argument(
-        "--max-atomic-steps", type=int, default=64, metavar="N",
-        help="bound on atomic-block prediction runs (default 64)",
-    )
-    p.add_argument(
         "--minimize-rounds", type=int, default=16, metavar="N",
         help="ddmin round budget per witness shrink (default 16)",
     )
@@ -785,9 +760,6 @@ def _parser_tree():
         "artifact",
         help="witness, run manifest, heartbeat or fuzz JSON, or a "
         "--trace JSONL file, to render",
-    )
-    p.add_argument(
-        "--metrics", action="store_true", help=argparse.SUPPRESS
     )
     p.set_defaults(func=cmd_inspect)
 

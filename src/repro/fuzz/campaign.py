@@ -1,21 +1,31 @@
 """The campaign driver: generate → execute → minimize → persist.
 
 One campaign is ``count`` deterministic inputs (:func:`repro.fuzz.
-generators.plan`) pushed through the *full* differential harness:
+generators.plan`) pushed through the *full* differential harness. The
+MiniC families build with :class:`~repro.framework.build.ClientSystem`
+and every family decides through the framework's checkers:
 
-* ``minic-seq`` — compile through the optimizing pipeline, translation-
-  validate every pass, then compare source-vs-target behaviour sets
-  (the GCorrect conclusion);
-* ``cimp-pair`` — check DRF ⇔ NPDRF agreement and, on DRF programs,
-  preemptive ≈ non-preemptive behaviour equality (Lem. 9);
+* ``minic-seq`` — ``Correct`` (:func:`~repro.framework.theorems.
+  check_correct`: every pass of the optimizing pipeline translation-
+  validated), then source ≈ x86 behaviour sets (the GCorrect
+  conclusion), read through :func:`~repro.semantics.refinement.
+  conclude`;
+* ``cimp-pair`` — DRF ⇔ NPDRF (steps ⑥⑧, :func:`~repro.simulation.
+  compose.check_drf_npdrf_equivalence`), then Lem. 9 (:func:`~repro.
+  simulation.compose.check_semantics_equivalence`: on DRF programs,
+  preemptive ≈ non-preemptive behaviours);
 * ``minic-lock`` — race-check a lock-disciplined client linked against
   the lock object; any race is a finding. ``minic-lock-broken`` is the
   injected-divergence variant whose race is *expected* — and whose
   absence is itself a finding (``missed-race``), because a fuzzer
   whose alarm never rings is untested equipment.
 
-Any divergence, unexpected race or harness crash becomes a **finding**
-in the corpus's findings log; races are auto-minimized
+A verdict that holds gives no finding. One that a bound left open
+(``cut`` behaviours, or a strict search over ``max_states``) gives an
+*expected* ``inconclusive`` finding, and a failed one the family's
+finding. Any divergence, lemma violation, unexpected race or harness
+crash is an unexpected finding in the corpus's findings log; races
+are auto-minimized
 (:func:`repro.semantics.replay.minimize_witness`, under the campaign's
 round/wall-clock budget) into replayable witness artifacts that
 ``repro replay`` re-executes against the corpus program file.
@@ -40,15 +50,15 @@ import traceback
 from repro import obs
 from repro.common import pool as _pool
 from repro.common.values import VInt
-from repro.compiler import compile_minic
-from repro.lang.module import GlobalEnv, ModuleDecl, Program, link_program
+from repro.framework import theorems
+from repro.framework.build import ClientSystem
+from repro.lang.module import GlobalEnv, ModuleDecl, Program
 from repro.langs.cimp import CIMP, parse_module as parse_cimp
-from repro.langs.minic import compile_unit, link_units
 from repro.obs import ledger
 from repro.obs import status as _status
 from repro.semantics import (
+    ExplorationLimit,
     GlobalContext,
-    NonPreemptiveSemantics,
     PreemptiveSemantics,
     equivalent,
     find_race,
@@ -56,8 +66,11 @@ from repro.semantics import (
     program_behaviours,
     record_race,
 )
-from repro.simulation.validate import validate_compilation
-from repro.tso import DEFAULT_LOCK_ADDR, lock_spec_decl
+from repro.semantics.refinement import conclude
+from repro.simulation.compose import (
+    check_drf_npdrf_equivalence,
+    check_semantics_equivalence,
+)
 from repro.fuzz.corpus import Corpus, CorpusError
 from repro.fuzz.generators import (
     DEFAULT_KINDS,
@@ -83,13 +96,13 @@ class CampaignConfig:
     """Resolved knobs for one ``repro fuzz`` run."""
 
     __slots__ = ("seed", "count", "kinds", "out", "jobs", "max_states",
-                 "max_events", "max_atomic_steps", "minimize_rounds",
-                 "minimize_seconds", "duration", "fresh")
+                 "max_events", "minimize_rounds", "minimize_seconds",
+                 "duration", "fresh")
 
     def __init__(self, seed=0, count=50, kinds=DEFAULT_KINDS,
                  out="fuzz-corpus", jobs=1, max_states=60000,
-                 max_events=24, max_atomic_steps=64, minimize_rounds=16,
-                 minimize_seconds=5.0, duration=None, fresh=False):
+                 max_events=24, minimize_rounds=16, minimize_seconds=5.0,
+                 duration=None, fresh=False):
         self.seed = int(seed)
         self.count = int(count)
         self.kinds = tuple(kinds)
@@ -97,7 +110,6 @@ class CampaignConfig:
         self.jobs = max(int(jobs), 1)
         self.max_states = int(max_states)
         self.max_events = int(max_events)
-        self.max_atomic_steps = int(max_atomic_steps)
         self.minimize_rounds = minimize_rounds
         self.minimize_seconds = minimize_seconds
         self.duration = None if duration is None else float(duration)
@@ -143,19 +155,12 @@ class CampaignStats:
 # ----- program construction --------------------------------------------------
 
 
-def _build_minic(inp):
-    """Compile one generated MiniC unit: ``(pipeline result, genv)``."""
-    extra = {"L": DEFAULT_LOCK_ADDR} if inp.lock else None
-    modules, genvs, _ = link_units([compile_unit(inp.source)], extra)
-    module, genv = modules[0], genvs[0]
-    if inp.lock:
-        module = module.with_forbidden({DEFAULT_LOCK_ADDR})
-    return compile_minic(module, optimize=inp.optimize), genv
-
-
-def _minic_program(stage, genv, entries, lock):
-    return link_program(
-        [stage], [genv], entries, obj=lock_spec_decl() if lock else None
+def _system(inp):
+    """One generated MiniC unit, compiled and linked (against the lock
+    object when the input asks for it)."""
+    return ClientSystem(
+        [inp.source], inp.entries, use_lock=inp.lock,
+        optimize=inp.optimize,
     )
 
 
@@ -186,99 +191,73 @@ def _finding(kind, inp, detail, expected=False, extra=None):
     return rec
 
 
+def _inconclusive(inp, detail):
+    """A bound left the verdict open: expected, and never a failure."""
+    return _finding("inconclusive", inp, detail, expected=True)
+
+
+def _judge(verdict, kind, inp, extra=None):
+    """The one rule from a checker's verdict to a finding: none when
+    it holds, ``inconclusive`` when a bound left it open, else the
+    family's finding ``kind`` with the verdict's detail."""
+    if verdict.ok:
+        return None
+    if verdict.inconclusive:
+        return _inconclusive(inp, verdict.detail)
+    return _finding(kind, inp, verdict.detail, extra=extra)
+
+
 def _check_minic_seq(inp, cfg):
-    """Per-pass validation + source-vs-target behaviour equality."""
-    result, genv = _build_minic(inp)
-    mem = genv.memory()
-    failed = [
-        v.pass_name
-        for v in validate_compilation(result, mem, mem.domain())
-        if not v.ok
-    ]
-    if failed:
+    """``Correct`` (per-pass validation), then source ≈ x86."""
+    system = _system(inp)
+    ok, validations = theorems.check_correct(system)
+    if not ok:
         return _finding(
             "validation", inp,
             "pass(es) failed translation validation: {}".format(
-                ", ".join(failed)
+                ", ".join(
+                    v.pass_name for vals in validations for v in vals
+                    if not v.ok
+                )
             ),
         )
 
-    def behs(stage):
-        prog = _minic_program(stage, genv, inp.entries, inp.lock)
+    def behs(program):
         return program_behaviours(
-            GlobalContext(prog), PreemptiveSemantics(),
+            GlobalContext(program), PreemptiveSemantics(),
             max_states=cfg.max_states, max_events=cfg.max_events,
         )
 
-    src = behs(result.source)
-    tgt = behs(result.target)
-    if not equivalent(src, tgt):
-        return _finding(
-            "divergence", inp,
-            "source and x86 behaviour sets diverge after the "
-            "optimizing pipeline",
-            extra={
-                "source_sample": sorted(map(repr, src))[:_SAMPLE],
-                "target_sample": sorted(map(repr, tgt))[:_SAMPLE],
-            },
-        )
-    return None
-
-
-def _drf_verdict(prog, semantics, cfg):
-    ctx = GlobalContext(prog)
-    witness = find_race(
-        ctx, semantics, max_states=cfg.max_states,
-        max_atomic_steps=cfg.max_atomic_steps,
+    src = behs(system.source_program())
+    tgt = behs(system.sc_program())
+    verdict = conclude(
+        "source ≈ x86",
+        (equivalent(src, tgt),
+         "source and x86 behaviour sets diverge after the optimizing "
+         "pipeline"),
     )
-    return witness is None
+    return _judge(verdict, "divergence", inp, extra={
+        "source_sample": sorted(map(repr, src))[:_SAMPLE],
+        "target_sample": sorted(map(repr, tgt))[:_SAMPLE],
+    })
 
 
 def _check_cimp_pair(inp, cfg):
-    """DRF ⇔ NPDRF agreement; Lem. 9 equivalence on DRF programs."""
+    """DRF ⇔ NPDRF (steps ⑥⑧), then Lem. 9 (vacuous on a racy
+    program)."""
     prog = _cimp_program(inp)
-    d = _drf_verdict(
-        prog, PreemptiveSemantics(cfg.max_atomic_steps), cfg
-    )
-    n = _drf_verdict(
-        prog, NonPreemptiveSemantics(cfg.max_atomic_steps), cfg
-    )
-    if d != n:
-        return _finding(
-            "lemma", inp,
-            "DRF/NPDRF disagree: DRF={} NPDRF={}".format(d, n),
+    verdict = check_drf_npdrf_equivalence(prog, cfg.max_states)
+    if verdict.ok:
+        verdict = check_semantics_equivalence(
+            prog, cfg.max_states, cfg.max_events
         )
-    if not d:
-        return None  # Lem. 9's premise fails: vacuous.
-    pre = program_behaviours(
-        GlobalContext(prog), PreemptiveSemantics(),
-        max_states=cfg.max_states, max_events=cfg.max_events,
-    )
-    non = program_behaviours(
-        GlobalContext(prog), NonPreemptiveSemantics(),
-        max_states=cfg.max_states, max_events=cfg.max_events,
-    )
-    if not equivalent(pre, non):
-        return _finding(
-            "lemma", inp,
-            "preemptive and non-preemptive behaviours diverge on a "
-            "DRF program (Lem. 9)",
-            extra={
-                "preemptive_sample": sorted(map(repr, pre))[:_SAMPLE],
-                "nonpreemptive_sample": sorted(map(repr, non))[:_SAMPLE],
-            },
-        )
-    return None
+    return _judge(verdict, "lemma", inp)
 
 
 def _check_minic_lock(inp, cfg, program_file):
     """Race-check a lock client; minimize any race into a witness."""
-    result, genv = _build_minic(inp)
-    prog = _minic_program(result.source, genv, inp.entries, True)
-    ctx = GlobalContext(prog)
-    semantics = PreemptiveSemantics(
-        max_atomic_steps=cfg.max_atomic_steps
-    )
+    ctx = GlobalContext(_system(inp).source_program())
+    semantics = PreemptiveSemantics()
     witness = find_race(ctx, semantics, max_states=cfg.max_states)
     if witness is None:
         if not inp.expect_drf:
@@ -321,9 +300,12 @@ def _check_minic_lock(inp, cfg, program_file):
 def execute_input(inp, cfg):
     """Run every check for one input; returns a JSON-able result dict.
 
-    Harness crashes are captured as ``crash`` findings (always
-    unexpected) instead of killing the campaign: a program that makes
-    the toolchain raise is exactly the kind of input worth keeping.
+    A strict search over ``max_states`` is inconclusive, like a
+    verdict a bound left open: an expected ``inconclusive`` finding.
+    Any other harness exception is captured as a ``crash`` finding
+    (always unexpected) instead of killing the campaign: a program
+    that makes the toolchain raise is exactly the kind of input worth
+    keeping.
     """
     corpus = Corpus(cfg.out)
     program_file = corpus.program_path(inp.content_hash, inp.extension)
@@ -339,6 +321,8 @@ def execute_input(inp, cfg):
             raise GeneratorError(
                 "no harness for generator kind {!r}".format(inp.kind)
             )
+    except ExplorationLimit as exc:
+        finding = _inconclusive(inp, "inconclusive: {}".format(exc))
     except Exception:
         finding = _finding(
             "crash", inp, traceback.format_exc(limit=20)

@@ -32,7 +32,10 @@ A race-free on-the-fly search has explored the whole program, so
 :func:`race_and_behaviours` reads the behaviour set off the same graph:
 the theorem checkers get the DRF premise and the program's behaviours
 from one exploration. Only a racy program, whose search halted on a
-prefix, is explored a second time for its behaviours.
+prefix, is explored a second time for its behaviours. A caller that
+needs no behaviours of a racy program (Lem. 9's premise gate) takes
+the search's graph from :func:`race_search` and reads the behaviours
+off it only when the search found no race.
 
 Witnesses are *replayable*: :func:`find_race` attaches the schedule
 (the edge-index path from an initial world to the racy world, with
@@ -374,7 +377,7 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
     of several witnesses is reported first is a scheduling artifact,
     exactly as in the sequential search.
     """
-    return _search(
+    return race_search(
         ctx, semantics, max_states, max_atomic_steps, reduce, on_the_fly,
         capture, jobs,
     )[0]
@@ -396,7 +399,7 @@ def race_and_behaviours(ctx, semantics, max_states=50000, max_events=10,
     skips the divergence analysis for ``⊑′`` and ``safe()``. Both parts
     follow the ``REPRO_POR`` default.
     """
-    witness, graph = _search(ctx, semantics, max_states)
+    witness, graph = race_search(ctx, semantics, max_states)
     if witness is None:
         behs = behaviours(
             graph, max_events, termination_sensitive=termination_sensitive
@@ -409,8 +412,8 @@ def race_and_behaviours(ctx, semantics, max_states=50000, max_events=10,
     return witness, behs
 
 
-def _search(ctx, semantics, max_states, max_atomic_steps=None,
-            reduce=None, on_the_fly=True, capture=True, jobs=None):
+def race_search(ctx, semantics, max_states, max_atomic_steps=None,
+                reduce=None, on_the_fly=True, capture=True, jobs=None):
     """:func:`find_race`, returning ``(witness or None, graph)``. With
     the defaults (sequential, on the fly) the graph is the whole
     reachable one unless a race halted the search."""

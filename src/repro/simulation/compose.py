@@ -18,10 +18,10 @@ premise DRF (Lem. 9) or NPDRF(source) (Lem. 8) gates the check, which
 passes vacuously when it fails; a bound makes a check inconclusive.
 """
 
-from repro.semantics.explore import program_behaviours
+from repro.semantics.explore import behaviours, program_behaviours
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.preemptive import PreemptiveSemantics
-from repro.semantics.race import find_race
+from repro.semantics.race import find_race, race_search
 from repro.semantics.refinement import (
     RefinementResult,
     checker,
@@ -94,16 +94,18 @@ def check_npdrf_preservation(src_program, tgt_program,
 @checker("SemanticsEquivalence")
 def check_semantics_equivalence(program, max_states=200000,
                                 max_events=10):
-    """Lem. 9: DRF ⇒ preemptive ≈ non-preemptive behaviours."""
-    premises = {
-        "drf": _race(program, PreemptiveSemantics(), max_states) is None
-    }
+    """Lem. 9: DRF ⇒ preemptive ≈ non-preemptive behaviours. A race
+    search that finds no race has explored the whole preemptive
+    program, so the preemptive set is read off its graph; a racy
+    program is gated before any behaviour set is built."""
+    witness, graph = race_search(
+        GlobalContext(program), PreemptiveSemantics(), max_states
+    )
+    premises = {"drf": witness is None}
     failed = gate(premises, vacuous=True)
     if failed is not None:
         return failed
-    pre = _behaviours(
-        program, PreemptiveSemantics(), max_states, max_events
-    )
+    pre = behaviours(graph, max_events)
     non = _behaviours(
         program, NonPreemptiveSemantics(), max_states, max_events
     )

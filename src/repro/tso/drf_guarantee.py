@@ -89,13 +89,15 @@ def check_strengthened_drf_guarantee(client_stages, client_genvs,
 @checker("PlainDRFGuarantee")
 def check_plain_drf_guarantee(client_stages, client_genvs, entries,
                               max_states=400000, max_events=10):
-    """The corollary with an empty object: DRF ⇒ TSO ≡-behaviour SC."""
+    """The corollary with an empty object: Safe ∧ DRF ⇒ TSO ≡-behaviour
+    SC. Like Lem. 16 it reads Safe, or it would hold on clients that
+    only abort."""
     semantics = PreemptiveSemantics()
     witness, sc_b = _sc_search(
         link_program(client_stages, client_genvs, entries, X86SC),
         semantics, max_states, max_events,
     )
-    premises = {"drf_sc": witness is None}
+    premises = {"safe_sc": safe(sc_b).holds, "drf_sc": witness is None}
     failed = gate(premises, vacuous=True)
     if failed is not None:
         return failed

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -210,3 +211,39 @@ class TestDrf:
     def test_racy_program_exit_code(self, racy_file, capsys):
         assert main(["drf", racy_file, "--threads", "t1,t2"]) == 1
         assert "DRF: False" in capsys.readouterr().out
+
+
+class TestDrfNpdrfParity:
+    """``drf`` and ``npdrf`` are one command: its name picks the
+    semantics, and only ``drf`` takes the witness flags."""
+
+    @pytest.mark.parametrize("fixture, flags, code", [
+        ("client_file", ["--lock", "--threads", "inc,inc"], 0),
+        ("racy_file", ["--threads", "t1,t2"], 1),
+    ])
+    def test_same_shape_under_both_semantics(
+        self, request, fixture, flags, code, tmp_path, capsys
+    ):
+        path = request.getfixturevalue(fixture)
+        for command in ("drf", "npdrf"):
+            run = tmp_path / (command + ".json")
+            assert main([command, path, *flags, "--ledger", str(run)]) \
+                == code
+            assert capsys.readouterr().out == "{}: {}\n".format(
+                command.upper(), code == 0
+            )
+            doc = json.loads(run.read_text())
+            assert doc["command"] == command
+            assert doc["verdict"] == (command if code == 0 else "race")
+            assert doc["config"]["max_atomic_steps"] == 64
+
+    def test_only_drf_writes_witnesses(self, racy_file, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        argv = [racy_file, "--threads", "t1,t2", "--witness-out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(["npdrf"] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["drf"] + argv) == 1
+        assert "witness: " in capsys.readouterr().out
+        assert out.exists()

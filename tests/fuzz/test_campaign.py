@@ -149,6 +149,34 @@ class TestHarnessCrash:
         assert stats.unexpected == 1
 
 
+class TestBoundsAreInconclusive:
+    """A bound is never a finding against the program: a ``cut``
+    behaviour set or a strict search over ``max_states`` gives an
+    expected ``inconclusive`` finding that names the bound."""
+
+    @pytest.mark.parametrize("kinds, bounds, names", [
+        (("minic-seq", "cimp-pair"), {"max_events": 1, "count": 6},
+         "max_events"),
+        (("minic-lock", "cimp-pair"), {"max_states": 40, "count": 4},
+         "state bound 40"),
+    ])
+    def test_bound_gives_inconclusive_not_a_failure(
+        self, tmp_path, kinds, bounds, names
+    ):
+        stats = run_campaign(_cfg(tmp_path, seed=3, kinds=kinds, **bounds))
+        assert stats.unexpected == 0  # `repro fuzz` exits 0
+        findings = Corpus(str(tmp_path / "corpus")).load_findings()
+        by_kind = {}
+        for finding in findings["findings"]:
+            by_kind.setdefault(finding["kind"], []).append(finding)
+        assert not {"crash", "divergence", "lemma"} & set(by_kind)
+        assert by_kind["inconclusive"]
+        for finding in by_kind["inconclusive"]:
+            assert finding["expected"] is True
+            assert finding["detail"].startswith("inconclusive: ")
+        assert any(names in f["detail"] for f in by_kind["inconclusive"])
+
+
 @pytest.mark.skipif(not fork_available(),
                     reason="platform cannot fork workers")
 class TestForkedPool:

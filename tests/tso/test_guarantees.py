@@ -156,3 +156,16 @@ class TestPlainGuarantee:
             max_states=800000,
         )
         assert verdict.ok and "vacuous" in verdict.detail
+
+    def test_aborting_clients_fail_safe_and_are_vacuous(self):
+        # The lock client without its object: each thread aborts at
+        # the unresolved lock() call, so SC and TSO both give only
+        # ((), abort). The sets are equal, but Safe fails, so the
+        # corollary does not apply, as in Lem. 16.
+        s = build()
+        verdict = check_plain_drf_guarantee(
+            s["stages"], s["genvs"], s["entries"]
+        )
+        assert verdict.ok
+        assert verdict.detail == "premise(s) failed: safe_sc; vacuous"
+        assert verdict.premises == {"safe_sc": False, "drf_sc": True}
