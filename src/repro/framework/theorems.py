@@ -40,9 +40,8 @@ from repro.semantics.refinement import (
 from repro.semantics.world import GlobalContext
 from repro.simulation.compose import (
     check_compositionality,
-    check_drf_npdrf_equivalence,
     check_npdrf_preservation,
-    check_semantics_equivalence,
+    drf_steps,
 )
 from repro.simulation.reachclose import check_reach_close
 from repro.simulation.validate import (
@@ -179,33 +178,21 @@ def check_theorem15(system, max_states=400000, max_events=10):
 def framework_steps(system, max_states=400000, max_events=10):
     """The Fig. 2 implications, checked on this system.
 
-    Returns an ordered list of ``(step, Verdict)``.
+    Returns an ordered list of ``(step, Verdict)``. Each program's
+    ⑥⑧ and Lem. 9 share one preemptive race search (:func:`~repro.
+    simulation.compose.drf_steps`).
     """
     src = system.source_program()
     tgt = system.sc_program()
-    steps = []
-    steps.append(
-        ("①② source equivalence (Lem. 9)",
-         check_semantics_equivalence(src, max_states, max_events))
-    )
-    steps.append(
-        ("①② target equivalence (Lem. 9)",
-         check_semantics_equivalence(tgt, max_states, max_events))
-    )
-    steps.append(
-        ("⑥⑧ DRF⇔NPDRF source",
-         check_drf_npdrf_equivalence(src, max_states))
-    )
-    steps.append(
-        ("⑥⑧ DRF⇔NPDRF target",
-         check_drf_npdrf_equivalence(tgt, max_states))
-    )
-    steps.append(
+    src_drf, src_equiv = drf_steps(src, max_states, max_events)
+    tgt_drf, tgt_equiv = drf_steps(tgt, max_states, max_events)
+    return [
+        ("①② source equivalence (Lem. 9)", src_equiv),
+        ("①② target equivalence (Lem. 9)", tgt_equiv),
+        ("⑥⑧ DRF⇔NPDRF source", src_drf),
+        ("⑥⑧ DRF⇔NPDRF target", tgt_drf),
         ("⑦ NPDRF preservation (Lem. 8)",
-         check_npdrf_preservation(src, tgt, max_states))
-    )
-    steps.append(
+         check_npdrf_preservation(src, tgt, max_states)),
         ("⑤④③ compositionality + flip + soundness",
-         check_compositionality(src, tgt, max_states, max_events))
-    )
-    return steps
+         check_compositionality(src, tgt, max_states, max_events)),
+    ]

@@ -10,10 +10,10 @@ and every family decides through the framework's checkers:
   validated), then source ≈ x86 behaviour sets (the GCorrect
   conclusion), read through :func:`~repro.semantics.refinement.
   conclude`;
-* ``cimp-pair`` — DRF ⇔ NPDRF (steps ⑥⑧, :func:`~repro.simulation.
-  compose.check_drf_npdrf_equivalence`), then Lem. 9 (:func:`~repro.
-  simulation.compose.check_semantics_equivalence`: on DRF programs,
-  preemptive ≈ non-preemptive behaviours);
+* ``cimp-pair`` — DRF ⇔ NPDRF (steps ⑥⑧), then Lem. 9 (on DRF
+  programs, preemptive ≈ non-preemptive behaviours), both from one
+  preemptive race search (:func:`~repro.simulation.compose.
+  drf_steps`);
 * ``minic-lock`` — race-check a lock-disciplined client linked against
   the lock object; any race is a finding. ``minic-lock-broken`` is the
   injected-divergence variant whose race is *expected* — and whose
@@ -67,10 +67,7 @@ from repro.semantics import (
     record_race,
 )
 from repro.semantics.refinement import conclude
-from repro.simulation.compose import (
-    check_drf_npdrf_equivalence,
-    check_semantics_equivalence,
-)
+from repro.simulation.compose import drf_steps
 from repro.fuzz.corpus import Corpus, CorpusError
 from repro.fuzz.generators import (
     DEFAULT_KINDS,
@@ -244,14 +241,13 @@ def _check_minic_seq(inp, cfg):
 
 def _check_cimp_pair(inp, cfg):
     """DRF ⇔ NPDRF (steps ⑥⑧), then Lem. 9 (vacuous on a racy
-    program)."""
-    prog = _cimp_program(inp)
-    verdict = check_drf_npdrf_equivalence(prog, cfg.max_states)
-    if verdict.ok:
-        verdict = check_semantics_equivalence(
-            prog, cfg.max_states, cfg.max_events
-        )
-    return _judge(verdict, "lemma", inp)
+    program), from one preemptive race search."""
+    for verdict in drf_steps(
+        _cimp_program(inp), cfg.max_states, cfg.max_events
+    ):
+        if not verdict.ok:
+            return _judge(verdict, "lemma", inp)
+    return None
 
 
 def _check_minic_lock(inp, cfg, program_file):

@@ -54,7 +54,6 @@ unmodified (``explore`` falls back to the full expansion).
 import os
 
 from repro.common.freelist import LOCAL_BASE, MAX_DEPTH, SLOT_SPACE
-from repro.lang import closure as _closure
 from repro.semantics.engine import GStep, thread_expansion
 
 #: Width of one thread's private address space: every activation
@@ -80,21 +79,6 @@ def default_reduce(environ=None):
     if value is None:
         return True
     return value.strip().lower() not in _OFF_VALUES
-
-
-def thread_outcomes(ctx, world, tid):
-    """Raw one-step outcomes of ``tid``'s top activation.
-
-    Returns ``(decl, frame, outcomes)`` or ``None`` for a terminated
-    thread. This is the one-step prediction both the ample decision and
-    :func:`repro.semantics.race.predict` are built from.
-    """
-    frame = world.top_frame(tid)
-    if frame is None:
-        return None
-    decl = ctx.module(frame.mod_idx)
-    outs = _closure.step_outcomes(decl, frame.core, world.mem, frame.flist)
-    return decl, frame, outs
 
 
 class AmpleReducer:

@@ -12,7 +12,9 @@ Every whole-program checker (Thms 14/15, Lem. 16, the object
 refinement, Lems. 6–9) reports one :class:`Verdict`, reached in the
 same three steps: :func:`gate` returns on a failed premise before the
 target is explored, :func:`conclude` reads the verdict off the
-comparisons, and :func:`checker` applies the bound rule.
+comparisons, and :func:`checker` applies the bound rule. The
+whole-program simulation checkers compare no behaviour sets and read
+no premises; they take the third step only.
 """
 
 import functools

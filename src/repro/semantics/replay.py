@@ -5,41 +5,48 @@ The other half of the witness subsystem
 under the plain global semantics and assert the recorded verdict
 reproduces, or **shrink** it to a locally minimal racy interleaving.
 
-Replay is strict: at every step the successor index must be in range
-and the resulting edge must match the recorded acting thread, label
-kind, scheduled thread, and footprint; the final verdict (the abort,
-or the conflicting prediction pair of a race) is re-derived from
-scratch at the final world. Any mismatch raises a structured
-:class:`ReplayDivergence` naming the first diverging step — a replay
-that "mostly works" is a broken artifact, not a passing one. Replay
-never applies partial-order reduction: schedules recorded under POR
-re-execute on the full semantics, which is the paper-level soundness
-cross-check (reduction must not invent or lose interleavings).
+Both step the schedule through the one walk of
+:func:`repro.semantics.witness.walk`. Replay is strict: at every step
+the recorded successor index must be in range and the annotated step
+must match the recorded one on every field it pins (acting thread,
+label kind, event, scheduled thread, footprint — checked in that
+order); the final verdict (the abort, or the conflicting prediction
+pair of a race) is re-derived from scratch at the final world. Any
+mismatch raises a structured :class:`ReplayDivergence` naming the
+first diverging step — a replay that "mostly works" is a broken
+artifact, not a passing one. Replay never applies partial-order
+reduction: schedules recorded under POR re-execute on the full
+semantics, which is the paper-level soundness cross-check (reduction
+must not invent or lose interleavings).
 
-Minimization is ddmin-style over the schedule's *moves* (acting
-thread + label kind + footprint, rather than raw successor indices,
-which are context-dependent): candidate subsequences are re-walked by
-matching each move against the enabled successors, and a candidate
-survives iff the walk completes and the Race rule fires at (or before)
-its final world. Chunked deletion shrinks context-switch round-trips
-and padding steps that raw index surgery could never remove; the
-result is re-captured as an exact index schedule, so minimized
-witnesses are just as replayable as originals.
+Minimization is ddmin-style over the schedule's *moves* (a step
+without its successor index, which is context-dependent, and a switch
+without its acting thread): each candidate subsequence is walked by
+taking, at every world, the first successor that matches the next
+move, and survives iff the walk completes and the Race rule fires at
+(or before) its final world. Chunked deletion shrinks context-switch
+round-trips and padding steps that raw index surgery could never
+remove. The surviving walk *is* the minimized schedule, exact
+successor indices included, and its race checker already holds the
+witness at its final world — so minimized witnesses are just as
+replayable as originals, with no second walk to rebuild them.
 """
 
 import time
 
 from repro import obs
 from repro.common.footprint import Footprint, conflict_atomic
-from repro.semantics.engine import GAbort, label_kind
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.race import _RaceChecker, predict
 from repro.semantics.witness import (
     CaptureError,
     Schedule,
-    WitnessRecord,
-    _make_step,
+    ScheduleStep,
+    annotate_step,
+    mismatch,
+    record_race,
     semantics_for,
+    walk,
 )
 
 
@@ -111,71 +118,47 @@ def _replay(ctx, schedule, semantics):
             expected="0..{}".format(len(worlds) - 1),
             actual=schedule.init,
         )
-    world = worlds[schedule.init]
-    visited = [world]
-    last = len(schedule.steps) - 1
-    for n, st in enumerate(schedule.steps):
-        if world.is_done():
-            raise ReplayDivergence(
-                n, "world terminated before the schedule ended"
-            )
-        outs = semantics.successors(ctx, world)
-        if not 0 <= st.index < len(outs):
+    recorded = schedule.steps
+
+    def choose(n, world, outs):
+        if n == len(recorded):
+            return None
+        index = recorded[n].index
+        if not 0 <= index < len(outs):
             raise ReplayDivergence(
                 n, "successor index out of range",
                 expected="0..{}".format(len(outs) - 1),
-                actual=st.index,
+                actual=index,
             )
-        out = outs[st.index]
-        if isinstance(out, GAbort):
-            if st.kind != "abort":
-                raise ReplayDivergence(
-                    n, "unexpected abort", expected=st.kind,
-                    actual="abort",
-                )
-            if n != last:
+        return annotate_step(index, world, outs[index])
+
+    visited = [worlds[schedule.init]]
+    for n, (step, world) in enumerate(
+        walk(ctx, semantics, visited[0], choose)
+    ):
+        want = recorded[n]
+        if "abort" in (step.kind, want.kind) and step.kind != want.kind:
+            raise ReplayDivergence(
+                n, "unexpected abort" if step.kind == "abort"
+                else "recorded abort did not reproduce",
+                expected=want.kind, actual=step.kind,
+            )
+        if step.kind == "abort":
+            if n != len(recorded) - 1:
                 raise ReplayDivergence(
                     n, "abort before the end of the schedule"
                 )
             return ReplayResult(world, "abort", visited)
-        if st.kind == "abort":
-            raise ReplayDivergence(
-                n, "recorded abort did not reproduce",
-                expected="abort", actual=label_kind(out.label),
-            )
-        if st.tid is not None and world.cur != st.tid:
-            raise ReplayDivergence(
-                n, "acting thread mismatch", expected=st.tid,
-                actual=world.cur,
-            )
-        kind = label_kind(out.label)
-        if kind != st.kind:
-            raise ReplayDivergence(
-                n, "label kind mismatch", expected=st.kind, actual=kind
-            )
-        if kind == "event" and st.detail is not None:
-            actual = (out.label.kind, str(out.label.value))
-            if tuple(st.detail) != actual:
-                raise ReplayDivergence(
-                    n, "event mismatch", expected=tuple(st.detail),
-                    actual=actual,
-                )
-        if st.to is not None and out.world.cur != st.to:
-            raise ReplayDivergence(
-                n, "scheduled thread mismatch", expected=st.to,
-                actual=out.world.cur,
-            )
-        if st.rs is not None and out.fp is not None:
-            actual_fp = (tuple(sorted(out.fp.rs)),
-                         tuple(sorted(out.fp.ws)))
-            if (st.rs, st.ws) != actual_fp:
-                raise ReplayDivergence(
-                    n, "footprint mismatch",
-                    expected=(st.rs, st.ws), actual=actual_fp,
-                )
-        world = out.world
+        diff = mismatch(want, step)
+        if diff is not None:
+            raise ReplayDivergence(n, *diff)
         visited.append(world)
-    return ReplayResult(world, "state", visited)
+    if len(visited) <= len(recorded):
+        raise ReplayDivergence(
+            len(visited) - 1,
+            "world terminated before the schedule ended",
+        )
+    return ReplayResult(visited[-1], "state", visited)
 
 
 def replay_witness(ctx, record, semantics=None):
@@ -248,41 +231,15 @@ def _verify_race(ctx, semantics, record, world, step):
 # ----- minimization ---------------------------------------------------------
 
 
-def _move_of(st):
-    """The context-independent essence of a schedule step.
-
-    Successor *indices* shift as soon as any earlier step is removed,
-    so candidates are matched on what the step did instead: the acting
-    thread, the label kind, the thread scheduled next, the event
-    payload, and (for thread steps) the exact footprint addresses —
-    address layouts are deterministic per thread, so a surviving step
-    keeps its footprint even when removed neighbours change the values
-    it reads.
-    """
-    return (st.tid, st.to, st.kind, st.detail, st.rs, st.ws)
-
-
-def _match_move(world, outs, move):
-    """The successor index realising ``move`` at ``world``, or ``None``."""
-    tid, to, kind, detail, rs, ws = move
-    if kind != "sw" and world.cur != tid:
-        return None
-    for i, out in enumerate(outs):
-        if isinstance(out, GAbort):
-            continue
-        if label_kind(out.label) != kind:
-            continue
-        if out.world.cur != to:
-            continue
-        if kind == "event" and detail is not None:
-            if (out.label.kind, str(out.label.value)) != tuple(detail):
-                continue
-        if rs is not None and out.fp is not None:
-            if (tuple(sorted(out.fp.rs)),
-                    tuple(sorted(out.fp.ws))) != (rs, ws):
-                continue
-        return i
-    return None
+def _move(step):
+    """What ``step`` did, to be matched where it was not recorded: the
+    successor index is never matched (it shifts once an earlier step
+    goes), and a switch pins no acting thread (it is the same move from
+    any thread). Footprint addresses are deterministic per thread, so a
+    surviving step keeps its footprint."""
+    if step.kind != "sw":
+        return step
+    return ScheduleStep(step.index, None, step.to, step.kind)
 
 
 class _Minimizer:
@@ -317,52 +274,62 @@ class _Minimizer:
             return True
         return False
 
-    def walk(self, moves):
-        """Re-walk ``moves``; return the surviving move list or ``None``.
+    def walk(self, steps):
+        """Re-walk ``steps`` as moves, each taking the first successor
+        that matches it; return the steps taken, or ``None``.
 
         A walk survives when every move finds a matching successor and
         the Race rule fires at some visited world — the walk is then
-        truncated there, which is how suffix shrinking falls out for
-        free.
+        cut there, which is how suffix shrinking falls out for free.
+        The surviving steps are an exact schedule, and the checker
+        holds the race witnessed at their final world.
         """
         self.attempts += 1
-        world = self.semantics.initial_worlds(self.ctx)[self.init]
-        for k, move in enumerate(moves):
-            if self.checker(world):
-                return list(moves[:k])
-            if world.is_done():
-                return None
-            outs = self.semantics.successors(self.ctx, world)
-            i = _match_move(world, outs, move)
-            if i is None:
-                return None
-            world = outs[i].world
-        return list(moves) if self.checker(world) else None
+        moves = [_move(st) for st in steps]
 
-    def ddmin(self, moves):
+        def choose(n, world, outs):
+            if n == len(moves):
+                return None
+            for i, out in enumerate(outs):
+                step = annotate_step(i, world, out)
+                if mismatch(moves[n], step) is None:
+                    return step
+            return None
+
+        world = self.semantics.initial_worlds(self.ctx)[self.init]
+        if self.checker(world):
+            return []
+        taken = []
+        for step, world in walk(self.ctx, self.semantics, world, choose):
+            taken.append(step)
+            if self.checker(world):
+                return taken
+        return None
+
+    def ddmin(self, steps):
         """Delta-debugging deletion loop: locally 1-minimal result
         (or the best schedule found when a round/deadline budget ran
         out first)."""
         rounds = 0
         granularity = 2
-        while len(moves) >= 1 and granularity <= max(len(moves), 1):
+        while len(steps) >= 1 and granularity <= max(len(steps), 1):
             if self._exhausted(rounds):
                 break
             rounds += 1
-            chunk = max(1, len(moves) // granularity)
+            chunk = max(1, len(steps) // granularity)
             shrunk = False
             start = 0
-            while start < len(moves):
+            while start < len(steps):
                 if self.deadline is not None and \
                         self.clock() >= self.deadline:
                     # Mid-round deadline check: one round over a long
                     # schedule is itself O(len/chunk) full re-walks.
                     self.budget_hit = True
-                    return moves, rounds
-                candidate = moves[:start] + moves[start + chunk:]
+                    return steps, rounds
+                candidate = steps[:start] + steps[start + chunk:]
                 survived = self.walk(candidate)
                 if survived is not None:
-                    moves = survived
+                    steps = survived
                     granularity = max(granularity - 1, 2)
                     shrunk = True
                     break
@@ -370,8 +337,8 @@ class _Minimizer:
             if not shrunk:
                 if chunk == 1:
                     break
-                granularity = min(granularity * 2, len(moves))
-        return moves, rounds
+                granularity = min(granularity * 2, len(steps))
+        return steps, rounds
 
 
 def minimize_witness(ctx, record, semantics=None, max_rounds=None,
@@ -415,14 +382,19 @@ def minimize_witness(ctx, record, semantics=None, max_rounds=None,
             ctx, semantics, quantum, max_atomic, schedule.init,
             max_rounds=max_rounds, deadline=deadline,
         )
-        moves = [_move_of(st) for st in schedule.steps]
-        baseline = minimizer.walk(moves)
+        baseline = minimizer.walk(schedule.steps)
         if baseline is None:
             raise ReplayDivergence(
                 -1, "original schedule no longer reaches a racy world"
             )
-        moves, rounds = minimizer.ddmin(baseline)
-        record_min = _rebuild(ctx, semantics, minimizer, record, moves)
+        steps, rounds = minimizer.ddmin(baseline)
+        witness = minimizer.checker.witness
+        witness.schedule = Schedule(
+            schedule.init, steps, semantics.name, False
+        )
+        record_min = record_race(
+            witness, record.program, minimized=True, meta=record.meta
+        )
         removed = len(schedule.steps) - len(record_min.schedule.steps)
         if obs.enabled:
             obs.inc("witness.minimize.attempts", minimizer.attempts)
@@ -437,45 +409,3 @@ def minimize_witness(ctx, record, semantics=None, max_rounds=None,
                 budget_hit=minimizer.budget_hit,
             )
     return record_min
-
-
-def _rebuild(ctx, semantics, minimizer, record, moves):
-    """Re-capture the minimized walk as an exact index schedule."""
-    world = semantics.initial_worlds(ctx)[minimizer.init]
-    steps = []
-    for move in moves:
-        outs = semantics.successors(ctx, world)
-        i = _match_move(world, outs, move)
-        if i is None:  # pragma: no cover - walk() already validated
-            raise ReplayDivergence(
-                len(steps), "minimized move no longer enabled",
-                expected=move,
-            )
-        steps.append(_make_step(i, world, outs[i]))
-        world = outs[i].world
-    checker = _RaceChecker(
-        ctx, minimizer.checker.quantum, minimizer.checker.max_atomic_steps
-    )
-    if not checker(world):  # pragma: no cover - walk() already validated
-        raise ReplayDivergence(
-            len(steps), "minimized schedule lost the race"
-        )
-    witness = checker.witness
-    race = {
-        "tid1": witness.tid1,
-        "rs1": sorted(witness.fp1.rs),
-        "ws1": sorted(witness.fp1.ws),
-        "bit1": witness.bit1,
-        "tid2": witness.tid2,
-        "rs2": sorted(witness.fp2.rs),
-        "ws2": sorted(witness.fp2.ws),
-        "bit2": witness.bit2,
-    }
-    return WitnessRecord(
-        "race",
-        Schedule(minimizer.init, steps, semantics.name, False),
-        race,
-        record.program,
-        minimized=True,
-        meta=record.meta,
-    )

@@ -23,6 +23,11 @@ exploration loops themselves are untouched — capture costs one
 path-length walk per witness, preserving the <1% disabled-path
 contract of the observability layer.
 
+Capture, :func:`capture_walk`, replay and minimisation step a schedule
+through one :func:`walk`, annotate each step with
+:func:`annotate_step` and match a recorded step by :func:`mismatch`;
+they differ only in how they choose the next successor.
+
 Schedule steps record ``(index, tid, to, kind, detail, rs, ws)``:
 ``index`` is the successor-list position (the ground truth replay
 follows), the rest is checkable redundancy — the acting thread before
@@ -32,6 +37,7 @@ reason, and the step footprint as sorted address tuples.
 """
 
 import json
+import operator
 from collections import deque
 
 from repro import obs
@@ -148,6 +154,11 @@ class ScheduleStep:
         return "ScheduleStep(i={}, t{}→t{}, {})".format(
             self.index, self.tid, self.to, self.kind
         )
+
+    @property
+    def footprint(self):
+        """``(rs, ws)``, or ``None`` for a step without a footprint."""
+        return None if self.rs is None else (self.rs, self.ws)
 
     def as_dict(self):
         rec = {"i": self.index, "tid": self.tid, "to": self.to,
@@ -289,11 +300,15 @@ def abort_target(graph):
     return None
 
 
-# ----- capture --------------------------------------------------------------
+# ----- the schedule walk ----------------------------------------------------
 
 
-def _make_step(index, world, out):
-    """Annotate one taken global step as a :class:`ScheduleStep`."""
+def annotate_step(index, world, out):
+    """Annotate the global step ``out``, successor ``index`` of
+    ``world``, as a :class:`ScheduleStep` (an abort included)."""
+    if isinstance(out, GAbort):
+        return ScheduleStep(index, world.cur, world.cur, "abort",
+                            out.reason)
     kind = label_kind(out.label)
     detail = None
     if kind == "event":
@@ -302,11 +317,54 @@ def _make_step(index, world, out):
     if fp is None:
         rs = ws = None
     else:
-        rs = sorted(fp.rs)
-        ws = sorted(fp.ws)
+        rs = tuple(sorted(fp.rs))
+        ws = tuple(sorted(fp.ws))
     return ScheduleStep(
         index, world.cur, out.world.cur, kind, detail, rs, ws
     )
+
+
+#: The fields a recorded step is matched on, in replay's order, and
+#: the reason each one's mismatch reports.
+_MATCHED = operator.attrgetter("tid", "kind", "detail", "to", "footprint")
+_REASONS = ("acting thread mismatch", "label kind mismatch",
+            "event mismatch", "scheduled thread mismatch",
+            "footprint mismatch")
+
+
+def mismatch(recorded, actual):
+    """``(reason, expected, got)`` for the first field ``recorded``
+    pins (is not ``None``) that ``actual`` does not share, else
+    ``None``. The index is not matched: it is how a walk chose."""
+    for reason, expected, got in zip(
+        _REASONS, _MATCHED(recorded), _MATCHED(actual)
+    ):
+        if expected is not None and expected != got:
+            return reason, expected, got
+    return None
+
+
+def walk(ctx, semantics, world, choose):
+    """The one schedule walk: from ``world``, yield each step
+    ``choose(n, world, outs)`` takes (annotated; ``None`` ends the walk)
+    with the world it reaches. It also ends at a terminated world and
+    after an abort (yielded with the world it aborted from). Successors
+    are computed only when the next step is asked for."""
+    n = 0
+    while not world.is_done():
+        outs = semantics.successors(ctx, world)
+        step = choose(n, world, outs)
+        if step is None:
+            return
+        if step.kind == "abort":
+            yield step, world
+            return
+        world = outs[step.index].world
+        yield step, world
+        n += 1
+
+
+# ----- capture --------------------------------------------------------------
 
 
 def capture_schedule(ctx, semantics, graph, target_sid, por=False,
@@ -321,11 +379,21 @@ def capture_schedule(ctx, semantics, graph, target_sid, por=False,
     at the target world, producing a schedule that ends in ``abort``.
     """
     init_idx, hops = graph_path(graph, target_sid)
-    world = semantics.initial_worlds(ctx)[init_idx]
     key = graph.keyspace.key
-    steps = []
-    for n, (_sid, i, dst) in enumerate(hops):
-        outs = semantics.successors(ctx, world)
+
+    def choose(n, world, outs):
+        if n == len(hops):
+            if abort_index is None:
+                return None
+            if abort_index >= len(outs) or not isinstance(
+                outs[abort_index], GAbort
+            ):
+                raise CaptureError(
+                    "recorded abort edge {} is not an abort under the "
+                    "full semantics".format(abort_index)
+                )
+            return annotate_step(abort_index, world, outs[abort_index])
+        _sid, i, dst = hops[n]
         if i >= len(outs):
             raise CaptureError(
                 "step {}: recorded successor index {} out of range "
@@ -345,23 +413,10 @@ def capture_schedule(ctx, semantics, graph, target_sid, por=False,
                     n
                 )
             )
-        steps.append(_make_step(i, world, out))
-        world = out.world
-    if abort_index is not None:
-        outs = semantics.successors(ctx, world)
-        if abort_index >= len(outs) or not isinstance(
-            outs[abort_index], GAbort
-        ):
-            raise CaptureError(
-                "recorded abort edge {} is not an abort under the "
-                "full semantics".format(abort_index)
-            )
-        steps.append(
-            ScheduleStep(
-                abort_index, world.cur, world.cur, "abort",
-                outs[abort_index].reason,
-            )
-        )
+        return annotate_step(i, world, out)
+
+    world = semantics.initial_worlds(ctx)[init_idx]
+    steps = [step for step, _world in walk(ctx, semantics, world, choose)]
     schedule = Schedule(init_idx, steps, semantics.name, por)
     if obs.enabled:
         obs.inc("witness.captured")
@@ -392,24 +447,18 @@ def capture_walk(ctx, semantics, picks, init=0):
     out. Returns ``(schedule, final_world)`` — the random-schedule
     generator the replay-determinism tests are built on.
     """
+    picks = list(picks)
+
+    def choose(n, world, outs):
+        if n == len(picks) or not outs:
+            return None
+        i = picks[n] % len(outs)
+        return annotate_step(i, world, outs[i])
+
     world = semantics.initial_worlds(ctx)[init]
     steps = []
-    for pick in picks:
-        if world.is_done():
-            break
-        outs = semantics.successors(ctx, world)
-        if not outs:
-            break
-        i = pick % len(outs)
-        out = outs[i]
-        if isinstance(out, GAbort):
-            steps.append(
-                ScheduleStep(i, world.cur, world.cur, "abort",
-                             out.reason)
-            )
-            break
-        steps.append(_make_step(i, world, out))
-        world = out.world
+    for step, world in walk(ctx, semantics, world, choose):
+        steps.append(step)
     return Schedule(init, steps, semantics.name, False), world
 
 

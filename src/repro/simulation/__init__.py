@@ -17,9 +17,9 @@ from repro.simulation.compose import (
     check_drf_npdrf_equivalence,
     check_npdrf_preservation,
     check_semantics_equivalence,
+    drf_steps,
 )
 from repro.simulation.wholeprog import (
-    WholeProgramSimResult,
     check_simulation_and_flip,
     check_whole_program_simulation,
 )
@@ -48,7 +48,7 @@ __all__ = [
     "check_npdrf_preservation",
     "check_semantics_equivalence",
     "check_drf_npdrf_equivalence",
-    "WholeProgramSimResult",
+    "drf_steps",
     "check_whole_program_simulation",
     "check_simulation_and_flip",
     "PassValidation",

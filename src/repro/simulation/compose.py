@@ -13,10 +13,14 @@ them on concrete programs by comparing enumerated behaviour sets:
   program has the same behaviours preemptively and non-preemptively.
 * :func:`check_drf_npdrf_equivalence` (steps ⑥⑧): DRF ⇔ NPDRF.
 
+:func:`drf_steps` gives ⑥⑧ and Lem. 9 from one preemptive race search.
+
 Each reports a :class:`~repro.semantics.refinement.Verdict`: the
 premise DRF (Lem. 9) or NPDRF(source) (Lem. 8) gates the check, which
 passes vacuously when it fails; a bound makes a check inconclusive.
 """
+
+import functools
 
 from repro.semantics.explore import behaviours, program_behaviours
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
@@ -91,16 +95,17 @@ def check_npdrf_preservation(src_program, tgt_program,
     )
 
 
-@checker("SemanticsEquivalence")
-def check_semantics_equivalence(program, max_states=200000,
-                                max_events=10):
-    """Lem. 9: DRF ⇒ preemptive ≈ non-preemptive behaviours. A race
-    search that finds no race has explored the whole preemptive
-    program, so the preemptive set is read off its graph; a racy
-    program is gated before any behaviour set is built."""
-    witness, graph = race_search(
+def _preemptive_search(program, max_states):
+    """A thunk that runs the strict preemptive race search of
+    ``program`` once, for ⑥⑧ and Lem. 9 to share."""
+    return functools.cache(lambda: race_search(
         GlobalContext(program), PreemptiveSemantics(), max_states
-    )
+    ))
+
+
+@checker("SemanticsEquivalence")
+def _semantics_equivalence(program, search, max_states, max_events):
+    witness, graph = search()
     premises = {"drf": witness is None}
     failed = gate(premises, vacuous=True)
     if failed is not None:
@@ -117,12 +122,38 @@ def check_semantics_equivalence(program, max_states=200000,
 
 
 @checker("DRFNPDRFEquivalence")
-def check_drf_npdrf_equivalence(program, max_states=200000):
-    """Steps ⑥⑧: DRF(P) ⇔ NPDRF(P). A disagreement's counterexample is
-    the race witness of the side that races."""
-    drf_race = _race(program, PreemptiveSemantics(), max_states)
+def _drf_npdrf_equivalence(program, search, max_states):
+    drf_race = search()[0]
     npdrf_race = _race(program, NonPreemptiveSemantics(), max_states)
     detail = "DRF={} NPDRF={}".format(drf_race is None, npdrf_race is None)
     agree = (drf_race is None) == (npdrf_race is None)
     witness = None if agree else drf_race or npdrf_race
     return conclude(detail, (_no_race(witness), detail))
+
+
+def check_semantics_equivalence(program, max_states=200000,
+                                max_events=10):
+    """Lem. 9: DRF ⇒ preemptive ≈ non-preemptive behaviours. A race
+    search that finds no race has explored the whole preemptive
+    program, so the preemptive set is read off its graph; a racy
+    program is gated before any behaviour set is built."""
+    return _semantics_equivalence(
+        program, _preemptive_search(program, max_states), max_states,
+        max_events,
+    )
+
+
+def check_drf_npdrf_equivalence(program, max_states=200000):
+    """Steps ⑥⑧: DRF(P) ⇔ NPDRF(P). A disagreement's counterexample is
+    the race witness of the side that races."""
+    return _drf_npdrf_equivalence(
+        program, _preemptive_search(program, max_states), max_states
+    )
+
+
+def drf_steps(program, max_states=200000, max_events=10):
+    """Yield the verdicts of steps ⑥⑧, then Lem. 9, from one preemptive
+    race search; Lem. 9 runs only when asked for."""
+    search = _preemptive_search(program, max_states)
+    yield _drf_npdrf_equivalence(program, search, max_states)
+    yield _semantics_equivalence(program, search, max_states, max_events)

@@ -17,6 +17,12 @@ statement that with deterministic target modules the simulation also
 holds in the opposite direction — checked by running the same
 construction with the programs swapped.
 
+Both checkers report a :class:`~repro.semantics.refinement.Verdict`
+whose detail names the size ``|R|`` of each relation built; like every
+whole-program checker, one whose exploration hits its state bound is
+inconclusive instead of raising. The flip checker explores each
+program once for both directions.
+
 (As a weak simulation without a well-founded index, the construction is
 termination-insensitive; the behaviour-set checks in ``compose`` cover
 the divergence-sensitive side.)
@@ -26,6 +32,7 @@ from collections import deque
 
 from repro.lang.messages import EventMsg
 from repro.semantics.explore import ABORT_DST, explore
+from repro.semantics.refinement import Verdict, checker
 from repro.semantics.world import GlobalContext
 
 #: Synthetic terminal node ids used inside the product construction.
@@ -117,23 +124,6 @@ class _Automaton:
         return None
 
 
-class WholeProgramSimResult:
-    """Outcome of the simulation construction."""
-
-    def __init__(self, holds, relation_size, detail=""):
-        self.holds = holds
-        self.relation_size = relation_size
-        self.detail = detail
-
-    def __bool__(self):
-        return self.holds
-
-    def __repr__(self):
-        return "WholeProgramSimResult(holds={}, |R|={}, {})".format(
-            self.holds, self.relation_size, self.detail
-        )
-
-
 def _largest_simulation(src_auto, tgt_auto):
     """Greatest fixpoint of the weak-simulation refinement operator.
 
@@ -200,6 +190,27 @@ def _pair_ok(src_auto, tgt_auto, s, t, relation):
     return True
 
 
+def _simulation(src_graph, tgt_graph):
+    """``src ≼ tgt`` on explored graphs: ``(holds, detail)``, the
+    detail naming the size ``|R|`` of the largest simulation."""
+    relation = _largest_simulation(
+        _Automaton(src_graph), _Automaton(tgt_graph)
+    )
+    for s0 in src_graph.initial:
+        if not any((s0, t0) in relation for t0 in tgt_graph.initial):
+            return False, "initial world {} unmatched, |R|={}".format(
+                s0, len(relation)
+            )
+    return True, "simulation built, |R|={}".format(len(relation))
+
+
+def _explore(program, semantics, max_states):
+    return explore(
+        GlobalContext(program), semantics, max_states, strict=True
+    )
+
+
+@checker("WholeProgramSimulation")
 def check_whole_program_simulation(src_program, tgt_program, semantics,
                                    max_states=200000):
     """Construct ``src ≼ tgt`` on explored graphs under ``semantics``.
@@ -208,35 +219,26 @@ def check_whole_program_simulation(src_program, tgt_program, semantics,
     roles as in the paper's ``P ≼ P̄`` — every source move answered by
     the target. For the flip, call with the arguments swapped.
     """
-    src_graph = explore(
-        GlobalContext(src_program), semantics, max_states, strict=True
-    )
-    tgt_graph = explore(
-        GlobalContext(tgt_program), semantics, max_states, strict=True
-    )
-    src_auto = _Automaton(src_graph)
-    tgt_auto = _Automaton(tgt_graph)
-    relation = _largest_simulation(src_auto, tgt_auto)
-
-    for s0 in src_graph.initial:
-        if not any((s0, t0) in relation for t0 in tgt_graph.initial):
-            return WholeProgramSimResult(
-                False,
-                len(relation),
-                "initial world {} unmatched".format(s0),
-            )
-    return WholeProgramSimResult(True, len(relation), "simulation built")
+    return Verdict(*_simulation(
+        _explore(src_program, semantics, max_states),
+        _explore(tgt_program, semantics, max_states),
+    ))
 
 
+@checker("SimulationAndFlip")
 def check_simulation_and_flip(src_program, tgt_program, semantics,
                               max_states=200000):
     """Steps ⑤ and ④ together: ``src ≼ tgt`` and the flipped
-    ``tgt ≼ src`` (valid because our target modules are deterministic).
-    Returns ``(down, up)``."""
-    down = check_whole_program_simulation(
-        src_program, tgt_program, semantics, max_states
-    )
-    up = check_whole_program_simulation(
-        tgt_program, src_program, semantics, max_states
-    )
-    return down, up
+    ``tgt ≼ src`` (valid because our target modules are deterministic),
+    both on one exploration of each program."""
+    src_graph = _explore(src_program, semantics, max_states)
+    tgt_graph = _explore(tgt_program, semantics, max_states)
+    down, down_detail = _simulation(src_graph, tgt_graph)
+    if not down:
+        return Verdict(False, "source ⋠ target: " + down_detail)
+    up, up_detail = _simulation(tgt_graph, src_graph)
+    if not up:
+        return Verdict(False, "flip failed: " + up_detail)
+    return Verdict(True, "source ≼ target: {}; flipped: {}".format(
+        down_detail, up_detail
+    ))

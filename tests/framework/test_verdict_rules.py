@@ -19,6 +19,7 @@ from repro.framework import (
     theorems,
 )
 from repro.langs.minic import compile_unit, link_units
+from repro.semantics import PreemptiveSemantics
 from repro.semantics.refinement import (
     INCONCLUSIVE_DETAIL,
     RefinementResult,
@@ -31,6 +32,10 @@ from repro.simulation.compose import (
     check_drf_npdrf_equivalence,
     check_npdrf_preservation,
     check_semantics_equivalence,
+)
+from repro.simulation.wholeprog import (
+    check_simulation_and_flip,
+    check_whole_program_simulation,
 )
 from repro.tso import (
     check_object_refinement,
@@ -66,8 +71,8 @@ def disjoint():
 
 
 def _checkers(system, lock_context, disjoint):
-    """``name -> check(**bounds)`` for the nine checkers (Lem. 8 and
-    ⑥⑧ take no ``max_events``)."""
+    """``name -> check(**bounds)`` for the eleven checkers (Lem. 8, ⑥⑧
+    and the whole-program simulations take no ``max_events``)."""
     stages, genvs, impl, spec, entries = lock_context
     src, tgt = system.source_program(), system.sc_program()
     return {
@@ -90,11 +95,18 @@ def _checkers(system, lock_context, disjoint):
         "DRF⇔NPDRF": lambda max_states: check_drf_npdrf_equivalence(
             src, max_states
         ),
+        "src ≼ tgt": lambda max_states: check_whole_program_simulation(
+            src, tgt, PreemptiveSemantics(), max_states
+        ),
+        "≼ and flip": lambda max_states: check_simulation_and_flip(
+            src, tgt, PreemptiveSemantics(), max_states
+        ),
     }
 
 
 CHECKERS = ("Thm 14", "Thm 15", "Lem 16", "Lem 16 plain",
-            "object refinement", "Lems 6+7", "Lem 8", "Lem 9", "DRF⇔NPDRF")
+            "object refinement", "Lems 6+7", "Lem 8", "Lem 9", "DRF⇔NPDRF",
+            "src ≼ tgt", "≼ and flip")
 
 
 @pytest.mark.parametrize("name", CHECKERS)

@@ -14,6 +14,7 @@ from repro import obs
 from repro.common.footprint import Footprint, disjoint
 from repro.common.freelist import LOCAL_BASE
 from repro.framework.build import lock_counter_system
+from repro.lang.closure import step_outcomes
 from repro.semantics import (
     GlobalContext,
     NonPreemptiveSemantics,
@@ -26,7 +27,6 @@ from repro.semantics.por import (
     THREAD_SPAN,
     AmpleReducer,
     default_reduce,
-    thread_outcomes,
 )
 
 from tests.helpers import cimp_program
@@ -109,8 +109,15 @@ class TestAmpleDecision:
         world = ctx.load()[0]
         assert world.cur == 0
 
-        _, _, outs0 = thread_outcomes(ctx, world, 0)
-        _, _, outs1 = thread_outcomes(ctx, world, 1)
+        def outcomes(tid):
+            frame = world.top_frame(tid)
+            return step_outcomes(
+                ctx.module(frame.mod_idx), frame.core, world.mem,
+                frame.flist,
+            )
+
+        outs0 = outcomes(0)
+        outs1 = outcomes(1)
         assert all(
             disjoint(a.fp, b.fp) for a in outs0 for b in outs1
         ), "counterexample premise: one-step footprints disjoint"

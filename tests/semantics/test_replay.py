@@ -34,7 +34,7 @@ from repro.semantics.witness import (
     Schedule,
     ScheduleStep,
     WitnessRecord,
-    _make_step,
+    annotate_step,
     capture_walk,
     record_race,
 )
@@ -186,8 +186,8 @@ class TestMinimize:
         )
         assert back_outs[back].world == world
         pad = [
-            _make_step(away, world, outs[away]),
-            _make_step(back, mid, back_outs[back]),
+            annotate_step(away, world, outs[away]),
+            annotate_step(back, mid, back_outs[back]),
         ]
         padded = WitnessRecord(
             "race",

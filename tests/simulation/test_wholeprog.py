@@ -1,5 +1,7 @@
 """Tests for the explicit whole-program simulation construction."""
 
+import re
+
 import pytest
 
 from repro.semantics import NonPreemptiveSemantics, PreemptiveSemantics
@@ -12,28 +14,34 @@ from repro.framework import ClientSystem, lock_counter_system
 from tests.helpers import SUITE, cimp_program
 
 
+def relation_sizes(verdict):
+    """The ``|R|`` of each relation a verdict's detail names."""
+    return [int(n) for n in re.findall(r"\|R\|=(\d+)", verdict.detail)]
+
+
 class TestSequentialPrograms:
     @pytest.mark.parametrize("name", ["calls", "branches", "globals"])
     def test_simulation_both_directions(self, name):
         system = ClientSystem([SUITE[name]], ["main"])
-        down, up = check_simulation_and_flip(
+        verdict = check_simulation_and_flip(
             system.source_program(),
             system.sc_program(),
             NonPreemptiveSemantics(),
         )
-        assert down and up, (name, down, up)
-        assert down.relation_size > 0
+        assert verdict.ok, (name, verdict)
+        sizes = relation_sizes(verdict)
+        assert len(sizes) == 2 and sizes[0] > 0, verdict.detail
 
 
 class TestConcurrentPrograms:
     def test_lock_counter_single_thread(self):
         system = lock_counter_system(1)
-        down, up = check_simulation_and_flip(
+        verdict = check_simulation_and_flip(
             system.source_program(),
             system.sc_program(),
             NonPreemptiveSemantics(),
         )
-        assert down and up
+        assert verdict.ok, verdict
 
     def test_preemptive_semantics_too(self):
         system = lock_counter_system(1)
@@ -95,6 +103,9 @@ class TestRejection:
         )
         assert down
         assert not up
+        flip = check_simulation_and_flip(src, tgt, PreemptiveSemantics())
+        assert not flip.ok and not flip.inconclusive
+        assert flip.detail.startswith("flip failed: initial world "), flip
 
     def test_abort_must_be_matched(self):
         src = cimp_program("t1(){ assert(0); }", ["t1"])
@@ -103,3 +114,27 @@ class TestRejection:
             src, tgt, NonPreemptiveSemantics()
         )
         assert not down
+
+
+class TestVerdict:
+    def test_detail_names_the_relation(self):
+        prog = cimp_program("t1(){ print(1); }", ["t1"])
+        verdict = check_whole_program_simulation(
+            prog, prog, NonPreemptiveSemantics()
+        )
+        assert verdict.name == "WholeProgramSimulation"
+        assert verdict.ok and not verdict.inconclusive
+        assert verdict.detail.startswith("simulation built, |R|=")
+        assert relation_sizes(verdict)[0] > 0
+
+    def test_unmatched_initial_world_is_named(self):
+        src = cimp_program("t1(){ print(1); }", ["t1"])
+        tgt = cimp_program("t1(){ print(2); }", ["t1"])
+        verdict = check_simulation_and_flip(
+            src, tgt, NonPreemptiveSemantics()
+        )
+        assert verdict.name == "SimulationAndFlip"
+        assert not verdict.ok and not verdict.inconclusive
+        assert verdict.detail.startswith(
+            "source ⋠ target: initial world 0 unmatched, |R|="
+        ), verdict
