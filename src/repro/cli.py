@@ -290,6 +290,8 @@ _RACE_SEMANTICS = {
 def cmd_drf(args):
     """``drf`` and ``npdrf``: the command name picks the semantics;
     only ``drf`` writes witnesses."""
+    if getattr(args, "minimize", False) and not args.witness_out:
+        raise UsageError("--minimize needs --witness-out")
     result, _genv, ctx, entries = _load(args)
     _note_run_config(args, result, entries)
     semantics = _RACE_SEMANTICS[args.command](
@@ -655,7 +657,8 @@ def _parser_tree():
             )
             p.add_argument(
                 "--minimize", action="store_true",
-                help="shrink the witness schedule before writing it",
+                help="shrink the witness schedule before writing it "
+                "(needs --witness-out)",
             )
         p.set_defaults(func=cmd_drf)
 

@@ -30,6 +30,10 @@ remove. The surviving walk *is* the minimized schedule, exact
 successor indices included, and its race checker already holds the
 witness at its final world — so minimized witnesses are just as
 replayable as originals, with no second walk to rebuild them.
+Candidate walks share one step table per minimisation: each world is
+expanded, annotated and checked for a clean Race verdict once, so
+ddmin's cost is its walk attempts times table lookups, not
+interpreter steps.
 """
 
 import time
@@ -257,8 +261,14 @@ class _Minimizer:
                  max_rounds=None, deadline=None, clock=time.monotonic):
         self.ctx = ctx
         self.semantics = semantics
-        self.init = init
+        self.start = semantics.initial_worlds(ctx)[init]
         self.checker = _RaceChecker(ctx, quantum, max_atomic)
+        # The step table of this minimisation: each world's successors
+        # and their annotated steps, and the worlds where the Race rule
+        # did not fire. Both are pure functions of the world, so every
+        # candidate walk expands and checks a world at most once.
+        self._steps = {}
+        self._clean = set()
         self.attempts = 0
         self.max_rounds = max_rounds
         self.deadline = deadline
@@ -272,6 +282,28 @@ class _Minimizer:
         if self.deadline is not None and self.clock() >= self.deadline:
             self.budget_hit = True
             return True
+        return False
+
+    def successors(self, ctx, world):
+        """The walk's semantics: ``world``'s successors, expanded and
+        annotated once per minimisation."""
+        entry = self._steps.get(world)
+        if entry is None:
+            outs = self.semantics.successors(ctx, world)
+            entry = self._steps[world] = (outs, [
+                annotate_step(i, world, out) for i, out in enumerate(outs)
+            ])
+        return entry[0]
+
+    def _racy(self, world):
+        """The Race rule at ``world``. Only clean verdicts are
+        remembered, so a race always comes from the checker and its
+        witness is at the world asked about."""
+        if world in self._clean:
+            return False
+        if self.checker(world):
+            return True
+        self._clean.add(world)
         return False
 
     def walk(self, steps):
@@ -290,19 +322,18 @@ class _Minimizer:
         def choose(n, world, outs):
             if n == len(moves):
                 return None
-            for i, out in enumerate(outs):
-                step = annotate_step(i, world, out)
+            for step in self._steps[world][1]:
                 if mismatch(moves[n], step) is None:
                     return step
             return None
 
-        world = self.semantics.initial_worlds(self.ctx)[self.init]
-        if self.checker(world):
+        world = self.start
+        if self._racy(world):
             return []
         taken = []
-        for step, world in walk(self.ctx, self.semantics, world, choose):
+        for step, world in walk(self.ctx, self, world, choose):
             taken.append(step)
-            if self.checker(world):
+            if self._racy(world):
                 return taken
         return None
 

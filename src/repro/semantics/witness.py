@@ -349,7 +349,9 @@ def walk(ctx, semantics, world, choose):
     ``choose(n, world, outs)`` takes (annotated; ``None`` ends the walk)
     with the world it reaches. It also ends at a terminated world and
     after an abort (yielded with the world it aborted from). Successors
-    are computed only when the next step is asked for."""
+    are computed only when the next step is asked for, by
+    ``semantics.successors(ctx, world)``: a global semantics, or a
+    minimiser's step table."""
     n = 0
     while not world.is_done():
         outs = semantics.successors(ctx, world)

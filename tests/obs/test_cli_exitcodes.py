@@ -84,6 +84,14 @@ class TestExitCodes:
         assert main(["drf", racy_file, "--threads", "t1,t2"]) == 1
         capsys.readouterr()
 
+    def test_two_on_minimize_without_witness_out(self, racy_file,
+                                                 capsys):
+        assert main(["drf", racy_file, "--threads", "t1,t2",
+                     "--minimize"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "repro: error: --minimize needs --witness-out\n"
+
     def test_zero_on_run(self, safe_file, capsys):
         assert main(["run", safe_file]) == 0
         capsys.readouterr()

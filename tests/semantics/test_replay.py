@@ -9,12 +9,15 @@ reporting; the minimizer tests check shrinkage, verdict preservation
 and replayability of the result.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.framework.build import lock_counter_system
+from repro.framework.build import ClientSystem, lock_counter_system
+from repro.fuzz.generators import plan
 from repro.semantics import (
     GlobalContext,
     NonPreemptiveSemantics,
@@ -22,6 +25,7 @@ from repro.semantics import (
     find_race,
 )
 from repro.semantics.engine import label_kind
+from repro.semantics.race import _RaceChecker
 from repro.semantics.replay import (
     ReplayDivergence,
     minimize_witness,
@@ -227,6 +231,67 @@ class TestMinimize:
         assert record.schedule.por
         mini = minimize_witness(_racy_ctx(), record)
         replay_witness(_racy_ctx(), mini)
+
+
+class _CountingSemantics(PreemptiveSemantics):
+    """The preemptive semantics, counting ``successors`` calls per
+    world."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def successors(self, ctx, world, thread_results=None):
+        self.calls[world] += 1
+        return super().successors(ctx, world, thread_results)
+
+
+def _broken_lock_client():
+    """The first ``minic-lock-broken`` client of fuzz seed 3 and its
+    race witness, found under partial-order reduction."""
+    inp = next(iter(plan(3, 1, kinds=("minic-lock-broken",))))
+    system = ClientSystem([inp.source], inp.entries, use_lock=inp.lock,
+                          optimize=inp.optimize)
+    ctx = GlobalContext(system.source_program())
+    witness = find_race(ctx, PreemptiveSemantics(), reduce=True)
+    return ctx, record_race(witness, meta={"max_atomic_steps": 64})
+
+
+class TestMinimizeStepTable:
+    """ddmin's candidate walks share one step table per minimisation:
+    the memo changes the cost, never the result."""
+
+    def test_each_world_expanded_once(self):
+        ctx, record = _broken_lock_client()
+        sem = _CountingSemantics()
+        obs.reset()
+        obs.configure(metrics=True)
+        try:
+            minimize_witness(ctx, record, semantics=sem)
+            attempts = obs.counter_value("witness.minimize.attempts")
+        finally:
+            obs.reset()
+        assert attempts > 1
+        assert sem.calls
+        assert max(sem.calls.values()) == 1
+
+    def test_race_rederived_at_final_world(self):
+        ctx, record = _broken_lock_client()
+        mini = minimize_witness(ctx, record, semantics=_CountingSemantics())
+        final = replay_schedule(ctx, mini.schedule).world
+        checker = _RaceChecker(ctx, False, 64)
+        assert checker(final)
+        checker.witness.schedule = mini.schedule
+        assert record_race(checker.witness).race == mini.race
+        replay_witness(ctx, mini)
+
+    def test_minimisations_share_no_table(self):
+        ctx, record = _broken_lock_client()
+        first, second = _CountingSemantics(), _CountingSemantics()
+        mini1 = minimize_witness(ctx, record, semantics=first)
+        mini2 = minimize_witness(ctx, record, semantics=second)
+        assert first.calls and first.calls == second.calls
+        assert mini1.as_dict() == mini2.as_dict()
 
 
 class TestMinimizeBudget:
