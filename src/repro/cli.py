@@ -113,6 +113,23 @@ class UsageError(Exception):
     """A user-input problem surfaced after argparse: exit code 2."""
 
 
+def _non_negative(kind):
+    """An argparse ``type=`` that reads a ``kind`` (``int`` or
+    ``float``) bound and rejects a negative one as a usage error."""
+
+    def parse(text):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                "must be non-negative, got {}".format(text)
+            )
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _parse_threads(spec):
     """Split a ``--threads`` value into clean entry names.
 
@@ -622,7 +639,7 @@ def _parser_tree():
         help="comma-separated thread entry functions",
     )
     p.add_argument("--stage", default="source")
-    p.add_argument("--max-states", type=int, default=400000)
+    p.add_argument("--max-states", type=_non_negative(int), default=400000)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("validate", help="translation-validate all passes")
@@ -644,9 +661,12 @@ def _parser_tree():
         jobs_flag(p)
         live_flags(p)
         p.add_argument("--threads", default="main")
-        p.add_argument("--max-states", type=int, default=400000)
         p.add_argument(
-            "--max-atomic-steps", type=int, default=64, metavar="N",
+            "--max-states", type=_non_negative(int), default=400000
+        )
+        p.add_argument(
+            "--max-atomic-steps", type=_non_negative(int), default=64,
+            metavar="N",
             help="bound on atomic-block prediction runs",
         )
         if name == "drf":
@@ -690,7 +710,7 @@ def _parser_tree():
         "corpus hashes (default 0)",
     )
     p.add_argument(
-        "--count", type=int, default=50, metavar="N",
+        "--count", type=_non_negative(int), default=50, metavar="N",
         help="inputs in the campaign plan (default 50)",
     )
     p.add_argument(
@@ -706,22 +726,24 @@ def _parser_tree():
         "races are *expected* findings — exercises the campaign's own "
         "detect/minimize/replay alarm path",
     )
-    p.add_argument("--max-states", type=int, default=60000)
+    p.add_argument("--max-states", type=_non_negative(int), default=60000)
     p.add_argument(
-        "--max-events", type=int, default=24, metavar="N",
+        "--max-events", type=_non_negative(int), default=24, metavar="N",
         help="behaviour-trace event cap for equivalence checks "
         "(default 24)",
     )
     p.add_argument(
-        "--minimize-rounds", type=int, default=16, metavar="N",
+        "--minimize-rounds", type=_non_negative(int), default=16, metavar="N",
         help="ddmin round budget per witness shrink (default 16)",
     )
     p.add_argument(
-        "--minimize-seconds", type=float, default=5.0, metavar="S",
+        "--minimize-seconds", type=_non_negative(float), default=5.0,
+        metavar="S",
         help="wall-clock budget per witness shrink (default 5.0)",
     )
     p.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
+        "--duration", type=_non_negative(float), default=None,
+        metavar="SECONDS",
         help="stop admitting new inputs after this many seconds (the "
         "checkpoint makes the rest resumable)",
     )

@@ -8,15 +8,15 @@
 * :func:`check_theorem15` — Thm 15: the x86-TSO program with π_o
   ``⊑′``-refines the Clight program with γ_o, under the extended
   premises (including the object simulation, checked contextually).
-* :func:`framework_steps` — the eight implications of Fig. 2, each
-  checked on the system.
+* :func:`framework_steps` — the steps ①–⑧ of Fig. 2 as six verdicts,
+  each checked on the system.
 
-Each program is explored once:
-:func:`~repro.semantics.race.race_and_behaviours` takes the source's
-DRF premise and its behaviour set from one on-the-fly race search, and
-the target side is one :func:`program_behaviours` call. Under ``⊑′``
-(Thm 15) both sets are built with ``termination_sensitive=False``, so
-neither pays for the divergence analysis the comparison would discard.
+Each program is explored once per semantics: one
+:class:`~repro.semantics.race.Explorations` memo serves every step of
+:func:`framework_steps`, and a theorem's source memo (its DRF premise
+and behaviours from one race search) is gone before the target, one
+:func:`program_behaviours` call, is explored. Under ``⊑′`` (Thm 15)
+both sets skip the divergence analysis the comparison would discard.
 
 Both checks report a :class:`~repro.semantics.refinement.Verdict`: a
 failed premise fails the theorem before the target is explored, and a
@@ -29,7 +29,7 @@ from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
 # ``find_race`` stays importable from here: perfbench's ``race`` layer
 # wraps ``theorems.find_race``.
-from repro.semantics.race import find_race, race_and_behaviours
+from repro.semantics.race import Explorations, find_race
 from repro.semantics.refinement import (
     checker,
     conclude,
@@ -39,9 +39,10 @@ from repro.semantics.refinement import (
 )
 from repro.semantics.world import GlobalContext
 from repro.simulation.compose import (
-    check_compositionality,
-    check_npdrf_preservation,
-    drf_steps,
+    _compositionality,
+    _drf_npdrf_equivalence,
+    _npdrf_preservation,
+    _semantics_equivalence,
 )
 from repro.simulation.reachclose import check_reach_close
 from repro.simulation.validate import (
@@ -120,13 +121,11 @@ def _source_premises(system, semantics, max_states, max_events,
     """Safe and DRF of the source program from one exploration:
     ``(premises, source behaviours)``. ``cut`` behaviours do not fail
     ``safe``; they make the conclusion inconclusive."""
-    src_ctx = GlobalContext(system.source_program())
-    witness, src_b = race_and_behaviours(
-        src_ctx, semantics, max_states, max_events,
-        termination_sensitive=termination_sensitive,
-    )
-    premises = {"safe": safe(src_b).holds, "drf": witness is None}
-    return premises, src_b
+    src = system.source_program()
+    runs = Explorations(max_states, max_events)
+    src_b = runs.behaviours(src, semantics, termination_sensitive)
+    drf = runs.race(src, semantics) is None
+    return {"safe": safe(src_b).holds, "drf": drf}, src_b
 
 
 @checker("GCorrect")
@@ -178,21 +177,22 @@ def check_theorem15(system, max_states=400000, max_events=10):
 def framework_steps(system, max_states=400000, max_events=10):
     """The Fig. 2 implications, checked on this system.
 
-    Returns an ordered list of ``(step, Verdict)``. Each program's
-    ⑥⑧ and Lem. 9 share one preemptive race search (:func:`~repro.
-    simulation.compose.drf_steps`).
+    Returns an ordered list of ``(step, Verdict)``. Every step reads
+    one :class:`~repro.semantics.race.Explorations` memo, so each of
+    the two programs is explored once per semantics.
     """
     src = system.source_program()
     tgt = system.sc_program()
-    src_drf, src_equiv = drf_steps(src, max_states, max_events)
-    tgt_drf, tgt_equiv = drf_steps(tgt, max_states, max_events)
+    runs = Explorations(max_states, max_events)
     return [
-        ("①② source equivalence (Lem. 9)", src_equiv),
-        ("①② target equivalence (Lem. 9)", tgt_equiv),
-        ("⑥⑧ DRF⇔NPDRF source", src_drf),
-        ("⑥⑧ DRF⇔NPDRF target", tgt_drf),
+        ("①② source equivalence (Lem. 9)",
+         _semantics_equivalence(src, runs)),
+        ("①② target equivalence (Lem. 9)",
+         _semantics_equivalence(tgt, runs)),
+        ("⑥⑧ DRF⇔NPDRF source", _drf_npdrf_equivalence(src, runs)),
+        ("⑥⑧ DRF⇔NPDRF target", _drf_npdrf_equivalence(tgt, runs)),
         ("⑦ NPDRF preservation (Lem. 8)",
-         check_npdrf_preservation(src, tgt, max_states)),
+         _npdrf_preservation(src, tgt, runs)),
         ("⑤④③ compositionality + flip + soundness",
-         check_compositionality(src, tgt, max_states, max_events)),
+         _compositionality(src, tgt, runs)),
     ]

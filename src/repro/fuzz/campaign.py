@@ -11,9 +11,9 @@ and every family decides through the framework's checkers:
   conclusion), read through :func:`~repro.semantics.refinement.
   conclude`;
 * ``cimp-pair`` — DRF ⇔ NPDRF (steps ⑥⑧), then Lem. 9 (on DRF
-  programs, preemptive ≈ non-preemptive behaviours), both from one
-  preemptive race search (:func:`~repro.simulation.compose.
-  drf_steps`);
+  programs, preemptive ≈ non-preemptive behaviours), both read from
+  one :class:`~repro.semantics.race.Explorations` memo per input: one
+  race search per semantics, and the behaviour sets off their graphs;
 * ``minic-lock`` — race-check a lock-disciplined client linked against
   the lock object; any race is a finding. ``minic-lock-broken`` is the
   injected-divergence variant whose race is *expected* — and whose
@@ -58,6 +58,7 @@ from repro.obs import ledger
 from repro.obs import status as _status
 from repro.semantics import (
     ExplorationLimit,
+    Explorations,
     GlobalContext,
     PreemptiveSemantics,
     equivalent,
@@ -67,7 +68,10 @@ from repro.semantics import (
     record_race,
 )
 from repro.semantics.refinement import conclude
-from repro.simulation.compose import drf_steps
+from repro.simulation.compose import (
+    _drf_npdrf_equivalence,
+    _semantics_equivalence,
+)
 from repro.fuzz.corpus import Corpus, CorpusError
 from repro.fuzz.generators import (
     DEFAULT_KINDS,
@@ -241,10 +245,11 @@ def _check_minic_seq(inp, cfg):
 
 def _check_cimp_pair(inp, cfg):
     """DRF ⇔ NPDRF (steps ⑥⑧), then Lem. 9 (vacuous on a racy
-    program), from one preemptive race search."""
-    for verdict in drf_steps(
-        _cimp_program(inp), cfg.max_states, cfg.max_events
-    ):
+    program), from one exploration per semantics."""
+    program = _cimp_program(inp)
+    runs = Explorations(cfg.max_states, cfg.max_events)
+    for step in (_drf_npdrf_equivalence, _semantics_equivalence):
+        verdict = step(program, runs)
         if not verdict.ok:
             return _judge(verdict, "lemma", inp)
     return None

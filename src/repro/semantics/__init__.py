@@ -21,12 +21,12 @@ from repro.semantics.refinement import (
     safe,
 )
 from repro.semantics.race import (
+    Explorations,
     RaceWitness,
     drf,
     find_race,
     npdrf,
     predict,
-    race_and_behaviours,
 )
 from repro.semantics.por import AmpleReducer, default_reduce
 from repro.semantics.parallel import (
@@ -77,7 +77,7 @@ __all__ = [
     "RaceWitness",
     "predict",
     "find_race",
-    "race_and_behaviours",
+    "Explorations",
     "drf",
     "npdrf",
     "default_jobs",

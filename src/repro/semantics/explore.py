@@ -593,6 +593,7 @@ def _record_explore_metrics(graph, frontier_hwm, sp):
     # Every non-abort edge targets a state; all but the edges that
     # discovered one hit the key dedup table.
     dedup_hits = n_edges - (n_states - len(graph.initial))
+    obs.inc("explore.runs")
     obs.inc("explore.states_visited", n_states)
     obs.inc("explore.edges.event", n_event)
     obs.inc("explore.edges.silent", n_silent)

@@ -983,6 +983,7 @@ def _publish(jobs, coord_sent, stats, graph, merge_seconds,
     # Seed batches originate at the coordinator; the workers' own
     # batch counts arrived via the merge above.
     obs.inc("parallel.batches", sum(coord_sent))
+    obs.inc("explore.runs")
     obs.inc("explore.states_visited", graph.state_count())
     obs.set_gauge("explore.key_bytes", key_bytes(graph))
     # Durations are gauges, not counters (counters are integer-minded

@@ -28,14 +28,10 @@ report a witness. Callers holding worlds (the sharded explorer, the
 replayer) use the same checker through its world entry point, memoized
 per ``(top frame, memory, atomic bit)``.
 
-A race-free on-the-fly search has explored the whole program, so
-:func:`race_and_behaviours` reads the behaviour set off the same graph:
-the theorem checkers get the DRF premise and the program's behaviours
-from one exploration. Only a racy program, whose search halted on a
-prefix, is explored a second time for its behaviours. A caller that
-needs no behaviours of a racy program (Lem. 9's premise gate) takes
-the search's graph from :func:`race_search` and reads the behaviours
-off it only when the search found no race.
+A race-free on-the-fly search has explored the whole program, so its
+graph also gives the program's behaviours: :class:`Explorations` keeps
+the searches of one verdict run and reads the behaviour sets off them.
+Only a racy program is explored a second time, for its behaviours.
 
 Witnesses are *replayable*: :func:`find_race` attaches the schedule
 (the edge-index path from an initial world to the racy world, with
@@ -54,6 +50,7 @@ from repro.lang.messages import ENT_ATOM, is_silent
 from repro.lang import closure as _closure
 from repro.lang.steps import Step
 from repro.semantics.explore import (
+    ExplorationLimit,
     behaviours,
     explore,
     program_behaviours,
@@ -383,35 +380,6 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
     )[0]
 
 
-def race_and_behaviours(ctx, semantics, max_states=50000, max_events=10,
-                        termination_sensitive=True):
-    """``(find_race(...), program_behaviours(...))`` from one
-    exploration: ``(witness or None, behaviour set)``.
-
-    The on-the-fly race search explores the whole program when it
-    finds no race, so the behaviours are extracted from its graph
-    (strict on the state bound, like :func:`find_race`: a program over
-    ``max_states`` raises
-    :class:`~repro.semantics.explore.ExplorationLimit`). A race halts
-    the search on a prefix of the graph; the behaviours then come from
-    a separate observer-free :func:`program_behaviours` run.
-    ``termination_sensitive`` is :func:`behaviours`' flag: ``False``
-    skips the divergence analysis for ``⊑′`` and ``safe()``. Both parts
-    follow the ``REPRO_POR`` default.
-    """
-    witness, graph = race_search(ctx, semantics, max_states)
-    if witness is None:
-        behs = behaviours(
-            graph, max_events, termination_sensitive=termination_sensitive
-        )
-    else:
-        behs = program_behaviours(
-            ctx, semantics, max_states, max_events,
-            termination_sensitive=termination_sensitive,
-        )
-    return witness, behs
-
-
 def race_search(ctx, semantics, max_states, max_atomic_steps=None,
                 reduce=None, on_the_fly=True, capture=True, jobs=None):
     """:func:`find_race`, returning ``(witness or None, graph)``. With
@@ -488,6 +456,62 @@ def race_search(ctx, semantics, max_states, max_atomic_steps=None,
             if witness is not None and witness.schedule is not None:
                 sp.set(schedule_steps=len(witness.schedule))
     return witness, graph
+
+
+class Explorations:
+    """The strict race searches (:func:`race_search`) of one verdict
+    run, once per program object and semantics, and the behaviour sets
+    read off their graphs; a racy program's come from one observer-free
+    :func:`program_behaviours` run. Never process-wide."""
+
+    def __init__(self, max_states, max_events=10):
+        self.max_states = max_states
+        self.max_events = max_events
+        self._searches = {}
+        self._behaviours = {}
+
+    def search(self, program, semantics):
+        """``(witness or None, graph)``. A search over ``max_states``
+        raises :class:`~repro.semantics.explore.ExplorationLimit` on
+        every ask, without exploring again."""
+        key = (program, type(semantics), semantics.max_atomic_steps)
+        found = self._searches.get(key)
+        if found is None:
+            try:
+                found = race_search(
+                    GlobalContext(program), semantics, self.max_states
+                )
+            except ExplorationLimit as exc:
+                found = exc
+            self._searches[key] = found
+        if isinstance(found, ExplorationLimit):
+            raise found
+        return found
+
+    def race(self, program, semantics):
+        """The race witness, or ``None`` on a race-free program."""
+        return self.search(program, semantics)[0]
+
+    def behaviours(self, program, semantics, termination_sensitive=True):
+        """The behaviour set, in :func:`behaviours`' termination mode."""
+        key = (program, type(semantics), semantics.max_atomic_steps,
+               termination_sensitive)
+        behs = self._behaviours.get(key)
+        if behs is None:
+            witness, graph = self.search(program, semantics)
+            if witness is None:
+                behs = behaviours(
+                    graph, self.max_events,
+                    termination_sensitive=termination_sensitive,
+                )
+            else:
+                behs = program_behaviours(
+                    GlobalContext(program), semantics, self.max_states,
+                    self.max_events,
+                    termination_sensitive=termination_sensitive,
+                )
+            self._behaviours[key] = behs
+        return behs
 
 
 def drf(program, max_states=50000, max_atomic_steps=64, reduce=None,

@@ -17,7 +17,6 @@ from repro.simulation.compose import (
     check_drf_npdrf_equivalence,
     check_npdrf_preservation,
     check_semantics_equivalence,
-    drf_steps,
 )
 from repro.simulation.wholeprog import (
     check_simulation_and_flip,
@@ -48,7 +47,6 @@ __all__ = [
     "check_npdrf_preservation",
     "check_semantics_equivalence",
     "check_drf_npdrf_equivalence",
-    "drf_steps",
     "check_whole_program_simulation",
     "check_simulation_and_flip",
     "PassValidation",

@@ -12,10 +12,10 @@ the degenerate corollary (empty object): DRF x86 clients behave the
 same under TSO as under SC.
 
 Both explore the SC program once, for its premises and its behaviour
-set together (:func:`~repro.semantics.race.race_and_behaviours`), and
-build both sets without the divergence analysis ``⊑′`` discards. A
-failed premise makes the check vacuous before the TSO program is
-explored; a bound makes it inconclusive, never vacuous.
+set together (:func:`_sc_premises`), and build both sets without the
+divergence analysis ``⊑′`` discards. A failed premise makes the check
+vacuous before the TSO program is explored; a bound makes it
+inconclusive, never vacuous.
 """
 
 from repro.lang.module import ModuleDecl, link_program
@@ -24,7 +24,7 @@ from repro.langs.x86.sc import X86SC
 from repro.langs.x86.tso import X86TSO
 from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
-from repro.semantics.race import find_race, race_and_behaviours
+from repro.semantics.race import Explorations, find_race
 from repro.semantics.refinement import (
     checker,
     conclude,
@@ -35,12 +35,12 @@ from repro.semantics.refinement import (
 from repro.semantics.world import GlobalContext
 
 
-def _sc_search(prog_sc, semantics, max_states, max_events):
-    """``(race witness or None, behaviours)`` of the SC program."""
-    return race_and_behaviours(
-        GlobalContext(prog_sc), semantics, max_states, max_events,
-        termination_sensitive=False,
-    )
+def _sc_premises(prog_sc, semantics, max_states, max_events):
+    """``(Safe and DRF premises, behaviours)`` of the SC program."""
+    runs = Explorations(max_states, max_events)
+    sc_b = runs.behaviours(prog_sc, semantics, termination_sensitive=False)
+    drf = runs.race(prog_sc, semantics) is None
+    return {"safe_sc": safe(sc_b).holds, "drf_sc": drf}, sc_b
 
 
 def _tso_refines_sc(prog_tso, sc_b, semantics, max_states, max_events):
@@ -65,8 +65,7 @@ def check_strengthened_drf_guarantee(client_stages, client_genvs,
         client_stages, client_genvs, entries, X86SC,
         ModuleDecl(CIMP, spec_ge, spec_module),
     )
-    witness, sc_b = _sc_search(prog_sc, semantics, max_states, max_events)
-    premises = {"safe_sc": safe(sc_b).holds, "drf_sc": witness is None}
+    premises, sc_b = _sc_premises(prog_sc, semantics, max_states, max_events)
     failed = gate(premises, vacuous=True)
     if failed is not None:
         return failed
@@ -93,11 +92,10 @@ def check_plain_drf_guarantee(client_stages, client_genvs, entries,
     SC. Like Lem. 16 it reads Safe, or it would hold on clients that
     only abort."""
     semantics = PreemptiveSemantics()
-    witness, sc_b = _sc_search(
+    premises, sc_b = _sc_premises(
         link_program(client_stages, client_genvs, entries, X86SC),
         semantics, max_states, max_events,
     )
-    premises = {"safe_sc": safe(sc_b).holds, "drf_sc": witness is None}
     failed = gate(premises, vacuous=True)
     if failed is not None:
         return failed

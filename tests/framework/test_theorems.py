@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.framework import (
     ClientSystem,
     check_correct,
@@ -143,6 +144,32 @@ class TestFrameworkSteps:
         assert len(steps) == 6
         for name, result in steps:
             assert result.ok, (name, result.detail)
+
+    @staticmethod
+    def _explorations(system, **bounds):
+        """``explore.runs`` of one ``framework_steps`` call, counted in
+        a fresh metrics registry."""
+        obs.reset()
+        obs.configure(metrics=True)
+        try:
+            framework_steps(system, **bounds)
+            return obs.counter_value("explore.runs")
+        finally:
+            obs.reset()
+
+    def test_each_program_explored_once_per_semantics(self, system):
+        # The source and the x86-SC target, each preemptively and
+        # non-preemptively: every step reads the same four graphs.
+        assert self._explorations(system) == 4
+
+    def test_nothing_is_kept_between_calls(self, system):
+        assert [self._explorations(system) for _ in range(2)] == [4, 4]
+
+    def test_bound_hit_is_inconclusive_everywhere(self, system):
+        steps = framework_steps(system, max_states=50)
+        assert {(r.detail, r.inconclusive) for _n, r in steps} == {
+            ("inconclusive: state bound 50 exceeded", True)
+        }
 
 
 class TestReport:

@@ -170,6 +170,39 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["drf", "{racy}", "--max-states", "-5"],
+        ["npdrf", "{racy}", "--max-states", "-1"],
+        ["run", "{racy}", "--max-states", "-1"],
+        ["drf", "{racy}", "--max-atomic-steps", "-1"],
+        ["fuzz", "--out", "{dir}", "--count", "-1"],
+        ["fuzz", "--out", "{dir}", "--max-states", "-1"],
+        ["fuzz", "--out", "{dir}", "--max-events", "-1"],
+        ["fuzz", "--out", "{dir}", "--minimize-rounds", "-1"],
+        ["fuzz", "--out", "{dir}", "--minimize-seconds", "-0.5"],
+        ["fuzz", "--out", "{dir}", "--duration", "-1"],
+    ], ids=lambda argv: "{}{}".format(argv[0], argv[-2]))
+    def test_negative_bound_is_a_usage_error(self, racy_file, tmp_path,
+                                             capsys, argv):
+        out = tmp_path / "corpus"
+        argv = [a.format(racy=racy_file, dir=out) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert errors == [
+            "repro {}: error: argument {}: must be non-negative, got {}"
+            .format(argv[0], argv[-2], argv[-1])
+        ], err
+        assert not out.exists()
+
+    def test_zero_bound_is_accepted(self, tmp_path, capsys):
+        assert main(["fuzz", "--out", str(tmp_path / "c"), "--count",
+                     "0", "--kinds", "cimp-pair"]) == 0
+        assert "0 input(s) executed" in capsys.readouterr().out
+
 
 TRUNCATED_WITNESS = '{"type": "witness", "sched'
 

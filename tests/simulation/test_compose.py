@@ -108,6 +108,18 @@ class TestCompositionality:
         tgt = cimp_program("t1(){ print(2); }", ["t1"])
         assert not bool(check_compositionality(src, tgt))
 
+    def test_state_bound_is_inconclusive(self):
+        # Like the other three checkers: the strict race search raises
+        # at the bound, so no set is cut.
+        from repro.framework import lock_counter_system
+
+        system = lock_counter_system(2)
+        result = check_compositionality(
+            system.source_program(), system.sc_program(), max_states=50
+        )
+        assert result.inconclusive
+        assert result.detail == "inconclusive: state bound 50 exceeded"
+
 
 class TestReachClose:
     def _minic(self, src):
