@@ -802,7 +802,7 @@ def _parser_tree():
         "picked up automatically) or --ledger run manifest",
     )
     p.add_argument(
-        "--top", type=int, default=12, metavar="N",
+        "--top", type=_non_negative(int), default=12, metavar="N",
         help="rows in the top-spans-by-self-time table (default 12)",
     )
     p.set_defaults(func=cmd_profile)

@@ -18,12 +18,14 @@ class PassRow:
     """One row of the per-pass table."""
 
     def __init__(self, pass_name, baseline_obligations,
-                 fp_obligations, rely_moves, messages, src_steps,
-                 tgt_steps, seconds):
+                 fp_obligations, rely_moves, rely_budget_exhausted,
+                 messages, src_steps, tgt_steps, seconds):
         self.pass_name = pass_name
         self.baseline_obligations = baseline_obligations
         self.fp_obligations = fp_obligations
         self.rely_moves = rely_moves
+        #: Switch points that wanted a rely move past the budget.
+        self.rely_budget_exhausted = rely_budget_exhausted
         self.messages = messages
         self.src_steps = src_steps
         self.tgt_steps = tgt_steps
@@ -35,6 +37,7 @@ class PassRow:
             self.baseline_obligations,
             self.fp_obligations,
             self.rely_moves,
+            self.rely_budget_exhausted,
             self.messages,
             self.src_steps,
             self.tgt_steps,
@@ -80,7 +83,7 @@ def _merge_rows(rows, order, validations):
         if val.pass_name not in rows:
             order.append(val.pass_name)
             rows[val.pass_name] = PassRow(
-                val.pass_name, 0, 0, 0, 0, 0, 0, 0.0
+                val.pass_name, 0, 0, 0, 0, 0, 0, 0, 0.0
             )
         row = rows[val.pass_name]
         # Baseline: what a sequential validator discharges —
@@ -91,6 +94,7 @@ def _merge_rows(rows, order, validations):
             st.fpmatch_checks + st.scope_checks + st.lg_checks
         )
         row.rely_moves += st.rely_moves
+        row.rely_budget_exhausted += st.rely_budget_exhausted
         row.messages += st.messages_matched
         row.src_steps += st.src_steps
         row.tgt_steps += st.tgt_steps
@@ -111,6 +115,7 @@ def format_table(rows, headers=None):
         "Baseline obl.",
         "FP obl.",
         "Rely moves",
+        "Rely exhausted",
         "Msgs",
         "Src steps",
         "Tgt steps",

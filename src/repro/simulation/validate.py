@@ -5,7 +5,7 @@ simulation checker over every pass of a compilation.
 executable analogue validates each *instance*: for every adjacent pair
 of pipeline stages, for every function of the module, the checker
 co-executes source and target from the linked initial memory (plus
-rely perturbations) and discharges the Def. 3 obligations.
+footprint-directed rely moves) and discharges the Def. 3 obligations.
 
 Transitivity (Lem. 5) is what makes per-pass validation compose into
 whole-pipeline validation — checked here by also validating
@@ -72,7 +72,7 @@ class PassValidation:
 
 
 def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
-                  shared, lockstep=False, rely_limit=1, max_tau=5000):
+                  shared, lockstep=False, max_tau=5000):
     """Validate one adjacent stage pair on the given entries."""
     mu = Mu.identity(shared)
     checker = LocalSimulationChecker(
@@ -81,7 +81,6 @@ def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
         tgt_stage.lang,
         tgt_stage.module,
         mu,
-        rely_limit=rely_limit,
         lockstep=lockstep,
         max_tau=max_tau,
     )
@@ -99,8 +98,8 @@ def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
 
 
 def validate_compilation(result, initial_mem, shared, entries=None,
-                         lockstep=False, rely_limit=1,
-                         include_end_to_end=True, on_pass=None):
+                         lockstep=False, include_end_to_end=True,
+                         on_pass=None):
     """Validate every pass of a :class:`CompilationResult`.
 
     ``entries`` defaults to every function of the source module, each
@@ -122,10 +121,8 @@ def validate_compilation(result, initial_mem, shared, entries=None,
     validations = []
     with obs.span("validate", passes=len(result.stages) - 1):
         for pass_name, src_stage, tgt_stage in pairs:
-            v = _validate_one(
-                pass_name, src_stage, tgt_stage, entries, initial_mem,
-                shared, lockstep, rely_limit,
-            )
+            v = _validate_one(pass_name, src_stage, tgt_stage, entries,
+                              initial_mem, shared, lockstep)
             validations.append(v)
             if on_pass is not None:
                 on_pass(v)
@@ -133,14 +130,12 @@ def validate_compilation(result, initial_mem, shared, entries=None,
 
 
 def _validate_one(pass_name, src_stage, tgt_stage, entries, initial_mem,
-                  shared, lockstep, rely_limit):
+                  shared, lockstep):
     """Validate one pass inside a span, with real elapsed timing."""
     with obs.span("validate.pass", pass_name=pass_name) as sp:
         start = time.perf_counter()
-        report = validate_pair(
-            src_stage, tgt_stage, entries, initial_mem, shared,
-            lockstep=lockstep, rely_limit=rely_limit,
-        )
+        report = validate_pair(src_stage, tgt_stage, entries,
+                               initial_mem, shared, lockstep=lockstep)
         elapsed = time.perf_counter() - start
         sp.set(ok=report.ok, segments=report.stats.segments)
     if obs.enabled:
@@ -156,6 +151,8 @@ def _record_validation(pass_name, report):
     obs.inc("validate.obligations.scope", st.scope_checks)
     obs.inc("validate.obligations.lg", st.lg_checks)
     obs.inc("validate.obligations.rely_moves", st.rely_moves)
+    obs.inc("validate.obligations.rely_budget_exhausted",
+            st.rely_budget_exhausted)
     obs.inc("validate.obligations.messages", st.messages_matched)
     obs.inc("validate.co_exec_steps", st.src_steps + st.tgt_steps)
     obs.inc("validate.segments", st.segments)

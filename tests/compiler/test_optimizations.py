@@ -2,8 +2,11 @@
 Deadcode) — the paper's future-work passes, validated by the same
 footprint-preserving criterion."""
 
+import types
+
 import pytest
 
+from repro.compiler import cse as cse_pass
 from repro.langs.ir import rtl
 from repro.langs.ir.base import IRModule
 from repro.langs.minic import compile_unit, link_units
@@ -181,6 +184,36 @@ class TestCSE:
         assert out.code[4].op == "+", (
             "cross-block reuse without availability on all paths"
         )
+
+
+class TestPrintKillIsNeeded:
+    """With ``Iprint`` dropped from CSE's kill rule, a load kept live
+    across ``print`` must be rejected by the CSE pass check and the
+    end-to-end check, whichever global it reads: the rely moves at the
+    ``print`` cover every shared cell the next segment reads."""
+
+    SRC = (
+        "int g = 0; int h = 0; "
+        "void main() {{ int a; int b; a = {0}; print(a); "
+        "b = {0}; print(b); }}"
+    )
+
+    @pytest.mark.parametrize("cell", ["g", "h"])
+    def test_load_kept_across_print_rejected(self, cell, monkeypatch):
+        class NotAnInstruction:
+            pass
+
+        no_print = types.SimpleNamespace(**vars(rtl))
+        no_print.Iprint = NotAnInstruction
+        monkeypatch.setattr(cse_pass, "rtl", no_print)
+        mods, genvs, _ = link_units([compile_unit(self.SRC.format(cell))])
+        mem = genvs[0].memory()
+        vals = validate_compilation(
+            compile_minic(mods[0], optimize=True), mem, mem.domain()
+        )
+        assert [v.pass_name for v in vals if not v.ok] == [
+            "CSE", "end-to-end",
+        ]
 
 
 class TestDeadcode:

@@ -181,6 +181,7 @@ class TestExitCodes:
         ["fuzz", "--out", "{dir}", "--minimize-rounds", "-1"],
         ["fuzz", "--out", "{dir}", "--minimize-seconds", "-0.5"],
         ["fuzz", "--out", "{dir}", "--duration", "-1"],
+        ["profile", "{racy}", "--top", "-1"],
     ], ids=lambda argv: "{}{}".format(argv[0], argv[-2]))
     def test_negative_bound_is_a_usage_error(self, racy_file, tmp_path,
                                              capsys, argv):
