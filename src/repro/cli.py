@@ -150,11 +150,8 @@ def _parse_threads(spec):
 
 def _check_entries(ctx, entries):
     """Reject entry names the program cannot resolve, listing the
-    known ones (languages without entry listings skip the check and
-    fail at thread-creation time as before)."""
+    known ones."""
     known = ctx.entry_names()
-    if known is None:
-        return
     unknown = [name for name in entries if name not in known]
     if unknown:
         raise UsageError(

@@ -377,7 +377,7 @@ def _registered():
     register_constructor(_values.VInt, ("n",))
     register_constructor(_values.VPtr, ("addr",))
     register_singleton(_values._VUndef)
-    register_constructor(_steps.StepAbort, ("fp", "reason"))
+    register_constructor(_steps.StepAbort, ("reason",))
 
     # Static code containers: static-segment members travel as table
     # indexes, the rest through the generic slot reducer. Core states,

@@ -8,7 +8,7 @@ structure and linking (:mod:`repro.lang.module`), and the dynamic
 well-definedness checker of Def. 1 (:mod:`repro.lang.wd`).
 """
 
-from repro.lang.interface import ModuleLanguage, resolve_entry
+from repro.lang.interface import ModuleLanguage
 from repro.lang.messages import (
     ENT_ATOM,
     EXT_ATOM,
@@ -25,7 +25,6 @@ from repro.lang.steps import Step, StepAbort, has_abort, successful
 
 __all__ = [
     "ModuleLanguage",
-    "resolve_entry",
     "TAU",
     "ENT_ATOM",
     "EXT_ATOM",

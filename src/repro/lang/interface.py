@@ -39,8 +39,7 @@ class ModuleLanguage(ABC):
     def init_core(self, module, entry, args=()):
         """``InitCore``: the initial core for calling ``entry`` with ``args``.
 
-        Returns ``None`` when ``entry`` is not defined in ``module`` —
-        the global semantics then tries the other linked modules.
+        Returns ``None`` when ``entry`` is not defined in ``module``.
         """
 
     @abstractmethod
@@ -52,19 +51,13 @@ class ModuleLanguage(ABC):
         """
 
     def entry_names(self, module):
-        """The entry names ``init_core`` accepts for ``module``, or ``None``.
+        """The entry names ``init_core`` accepts for ``module``.
 
         Used by :class:`repro.semantics.world.GlobalContext` to
-        precompute its resolve table. The default covers every in-tree
-        language (they all keep a ``functions`` name map on the module);
-        a language whose entries cannot be enumerated should return
-        ``None``, which makes resolution fall back to probing each
-        module with ``init_core``.
+        precompute its resolve table. The default reads the
+        ``functions`` name map every in-tree module keeps.
         """
-        functions = getattr(module, "functions", None)
-        if functions is None:
-            return None
-        return functions.keys()
+        return module.functions.keys()
 
     def after_external(self, core, retval):
         """Resume a core that emitted ``CallMsg`` with the callee's result.
@@ -80,23 +73,3 @@ class ModuleLanguage(ABC):
         """True iff ``core`` has terminated (no further steps)."""
         return core is None
 
-
-def resolve_entry(modules, entry, args=()):
-    """Find the module defining ``entry`` and build its initial core.
-
-    ``modules`` is a sequence of :class:`repro.lang.module.ModuleDecl`.
-    Returns ``(module_decl, core)`` or ``None`` when no module defines
-    the entry. Ambiguity (two modules defining the same entry) is a
-    linking error and raises ``ValueError``.
-    """
-    found = None
-    for decl in modules:
-        core = decl.lang.init_core(decl.code, entry, args)
-        if core is None:
-            continue
-        if found is not None:
-            raise ValueError(
-                "entry {!r} defined in multiple modules".format(entry)
-            )
-        found = (decl, core)
-    return found

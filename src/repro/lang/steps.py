@@ -12,7 +12,6 @@ footprint, successor core, successor memory) or :class:`StepAbort`
 """
 
 from repro.common.astbase import Record
-from repro.common.footprint import EMP
 
 
 class Step(Record):
@@ -33,25 +32,24 @@ class Step(Record):
 class StepAbort:
     """The ``abort`` outcome: the module reached undefined behaviour.
 
-    ``reason`` is diagnostic only and excluded from equality, so that
-    aborts compare equal in explored state graphs regardless of the
-    message text.
+    An abort reports no footprint. ``reason`` is diagnostic only and
+    excluded from equality, so all aborts compare equal in explored
+    state graphs regardless of the message text.
     """
 
-    __slots__ = ("fp", "reason")
+    __slots__ = ("reason",)
 
-    def __init__(self, fp=EMP, reason=""):
-        object.__setattr__(self, "fp", fp)
+    def __init__(self, reason=""):
         object.__setattr__(self, "reason", reason)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepAbort is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, StepAbort) and self.fp == other.fp
+        return isinstance(other, StepAbort)
 
     def __hash__(self):
-        return hash(("StepAbort", self.fp))
+        return hash("StepAbort")
 
     def __repr__(self):
         return "StepAbort({!r})".format(self.reason)

@@ -265,7 +265,6 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
                 obs.inc(
                     "por.proviso_expansions", reducer.proviso_expansions
                 )
-                obs.inc("por.sleep_hits", reducer.sleep_hits)
                 obs.inc("por.steps_avoided", reducer.steps_avoided)
                 sp.set(
                     ample_worlds=reducer.ample_worlds,
@@ -275,8 +274,6 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     if hb is not None:
         # Forced final beat: even sub-second runs leave a status file
         # whose state count matches the finished graph.
-        if reducer is not None:
-            hb.update(por_counters=reducer.snapshot())
         hb.force(states=graph.state_count(), frontier=0)
     return graph
 
@@ -297,6 +294,49 @@ def _keyed_roots(ctx, semantics, ks):
     return graph, kid
 
 
+def _linker(graph, kid, max_states, strict, fresh=None):
+    """The one state-bound rule of both loops, as ``link(sid, outs)``.
+
+    ``link`` gives state ``sid`` its edges to the successors ``outs``
+    (``(label, fp, key)`` items in successor-list order) and returns
+    them. A key already met keeps its id, a new key takes the next one
+    (and is passed to ``fresh``, if given), and a new key past
+    ``max_states`` raises :class:`ExplorationLimit` under ``strict``
+    or else is dropped and marks ``sid`` truncated. A state without
+    successors is stuck. A closure, not a function of all these
+    arguments: it runs once per expanded state.
+    """
+    keys = graph.keys
+    all_edges = graph.edges
+
+    def link(sid, outs):
+        edges = []
+        for label, _, nk in outs:
+            if nk is None:
+                edges.append((Behaviour.ABORT, ABORT_DST))
+                continue
+            dst = kid.get(nk)
+            if dst is None:
+                if len(keys) >= max_states:
+                    if strict:
+                        raise ExplorationLimit(
+                            "state bound {} exceeded".format(max_states)
+                        )
+                    graph.truncated.add(sid)
+                    continue
+                dst = kid[nk] = len(keys)
+                keys.append(nk)
+                if fresh is not None:
+                    fresh(dst)
+            edges.append((label, dst))
+        if not outs:
+            graph.stuck.add(sid)
+        all_edges[sid] = edges
+        return edges
+
+    return link
+
+
 def _explore_full(ctx, semantics, max_states, strict, observer):
     """The classical BFS over every interleaving (no reduction), keyed.
 
@@ -312,8 +352,9 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
     frontier_hwm = len(queue)
 
     # Locals hoisted out of the loop: every line below runs once per
-    # dequeued state or per candidate edge.
+    # dequeued state.
     all_edges = graph.edges
+    link = _linker(graph, kid, max_states, strict, queue.append)
     entry_of = ks.entry
     expand = ks.expand
     live_of = ks.live
@@ -342,34 +383,8 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
             graph.halted_sid = sid
             break
         cur = k & cur_mask
-        outs = expand(k, cur, live, entry_of(k, cur))
-        if not outs:
-            graph.stuck.add(sid)
-            all_edges[sid] = []
-            continue
-        edges = []
-        for label, _, nk in outs:
-            if nk is None:
-                edges.append((Behaviour.ABORT, ABORT_DST))
-                continue
-            dst = kid.get(nk)
-            if dst is None:
-                if len(keys) >= max_states:
-                    if strict:
-                        raise ExplorationLimit(
-                            "state bound {} exceeded".format(max_states)
-                        )
-                    graph.truncated.add(sid)
-                    continue
-                dst = kid[nk] = len(keys)
-                keys.append(nk)
-                queue.append(dst)
-            edges.append((label, dst))
-        all_edges[sid] = edges
+        link(sid, expand(k, cur, live, entry_of(k, cur)))
     return graph, frontier_hwm
-
-
-_NO_SLEEP = frozenset()
 
 
 def _explore_reduced(ctx, semantics, max_states, strict, observer):
@@ -382,17 +397,21 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     otherwise never yield to the others) and keeps ``silent_div``
     detection and behaviour extraction exact on the reduced graph.
 
-    Keyed like :func:`_explore_full`: the atomic bit and the ample
-    bookkeeping's live threads are read from the key too. The ample
-    decision (:meth:`~repro.semantics.por.AmpleReducer.decide`) is
-    taken once per move-memo entry
-    (:class:`~repro.semantics.keyspace.KeySpace`).
+    Keyed like :func:`_explore_full`, and linked by the same rule
+    (:func:`_linker`): a state's successors are always
+    :meth:`~repro.semantics.keyspace.KeySpace.expand`'s full list, and
+    an ample expansion keeps its prefix of thread moves (the Switch
+    edges come after them). The proviso is checked over that prefix
+    before anything is linked. The ample decision
+    (:meth:`~repro.semantics.por.AmpleReducer.decide`) is taken once
+    per move-memo entry (:class:`~repro.semantics.keyspace.KeySpace`).
     """
     reducer = AmpleReducer()
     ks = KeySpace(ctx, semantics, reducer)
     graph, kid = _keyed_roots(ctx, semantics, ks)
     keys = graph.keys
     all_edges = graph.edges
+    link = _linker(graph, kid, max_states, strict)
     entry_of = ks.entry
     expand = ks.expand
     live_of = ks.live
@@ -401,8 +420,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     slot_bits = ks.slot_bits
 
     on_stack = set()
-    # Stack entries: [sid, successor-iterator | None, sleep set the
-    # expansion inherits from its DFS parent].
+    # Stack entries: [sid, edge iterator once expanded, else None].
     stack = []
     stack_hwm = 0
     halted = False
@@ -414,32 +432,26 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
             break
         if root in all_edges:
             continue
-        stack.append([root, None, _NO_SLEEP])
+        stack.append([root, None])
         while stack:
             hb_left -= 1
             if hb_left == 0:
                 hb_left = _HB_STRIDE
                 if hb.due():
-                    # The POR counter dict is only built when a write
-                    # is actually due.
-                    hb.update(por_counters=reducer.snapshot())
                     hb.beat(states=len(keys), frontier=len(stack))
             entry = stack[-1]
-            sid = entry[0]
-            it = entry[1]
+            sid, it = entry
             if it is not None:
-                dst = next(it, None)
-                if dst is None:
+                # Descend into the next successor not yet expanded.
+                for _, dst in it:
+                    if dst not in all_edges and dst != ABORT_DST:
+                        stack.append([dst, None])
+                        if len(stack) > stack_hwm:
+                            stack_hwm = len(stack)
+                        break
+                else:
                     on_stack.discard(sid)
                     stack.pop()
-                elif dst not in all_edges:
-                    stack.append([dst, None, entry[2]])
-                    if len(stack) > stack_hwm:
-                        stack_hwm = len(stack)
-                continue
-            if sid in all_edges:
-                # Reached again through a sibling before being visited.
-                stack.pop()
                 continue
             k = keys[sid]
             live = live_of(k)
@@ -467,82 +479,24 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 break
             if mentry is None:
                 mentry = entry_of(k, cur)
-            edges = []
-            children = []
-            child_sleep = _NO_SLEEP
+            outs = expand(k, cur, live, mentry)
             ample = mentry[1]
             if ample:
-                for mv in mentry[2]:
-                    nk = k ^ mv[2]
-                    dst = kid.get(nk)
-                    if dst is None:
-                        if len(keys) >= max_states:
-                            if strict:
-                                raise ExplorationLimit(
-                                    "state bound {} exceeded".format(
-                                        max_states
-                                    )
-                                )
-                            graph.truncated.add(sid)
-                            continue
-                        dst = kid[nk] = len(keys)
-                        keys.append(nk)
-                    elif dst in on_stack:
+                moves = outs[:len(mentry[2])]
+                for _, _, nk in moves:
+                    if kid.get(nk) in on_stack:
                         # Cycle proviso (C3): this reduction would close
                         # a cycle of reduced states — expand fully.
                         ample = False
                         reducer.proviso_expansions += 1
                         break
-                    edges.append((None, dst))
-                    children.append(dst)
-                if ample:
-                    pruned = len(live) - 1
-                    if pruned > 0:
-                        reducer.ample_worlds += 1
-                        reducer.steps_avoided += pruned
-                        child_sleep = frozenset(
-                            t for t in live if t != cur
-                        )
-                        # Threads whose switch was already pruned at the
-                        # DFS parent stay asleep through this expansion.
-                        reducer.sleep_hits += len(
-                            child_sleep & entry[2]
-                        )
-                    else:
-                        reducer.full_expansions += 1
-            if not ample:
+            if ample and len(live) > 1:
+                reducer.ample_worlds += 1
+                reducer.steps_avoided += len(live) - 1
+                outs = moves
+            else:
                 reducer.full_expansions += 1
-                edges = []
-                children = []
-                outs = expand(k, cur, live, mentry)
-                if not outs:
-                    graph.stuck.add(sid)
-                    all_edges[sid] = []
-                    on_stack.discard(sid)
-                    stack.pop()
-                    continue
-                for label, _, nk in outs:
-                    if nk is None:
-                        edges.append((Behaviour.ABORT, ABORT_DST))
-                        continue
-                    dst = kid.get(nk)
-                    if dst is None:
-                        if len(keys) >= max_states:
-                            if strict:
-                                raise ExplorationLimit(
-                                    "state bound {} exceeded".format(
-                                        max_states
-                                    )
-                                )
-                            graph.truncated.add(sid)
-                            continue
-                        dst = kid[nk] = len(keys)
-                        keys.append(nk)
-                    edges.append((label, dst))
-                    children.append(dst)
-            all_edges[sid] = edges
-            entry[1] = iter(children)
-            entry[2] = child_sleep
+            entry[1] = iter(link(sid, outs))
     return graph, stack_hwm, reducer
 
 

@@ -1030,8 +1030,8 @@ def parallel_explore(ctx, semantics, max_states=50000, strict=False,
     return graph
 
 
-def parallel_find_race(ctx, semantics, max_states=50000,
-                       max_atomic_steps=64, reduce=False, jobs=2):
+def parallel_find_race(ctx, semantics, max_states=50000, reduce=False,
+                       jobs=2):
     """Fused parallel race search: ``(witness | None, merged graph)``.
 
     The caller (:func:`repro.semantics.race.find_race`) owns witness
@@ -1050,7 +1050,7 @@ def parallel_find_race(ctx, semantics, max_states=50000,
     ) as sp:
         graph, witness, _stats = _run_parallel(
             ctx, semantics, jobs, max_states, True, use_por,
-            (quantum, max_atomic_steps),
+            (quantum, semantics.max_atomic_steps),
         )
         if obs.enabled:
             sp.set(states=graph.state_count(), racy=witness is not None)

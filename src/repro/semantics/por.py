@@ -1,4 +1,4 @@
-"""Footprint-directed partial-order reduction (ample sets + sleep sets).
+"""Footprint-directed partial-order reduction (ample sets).
 
 The preemptive semantics lets the scheduler switch threads at *every*
 step outside an atomic block, so the explored world graph grows
@@ -25,23 +25,20 @@ This module turns that into a sound *ample set* construction for
   thread's pending write would lose interleavings (see
   ``tests/semantics/test_por.py`` for the counterexample).
 
-* Reduction is refused conservatively whenever any candidate outcome is
-  not a plain silent :class:`~repro.lang.steps.Step`: observable events,
-  ``EntAtom``/``ExtAtom``, spawns, calls/returns and aborts all force a
-  full expansion (C2, visibility), as do stuck or terminated current
-  threads.
+* Reduction is refused conservatively whenever any of the current
+  thread's global steps is not silent: observable events,
+  ``EntAtom``/``ExtAtom``, spawns, thread termination and aborts all
+  force a full expansion (C2, visibility), as do stuck or terminated
+  current threads and atomic blocks. A cross-module call, or a return
+  to a caller activation, is a silent global step (it only pushes or
+  pops the thread's own activation), so it is admitted like a ``τ``
+  step when its footprint is private.
 
 * The **cycle proviso** (C3) is applied by the explorer's DFS: a reduced
   expansion whose successor closes a cycle back into the current search
   stack is re-expanded fully, so a thread spinning in a private loop
   cannot starve the others (the classical "ignoring problem") and
   ``silent_div`` detection stays exact.
-
-* **Sleep sets**: threads whose Switch edge was pruned at a world are
-  *asleep*; along a chain of consecutive reduced expansions they stay
-  asleep without being re-examined. ``sleep_hits`` counts these
-  kept-asleep decisions — the redundant commutations that were never
-  even considered again.
 
 The reducer is deliberately unaware of the non-preemptive semantics:
 its switch points (atomic boundaries, events, termination) are exactly
@@ -94,7 +91,6 @@ class AmpleReducer:
         "ample_worlds",
         "full_expansions",
         "proviso_expansions",
-        "sleep_hits",
         "steps_avoided",
     )
 
@@ -103,18 +99,7 @@ class AmpleReducer:
         self.ample_worlds = 0
         self.full_expansions = 0
         self.proviso_expansions = 0
-        self.sleep_hits = 0
         self.steps_avoided = 0
-
-    def snapshot(self):
-        """The counters as a plain dict (heartbeat / status payloads)."""
-        return {
-            "ample_worlds": self.ample_worlds,
-            "full_expansions": self.full_expansions,
-            "proviso_expansions": self.proviso_expansions,
-            "sleep_hits": self.sleep_hits,
-            "steps_avoided": self.steps_avoided,
-        }
 
     def footprint_private(self, fp, tid):
         """True iff ``fp`` touches only thread ``tid``'s freelist space."""
@@ -155,9 +140,7 @@ class AmpleReducer:
         are appended after the thread steps). Witness capture and
         replay (:mod:`repro.semantics.witness`) rely on this: an
         edge-index path recorded through a reduced expansion replays
-        verbatim under the full semantics. Sleep sets are accounting
-        only (``sleep_hits``) and never drop additional edges, so they
-        cannot corrupt recorded schedules.
+        verbatim under the full semantics.
         """
         cur = world.cur
         if world.bits[cur] != 0:

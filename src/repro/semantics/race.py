@@ -347,8 +347,8 @@ class _RaceChecker:
         return None
 
 
-def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
-              reduce=None, on_the_fly=True, capture=True, jobs=None):
+def find_race(ctx, semantics, max_states=50000, reduce=None,
+              on_the_fly=True, capture=True, jobs=None):
     """Search reachable worlds for a race; returns a witness or ``None``.
 
     Non-preemptive exploration uses quantum (region) prediction — see
@@ -366,7 +366,7 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
     partial-order reduction, capture re-walks the path under the full
     semantics, so POR-found witnesses are cross-checked on the spot.
 
-    ``max_atomic_steps=None`` adopts the semantics object's own bound
+    The prediction horizon is the semantics object's own bound
     (``semantics.max_atomic_steps``), so witness metadata and the
     prediction horizon can never silently disagree. ``jobs > 1`` runs
     the fused search across forked worker processes
@@ -375,19 +375,16 @@ def find_race(ctx, semantics, max_states=50000, max_atomic_steps=None,
     exactly as in the sequential search.
     """
     return race_search(
-        ctx, semantics, max_states, max_atomic_steps, reduce, on_the_fly,
-        capture, jobs,
+        ctx, semantics, max_states, reduce, on_the_fly, capture, jobs,
     )[0]
 
 
-def race_search(ctx, semantics, max_states, max_atomic_steps=None,
-                reduce=None, on_the_fly=True, capture=True, jobs=None):
+def race_search(ctx, semantics, max_states, reduce=None, on_the_fly=True,
+                capture=True, jobs=None):
     """:func:`find_race`, returning ``(witness or None, graph)``. With
     the defaults (sequential, on the fly) the graph is the whole
     reachable one unless a race halted the search."""
     quantum = isinstance(semantics, NonPreemptiveSemantics)
-    if max_atomic_steps is None:
-        max_atomic_steps = getattr(semantics, "max_atomic_steps", 64)
     if reduce is None:
         reduce = default_reduce()
     use_parallel = False
@@ -405,12 +402,11 @@ def race_search(ctx, semantics, max_states, max_atomic_steps=None,
         checker = None
         if use_parallel and on_the_fly:
             witness, graph = parallel.parallel_find_race(
-                ctx, semantics, max_states=max_states,
-                max_atomic_steps=max_atomic_steps, reduce=reduce,
+                ctx, semantics, max_states=max_states, reduce=reduce,
                 jobs=jobs,
             )
         else:
-            checker = _RaceChecker(ctx, quantum, max_atomic_steps)
+            checker = _RaceChecker(ctx, quantum, semantics.max_atomic_steps)
             if on_the_fly:
                 graph = explore(
                     ctx, semantics, max_states, strict=True,
@@ -521,7 +517,7 @@ def drf(program, max_states=50000, max_atomic_steps=64, reduce=None,
     return (
         find_race(
             ctx, PreemptiveSemantics(max_atomic_steps), max_states,
-            max_atomic_steps, reduce=reduce, jobs=jobs,
+            reduce=reduce, jobs=jobs,
         )
         is None
     )
@@ -534,7 +530,7 @@ def npdrf(program, max_states=50000, max_atomic_steps=64, reduce=None,
     return (
         find_race(
             ctx, NonPreemptiveSemantics(max_atomic_steps), max_states,
-            max_atomic_steps, reduce=reduce, jobs=jobs,
+            reduce=reduce, jobs=jobs,
         )
         is None
     )

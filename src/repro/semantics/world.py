@@ -39,7 +39,6 @@ from repro.common.astbase import Record
 from repro.common.errors import SemanticsError
 from repro.common.freelist import MAX_DEPTH, FreeList
 from repro.common.intern import InternTable
-from repro.lang.interface import resolve_entry
 
 _FRAMES = InternTable("frame")
 
@@ -111,11 +110,10 @@ def reset_intern_tables():
 
 
 #: Marks a function name defined by more than one module: linking is
-#: still fine, but resolving that name is an error (as in
-#: :func:`repro.lang.interface.resolve_entry`).
+#: still fine, but resolving that name is an error.
 _AMBIGUOUS = object()
 
-#: Negative-cache marker for the probing fallback of ``resolve``.
+#: Negative-cache marker of ``resolve``.
 _UNRESOLVED = object()
 
 
@@ -287,12 +285,10 @@ class GlobalContext:
     cross-module calls.
 
     ``__init__`` precomputes a ``{fname: (mod_idx, decl)}`` resolve
-    table from the modules' entry listings, so the engine's cross-module
-    call/spawn path is one dict lookup plus one ``init_core`` instead of
-    probing every module and re-scanning ``modules`` for the index. When
-    a language cannot enumerate its entries
-    (:meth:`~repro.lang.interface.ModuleLanguage.entry_names` returns
-    ``None``), resolution falls back to probing, memoized per name.
+    table from the modules' entry listings
+    (:meth:`~repro.lang.interface.ModuleLanguage.entry_names`), so the
+    engine's cross-module call/spawn path is one dict lookup plus one
+    ``init_core``.
 
     A context carries no stepping caches: step outcomes are memoized per
     ``(language, module)`` in :mod:`repro.lang.closure`, and thread
@@ -303,7 +299,6 @@ class GlobalContext:
         self.program = program
         self.modules = program.modules
         self._resolve_table = self._build_resolve_table()
-        self._resolve_cache = {}
         # (fname, args) -> (mod_idx, core) | _UNRESOLVED. Cores are
         # immutable, so the canonical initial core can be shared by
         # every call site; sharing also makes the interned callee
@@ -313,11 +308,7 @@ class GlobalContext:
     def _build_resolve_table(self):
         table = {}
         for idx, decl in enumerate(self.modules):
-            entry_names = getattr(decl.lang, "entry_names", None)
-            names = entry_names(decl.code) if entry_names else None
-            if names is None:
-                return None
-            for fname in names:
+            for fname in decl.lang.entry_names(decl.code):
                 table[fname] = (
                     _AMBIGUOUS if fname in table else (idx, decl)
                 )
@@ -327,20 +318,13 @@ class GlobalContext:
         return self.modules[idx]
 
     def entry_names(self):
-        """Sorted resolvable entry names, or ``None`` when unknown.
-
-        ``None`` means some module's language has no entry listing
-        (resolution falls back to probing), so callers — e.g. the
-        CLI's ``--threads`` validation — cannot enumerate candidates
-        up front. Ambiguous names (defined in several modules) are
+        """Sorted resolvable entry names (for the CLI's ``--threads``
+        validation). Ambiguous names (defined in several modules) are
         excluded: resolving them raises.
         """
-        table = self._resolve_table
-        if table is None:
-            return None
         return sorted(
             fname
-            for fname, entry in table.items()
+            for fname, entry in self._resolve_table.items()
             if entry is not _AMBIGUOUS
         )
 
@@ -362,39 +346,17 @@ class GlobalContext:
         return resolved
 
     def _resolve_uncached(self, fname, args):
-        table = self._resolve_table
-        if table is not None:
-            entry = table.get(fname)
-            if entry is None:
-                return None
-            if entry is _AMBIGUOUS:
-                raise ValueError(
-                    "entry {!r} defined in multiple modules".format(fname)
-                )
-            mod_idx, decl = entry
-            core = decl.lang.init_core(decl.code, fname, args)
-            if core is None:
-                return None
-            return mod_idx, core
-        # Probing fallback for languages without entry listings.
-        hit = self._resolve_cache.get(fname)
-        if hit is not None:
-            if obs.enabled:
-                obs.inc("resolve.cache_hits")
-            if hit is _UNRESOLVED:
-                return None
-            mod_idx, decl = hit
-            core = decl.lang.init_core(decl.code, fname, args)
-            if core is None:
-                return None
-            return mod_idx, core
-        found = resolve_entry(self.modules, fname, args)
-        if found is None:
-            self._resolve_cache[fname] = _UNRESOLVED
+        entry = self._resolve_table.get(fname)
+        if entry is None:
             return None
-        decl, core = found
-        mod_idx = self.modules.index(decl)
-        self._resolve_cache[fname] = (mod_idx, decl)
+        if entry is _AMBIGUOUS:
+            raise ValueError(
+                "entry {!r} defined in multiple modules".format(fname)
+            )
+        mod_idx, decl = entry
+        core = decl.lang.init_core(decl.code, fname, args)
+        if core is None:
+            return None
         return mod_idx, core
 
     def load(self):

@@ -164,7 +164,10 @@ def rely_moves(mu, src_mem, tgt_mem, cells):
 def segment_cells(fp, aborted, shared):
     """The cells a switch point's rely moves cover: what the source
     footprint of its identity segment reads or writes, or every shared
-    cell if the segment aborts (an abort carries no footprint)."""
+    cell if the segment aborts. An abort reports no footprint, by
+    design (:class:`~repro.lang.steps.StepAbort` has none), so nothing
+    tells which cells the segment read before it aborted: that is why
+    every shared cell gets a move."""
     return shared if aborted else fp.rs | fp.ws
 
 

@@ -58,7 +58,11 @@ class TestAtomProtocol:
     def test_impure_entatom_rejected(self):
         # A hand-built language emitting EntAtom with a footprint
         # violates the Fig. 7 EntAt purity side condition.
-        class BadLang:
+        from types import SimpleNamespace
+
+        from repro.lang.interface import ModuleLanguage
+
+        class BadLang(ModuleLanguage):
             name = "bad"
 
             def init_core(self, module, entry, args=()):
@@ -74,11 +78,11 @@ class TestAtomProtocol:
         from repro.lang.module import GlobalEnv, ModuleDecl, Program
         from repro.common.memory import Memory
 
+        module = SimpleNamespace(functions={"f": None})
         prog = Program(
-            [ModuleDecl(BadLang(), GlobalEnv({}, {}), None)], ["f"]
+            [ModuleDecl(BadLang(), GlobalEnv({}, {}), module)], ["f"]
         )
         ctx = GlobalContext(prog)
-        # Bypass load (entry resolution needs init_core to accept).
         world = ctx.load()[0]
         with pytest.raises(SemanticsError):
             thread_successors(ctx, world)

@@ -1,4 +1,4 @@
-"""Footprint-directed partial-order reduction (ample + sleep sets).
+"""Footprint-directed partial-order reduction (ample sets).
 
 Unit-level coverage of :mod:`repro.semantics.por` and the reduced
 exploration path: the privacy check, the ample decision (including the
@@ -206,7 +206,36 @@ class TestReduction:
             assert obs.counter_value("por.ample_worlds") > 0
             assert obs.counter_value("por.full_expansions") > 0
             assert obs.counter_value("por.steps_avoided") > 0
-            assert obs.counter_value("por.sleep_hits") > 0
+        finally:
+            obs.reset()
+
+    def test_lock_counter_race_search_counters(self):
+        # The exact work of the fused race search on the 3-thread lock
+        # counter. Any change to the ample decision, the cycle proviso
+        # or the order in which the DFS links and numbers states moves
+        # at least one of these.
+        obs.reset()
+        try:
+            obs.configure(metrics=True)
+            prog = lock_counter_system(3).source_program()
+            assert find_race(GlobalContext(prog), PRE, reduce=True) is None
+            counters = {
+                name: obs.counter_value(name)
+                for name in (
+                    "por.ample_worlds",
+                    "por.full_expansions",
+                    "por.proviso_expansions",
+                    "por.steps_avoided",
+                    "explore.states_visited",
+                )
+            }
+            assert counters == {
+                "por.ample_worlds": 1695,
+                "por.full_expansions": 3315,
+                "por.proviso_expansions": 63,
+                "por.steps_avoided": 2862,
+                "explore.states_visited": 5028,
+            }
         finally:
             obs.reset()
 

@@ -133,17 +133,6 @@ class TestResolveTable:
         with pytest.raises(ValueError):
             ctx.resolve("dup")
 
-    def test_probing_fallback_when_entries_unknown(self):
-        # A language that cannot enumerate entries forces the lazy
-        # probing path; resolution results must be identical.
-        prog = cimp_program("f(){ print(1); }", ["f"])
-        ctx = GlobalContext(prog)
-        ctx._resolve_table = None
-        ctx._core_cache.clear()
-        mod_idx, core = ctx.resolve("f")
-        assert mod_idx == 0 and core is not None
-        assert ctx.resolve("missing") is None
-
 
 class TestExplorationDeterminism:
     def test_behaviour_sets_stable_across_runs(self):
