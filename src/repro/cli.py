@@ -100,7 +100,7 @@ from repro.semantics import (
     replay_witness,
     save_witness,
 )
-from repro.compiler import compile_minic
+from repro.compiler import compile_minic, source_stage, stage_names
 from repro.compiler.pprint import dump_pipeline, dump_stage
 from repro.fuzz.generators import DEFAULT_KINDS as DEFAULT_FUZZ_KINDS
 from repro.semantics.parallel import default_jobs
@@ -110,7 +110,13 @@ from repro.tso import DEFAULT_LOCK_ADDR, lock_spec_decl
 
 
 class UsageError(Exception):
-    """A user-input problem surfaced after argparse: exit code 2."""
+    """A user-input problem surfaced after argparse: exit code 2. With
+    ``flag``, it is a bad value of that flag, reported the way argparse
+    reports one: ``repro CMD: error: argument FLAG: ...``."""
+
+    def __init__(self, message, flag=None):
+        super().__init__(message)
+        self.flag = flag
 
 
 def _non_negative(kind):
@@ -178,52 +184,72 @@ def _build(path, use_lock):
     return modules[0], genvs[0]
 
 
+def _check_stage(args, flag, name, extra=()):
+    """Reject a stage name the pipeline would not build with
+    ``args.optimize``, before any pass runs; ``extra`` lists the other
+    names ``flag`` accepts."""
+    valid = stage_names(args.optimize) + tuple(extra)
+    if name in valid:
+        return
+    why = (
+        "stage {!r} needs -O".format(name)
+        if name in stage_names(True)
+        else "unknown stage {!r}".format(name)
+    )
+    hint = "" if args.optimize else " (-O adds ConstProp, CSE, Deadcode)"
+    raise UsageError(
+        "{}; valid stages: {}{}".format(why, ", ".join(valid), hint),
+        flag=flag,
+    )
+
+
 def _load(args):
-    """The preamble of every command that reads a MiniC file: build
-    ``args.file`` (against the lock object with ``args.lock``) and
-    compile it. With ``args.threads``, the program at ``args.stage``
-    (the source when absent) is linked on those entries and checked
-    against them. Returns ``(result, genv, ctx, entries)``; ``ctx`` and
-    ``entries`` are ``None`` without threads.
+    """The preamble of the commands that explore a MiniC file (``run``,
+    ``drf``, ``npdrf``, ``replay``): build ``args.file`` (against the
+    lock object with ``args.lock``), then link the program at
+    ``args.stage`` (the source when absent) on ``args.threads`` and
+    check the entries against it. Only that stage is built: the source
+    stage runs no pass, ``run --stage P`` runs the passes up to ``P``.
+    Returns ``(ctx, entries)``.
 
     It builds through this module's ``compile_unit``, ``link_units``
     and ``compile_minic``, not ``ClientSystem``: perfbench times the
     front-end and compile layers by wrapping those three names here."""
-    module, genv = _build(args.file, args.lock)
-    result = compile_minic(module, optimize=args.optimize)
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        return result, genv, None, None
     stage = getattr(args, "stage", "source")
-    stage = result.source if stage == "source" else result.stage(stage)
-    entries = _parse_threads(threads)
+    _check_stage(args, "--stage", stage)
+    module, genv = _build(args.file, args.lock)
+    if stage == "source":
+        linked = source_stage(module)
+    else:
+        linked = compile_minic(
+            module, upto=stage, optimize=args.optimize
+        ).target
+    entries = _parse_threads(args.threads)
     ctx = GlobalContext(link_program(
-        [stage], [genv], entries,
+        [linked], [genv], entries,
         obj=lock_spec_decl() if args.lock else None,
     ))
     _check_entries(ctx, entries)
-    return result, genv, ctx, entries
+    return ctx, entries
 
 
 def cmd_compile(args):
-    result = _load(args)[0]
+    if args.dump:
+        _check_stage(args, "--dump", args.dump, extra=("all",))
+    module, _genv = _build(args.file, args.lock)
+    result = compile_minic(module, optimize=args.optimize)
     if args.dump == "all":
         print(dump_pipeline(result))
         return 0
     if args.dump:
-        wanted = (
-            result.source
-            if args.dump == "source"
-            else result.stage(args.dump)
-        )
-        print(dump_stage(wanted))
+        print(dump_stage(result.stage(args.dump)))
         return 0
     for stage in result.stages:
         print("{:14s} ({})".format(stage.name, stage.lang.name))
     return 0
 
 
-def _note_run_config(args, result, entries):
+def _note_run_config(args, entries):
     """Record the run's *resolved* configuration and input identity in
     the active ledger (no-op without one): flags, the gate defaults
     they fell back to, and the content hash of the program + pass
@@ -231,7 +257,7 @@ def _note_run_config(args, result, entries):
     from repro.semantics.por import default_reduce
 
     por = args.por if args.por is not None else default_reduce()
-    pipeline = tuple(s.name for s in result.stages)
+    pipeline = stage_names(args.optimize)
     gates = ("por",) if por else ()
     ledger.set_config(
         file=args.file,
@@ -250,8 +276,8 @@ def _note_run_config(args, result, entries):
 
 
 def cmd_run(args):
-    result, _genv, ctx, entries = _load(args)
-    _note_run_config(args, result, entries)
+    ctx, entries = _load(args)
+    _note_run_config(args, entries)
     behs = program_behaviours(
         ctx,
         PreemptiveSemantics(),
@@ -271,7 +297,8 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    result, genv, _ctx, _entries = _load(args)
+    module, genv = _build(args.file, args.lock)
+    result = compile_minic(module, optimize=args.optimize)
     mem = genv.memory()
     cap = max(args.max_failures, 0)
 
@@ -306,8 +333,8 @@ def cmd_drf(args):
     only ``drf`` writes witnesses."""
     if getattr(args, "minimize", False) and not args.witness_out:
         raise UsageError("--minimize needs --witness-out")
-    result, _genv, ctx, entries = _load(args)
-    _note_run_config(args, result, entries)
+    ctx, entries = _load(args)
+    _note_run_config(args, entries)
     semantics = _RACE_SEMANTICS[args.command](
         max_atomic_steps=args.max_atomic_steps
     )
@@ -369,7 +396,7 @@ def cmd_replay(args):
         else args.optimize
     )
     args.threads, args.lock, args.optimize = threads, use_lock, optimize
-    _result, _genv, ctx, _entries = _load(args)
+    ctx, _entries = _load(args)
     try:
         res = replay_witness(ctx, record)
     except ReplayDivergence as exc:
@@ -635,7 +662,11 @@ def _parser_tree():
         "--threads", default="main",
         help="comma-separated thread entry functions",
     )
-    p.add_argument("--stage", default="source")
+    p.add_argument(
+        "--stage", default="source",
+        help="pipeline stage to run (default: source, which compiles "
+        "nothing; a pass name compiles up to that pass)",
+    )
     p.add_argument("--max-states", type=_non_negative(int), default=400000)
     p.set_defaults(func=cmd_run)
 
@@ -891,7 +922,15 @@ def main(argv=None):
         code = 0
         return 0
     except UsageError as exc:
-        print("repro: error: {}".format(exc), file=sys.stderr)
+        if exc.flag is None:
+            print("repro: error: {}".format(exc), file=sys.stderr)
+        else:
+            print(
+                "repro {}: error: argument {}: {}".format(
+                    args.command, exc.flag, exc
+                ),
+                file=sys.stderr,
+            )
         return 2
     except ExplorationLimit as exc:
         # Not a crash: a bound cut the search before a verdict. Only

@@ -7,6 +7,8 @@ from repro.compiler.pipeline import (
     Stage,
     compile_minic,
     id_trans,
+    source_stage,
+    stage_names,
 )
 
 __all__ = [
@@ -16,4 +18,6 @@ __all__ = [
     "CompilationResult",
     "compile_minic",
     "id_trans",
+    "source_stage",
+    "stage_names",
 ]

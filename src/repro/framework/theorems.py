@@ -78,8 +78,7 @@ def check_reachclose_all(system):
     shared = system.shared()
     flist = FreeList.for_thread(0)
     reports = {}
-    for result in system.results:
-        module = result.source.module
+    for module in system.client_modules:
         for name, func in sorted(module.functions.items()):
             args = resolve_args(sample_args(func), shared)
             if args is None:

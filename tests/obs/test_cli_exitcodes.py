@@ -199,6 +199,34 @@ class TestExitCodes:
         ], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,why", [
+        (["run", "{safe}", "--stage", "Bogus"], "unknown stage 'Bogus'"),
+        (["compile", "{safe}", "--dump", "Bogus"],
+         "unknown stage 'Bogus'"),
+        (["run", "{safe}", "--stage", "CSE"], "stage 'CSE' needs -O"),
+    ], ids=["run-stage", "compile-dump", "run-stage-without-O"])
+    def test_unknown_stage_is_a_usage_error(self, safe_file, monkeypatch,
+                                            capsys, argv, why):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile_minic called")
+
+        # The name is checked before any pass runs.
+        monkeypatch.setattr(cli, "compile_minic", refuse)
+        argv = [a.format(safe=safe_file) for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(
+            "repro {}: error: argument {}: {}; valid stages: source, "
+            "Cshmgen, ".format(argv[0], argv[2], why)
+        ), err
+        assert "Asmgen" in lines[0]
+        assert lines[0].endswith("(-O adds ConstProp, CSE, Deadcode)")
+
     def test_zero_bound_is_accepted(self, tmp_path, capsys):
         assert main(["fuzz", "--out", str(tmp_path / "c"), "--count",
                      "0", "--kinds", "cimp-pair"]) == 0

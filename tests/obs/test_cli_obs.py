@@ -41,7 +41,8 @@ class TestMetricsFlag:
     def test_run_metrics_prints_explorer_counters(
         self, quickstart_file, capsys
     ):
-        assert main(["run", quickstart_file, "--metrics"]) == 0
+        assert main(["run", quickstart_file, "--stage", "Asmgen",
+                     "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "Metric" in out and "Value" in out
         assert "explore.states_visited" in out
@@ -75,7 +76,8 @@ class TestTraceFlag:
     ):
         trace = tmp_path / "run.jsonl"
         assert main(
-            ["run", quickstart_file, "--trace", str(trace)]
+            ["run", quickstart_file, "--stage", "Asmgen",
+             "--trace", str(trace)]
         ) == 0
         records = [
             json.loads(line)
@@ -86,6 +88,21 @@ class TestTraceFlag:
             r["name"] for r in records if r["type"] == "span"
         }
         assert {"compile", "compile.pass", "explore", "behaviours"} <= names
+
+    def test_source_stage_run_trace_has_no_compile_span(
+        self, quickstart_file, tmp_path, capsys
+    ):
+        trace = tmp_path / "run.jsonl"
+        assert main(
+            ["run", quickstart_file, "--trace", str(trace)]
+        ) == 0
+        names = {
+            r["name"]
+            for r in map(json.loads, trace.read_text().splitlines())
+            if r["type"] == "span"
+        }
+        assert "explore" in names
+        assert not {"compile", "compile.pass"} & names
 
     def test_validate_trace_covers_validation(
         self, quickstart_file, tmp_path, capsys
