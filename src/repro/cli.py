@@ -304,8 +304,7 @@ def cmd_validate(args):
 
     def show(v):
         # Each pass's lines go out as soon as it is validated.
-        status = "ok" if v.ok else "FAILED"
-        print("{:14s} {}".format(v.pass_name, status))
+        print("{:14s} {}".format(v.pass_name, _pass_status(v)))
         shown = v.report.failures[:cap]
         for failure in shown:
             print("    ", failure)
@@ -318,6 +317,18 @@ def cmd_validate(args):
         result, mem, mem.domain(), on_pass=show
     )
     return 0 if all(v.ok for v in validations) else 1
+
+
+def _pass_status(v):
+    """``ok``, ``FAILED``, or ``vacuous: ...`` naming the entries that
+    were not run (a pass that checked nothing for them is not ``ok``,
+    but it found no fault either)."""
+    if not v.ok:
+        return "FAILED"
+    if v.report.skipped:
+        return "vacuous: {} not run (pointer parameter, no shared " \
+            "global)".format(", ".join(v.report.skipped))
+    return "ok"
 
 
 #: The semantics each race-check command explores: ``drf`` the

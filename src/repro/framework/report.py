@@ -15,7 +15,14 @@ from repro.simulation.validate import sample_args, validate_compilation
 
 
 class PassRow:
-    """One row of the per-pass table."""
+    """One row of the per-pass table.
+
+    The obligation and step columns count every use of a segment.
+    ``seconds`` is the time of the work first done in this pass: the
+    passes of one compilation share a segment memo, so a stage that an
+    earlier pass already ran (as its target) costs the next pass
+    (reading it as its source) a lookup, not a run.
+    """
 
     def __init__(self, pass_name, baseline_obligations,
                  fp_obligations, rely_moves, rely_budget_exhausted,
@@ -98,8 +105,8 @@ def _merge_rows(rows, order, validations):
         row.messages += st.messages_matched
         row.src_steps += st.src_steps
         row.tgt_steps += st.tgt_steps
-        # Real per-pass elapsed time, measured around each
-        # validate_pair call — not an even split of the total.
+        # Real per-pass elapsed time, measured around each pair
+        # check — not an even split of the total.
         row.seconds += val.seconds
 
 

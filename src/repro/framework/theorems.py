@@ -24,6 +24,7 @@ bound (``cut`` traces, or a source over ``max_states``) fails no
 premise: the check reports ``inconclusive`` with ``ok=False``.
 """
 
+from repro import obs
 from repro.common.freelist import FreeList
 from repro.semantics.explore import program_behaviours
 from repro.semantics.preemptive import PreemptiveSemantics
@@ -73,7 +74,12 @@ def check_correct(system, lockstep=False):
 
 
 def check_reachclose_all(system):
-    """Def. 4 for every client function (premise 3 of Def. 11)."""
+    """Def. 4 for every client function (premise 3 of Def. 11).
+
+    A function whose pointer parameter finds no shared global to point
+    at is not run: it has no report, and the metric
+    ``reachclose.entries_skipped`` counts it.
+    """
     mem = system.initial_memory()
     shared = system.shared()
     flist = FreeList.for_thread(0)
@@ -82,6 +88,7 @@ def check_reachclose_all(system):
         for name, func in sorted(module.functions.items()):
             args = resolve_args(sample_args(func), shared)
             if args is None:
+                obs.inc("reachclose.entries_skipped")
                 continue
             reports[name] = check_reach_close(
                 MINIC, module, name, args, mem, shared, flist

@@ -32,11 +32,23 @@ Between messages both sides must be deterministic (the paper's
 violation otherwise. Termination preservation is approximated by a
 τ-step budget per segment (the well-founded index of Def. 3).
 
+Because a side is deterministic, a segment is a function of where it
+starts: ``(language, module, core, memory, freelist, shared region,
+τ budget)``. The checker reads its segments through a memo keyed on
+exactly that (:func:`_run_segment`; the module by identity), and
+segments are immutable, so one memo may serve several checkers:
+:func:`~repro.simulation.validate.validate_compilation` shares one
+across all the pairs of a compilation, so a stage that is the target
+of one pass and the source of the next runs once. The obligation
+counters still count every use; ``segments_run`` counts the runs.
+
 The ``lockstep`` flag implements the ABL-FP ablation: instead of the
 accumulated FPmatch, it requires the per-step sequences of shared
 footprints to match exactly — the stricter CompCertTSO-style criterion
 that rejects legal reorderings.
 """
+
+from collections import namedtuple
 
 from repro import obs
 from repro.common.footprint import EMP
@@ -71,6 +83,10 @@ class SimulationStats:
         self.src_steps = 0
         self.tgt_steps = 0
         self.vacuous_aborts = 0
+        #: Entries not run: a pointer parameter had no shared global.
+        self.entries_skipped = 0
+        #: Segments interpreted (memo misses); ``segments`` counts uses.
+        self.segments_run = 0
 
 
 class SimulationReport:
@@ -78,6 +94,8 @@ class SimulationReport:
 
     def __init__(self):
         self.failures = []
+        #: Entries that were not run (see :meth:`skip`).
+        self.skipped = []
         self.stats = SimulationStats()
 
     @property
@@ -87,28 +105,29 @@ class SimulationReport:
     def fail(self, message):
         self.failures.append(message)
 
+    def skip(self, entry):
+        """Record that ``entry`` was not run: no obligation was
+        checked for it, so it neither passes nor fails."""
+        self.skipped.append(entry)
+        self.stats.entries_skipped += 1
+
     def __repr__(self):
         return "SimulationReport(ok={}, failures={})".format(
             self.ok, len(self.failures)
         )
 
 
-class _Segment:
-    """Result of running one side to its next non-silent message."""
+class _Segment(namedtuple("_Segment", (
+        "kind", "msg", "core", "mem", "acc", "step_fps", "steps",
+        "reason"), defaults=(None, None, None, EMP, (), 0, ""))):
+    """Result of running one side to its next non-silent message.
 
-    __slots__ = ("kind", "msg", "core", "mem", "acc", "step_fps",
-                 "steps", "reason")
+    ``kind`` is ``"msg"``, ``"abort"``, ``"stuck"``, ``"nondet"`` or
+    ``"budget"``. A segment is immutable: one object serves every pair
+    whose check starts a side from the same state.
+    """
 
-    def __init__(self, kind, msg=None, core=None, mem=None, acc=EMP,
-                 step_fps=(), steps=0, reason=""):
-        self.kind = kind  # "msg" | "abort" | "stuck" | "nondet" | "budget"
-        self.msg = msg
-        self.core = core
-        self.mem = mem
-        self.acc = acc
-        self.step_fps = tuple(step_fps)
-        self.steps = steps
-        self.reason = reason
+    __slots__ = ()
 
 
 def _run_to_message(lang, module, core, mem, flist, shared, max_tau):
@@ -120,7 +139,7 @@ def _run_to_message(lang, module, core, mem, flist, shared, max_tau):
         outs = lang.step(module, core, mem, flist)
         if not outs:
             return _Segment("stuck", core=core, mem=mem, acc=acc,
-                            step_fps=step_fps, steps=steps)
+                            step_fps=tuple(step_fps), steps=steps)
         if len(outs) != 1:
             return _Segment(
                 "nondet",
@@ -132,10 +151,12 @@ def _run_to_message(lang, module, core, mem, flist, shared, max_tau):
                             steps=steps)
         assert isinstance(out, Step)
         steps += 1
-        acc = acc.union(out.fp)
-        shared_part = out.fp.restricted(shared)
-        if not shared_part.is_empty():
-            step_fps.append(shared_part)
+        fp = out.fp
+        if fp.rs or fp.ws:
+            acc = acc.union(fp)
+            if not (shared.isdisjoint(fp.rs)
+                    and shared.isdisjoint(fp.ws)):
+                step_fps.append(fp.restricted(shared))
         if is_silent(out.msg):
             core, mem = out.core, out.mem
             if steps > max_tau:
@@ -152,9 +173,24 @@ def _run_to_message(lang, module, core, mem, flist, shared, max_tau):
             core=out.core,
             mem=out.mem,
             acc=acc,
-            step_fps=step_fps,
+            step_fps=tuple(step_fps),
             steps=steps,
         )
+
+
+def _run_segment(segments, stats, lang, module, core, mem, flist, shared,
+                 max_tau):
+    """:func:`_run_to_message` through the memo ``segments``, keyed by
+    every argument it reads (the module by identity). A miss is
+    counted in ``stats.segments_run``."""
+    key = (lang, id(module), core, mem, flist, shared, max_tau)
+    seg = segments.get(key)
+    if seg is None:
+        stats.segments_run += 1
+        seg = segments[key] = _run_to_message(
+            lang, module, core, mem, flist, shared, max_tau
+        )
+    return seg
 
 
 def _related_msg(mu, src_msg, tgt_msg):
@@ -206,6 +242,11 @@ class LocalSimulationChecker:
         #: Footprints are still cleared at events, calls and returns —
         #: the points where effects become visible to the environment.
         self.roach_motel = roach_motel
+        #: Memo of the segments this checker runs (see
+        #: :func:`_run_segment`). It starts empty; a caller that checks
+        #: several pairs over shared stages may hand every checker the
+        #: same dict for the duration of one validation.
+        self.segments = {}
 
     def check_entry(self, entry, args, src_mem, tgt_mem, src_flist,
                     tgt_flist, report=None):
@@ -273,9 +314,10 @@ class LocalSimulationChecker:
                 report.fail("segment budget exceeded")
                 continue
             report.stats.segments += 1
-            src_seg = _run_to_message(
-                self.src_lang, self.src_module, s_core, s_mem,
-                src_flist, mu.src_shared, self.max_tau,
+            src_seg = _run_segment(
+                self.segments, report.stats, self.src_lang,
+                self.src_module, s_core, s_mem, src_flist, mu.src_shared,
+                self.max_tau,
             )
             if switch:
                 cells = rg.segment_cells(src_seg.acc,
@@ -296,9 +338,10 @@ class LocalSimulationChecker:
                     )
                 )
                 continue
-            tgt_seg = _run_to_message(
-                self.tgt_lang, self.tgt_module, t_core, t_mem,
-                tgt_flist, mu.tgt_shared, self.max_tau,
+            tgt_seg = _run_segment(
+                self.segments, report.stats, self.tgt_lang,
+                self.tgt_module, t_core, t_mem, tgt_flist, mu.tgt_shared,
+                self.max_tau,
             )
             if tgt_seg.kind != "msg":
                 report.fail(
@@ -309,19 +352,22 @@ class LocalSimulationChecker:
                 continue
             report.stats.src_steps += src_seg.steps
             report.stats.tgt_steps += tgt_seg.steps
-            src_seg.acc = src_seg.acc.union(s_carry)
-            tgt_seg.acc = tgt_seg.acc.union(t_carry)
+            # The footprints carried into this segment (roach-motel
+            # mode) join its own; the shared segments stay as they are.
+            s_acc = src_seg.acc.union(s_carry)
+            t_acc = tgt_seg.acc.union(t_carry)
 
             if not self._check_obligations(report, src_seg, tgt_seg,
-                                           src_fl, tgt_fl):
+                                           s_acc, t_acc, src_fl, tgt_fl):
                 continue
-            self._continue(report, stack, src_seg, tgt_seg, depth)
+            self._continue(report, stack, src_seg, tgt_seg, s_acc,
+                           t_acc, depth)
         return report
 
     # ----- obligations ----------------------------------------------------
 
-    def _check_obligations(self, report, src_seg, tgt_seg, src_fl,
-                           tgt_fl):
+    def _check_obligations(self, report, src_seg, tgt_seg, s_acc, t_acc,
+                           src_fl, tgt_fl):
         mu = self.mu
         ok = True
         if not _related_msg(mu, src_seg.msg, tgt_seg.msg):
@@ -334,10 +380,10 @@ class LocalSimulationChecker:
         report.stats.messages_matched += 1
 
         report.stats.scope_checks += 1
-        if not rg.hg(src_seg.acc, src_seg.mem, src_fl, mu.src_shared):
+        if not rg.hg(s_acc, src_seg.mem, src_fl, mu.src_shared):
             report.fail(
                 "HG violated at {!r} (Δ={!r})".format(
-                    src_seg.msg, src_seg.acc
+                    src_seg.msg, s_acc
                 )
             )
             ok = False
@@ -353,10 +399,10 @@ class LocalSimulationChecker:
                 ok = False
         else:
             report.stats.fpmatch_checks += 1
-            if not rg.fp_match(mu, src_seg.acc, tgt_seg.acc):
+            if not rg.fp_match(mu, s_acc, t_acc):
                 report.fail(
                     "FPmatch violated at {!r}: Δ={!r} δ={!r}".format(
-                        src_seg.msg, src_seg.acc, tgt_seg.acc
+                        src_seg.msg, s_acc, t_acc
                     )
                 )
                 ok = False
@@ -370,8 +416,8 @@ class LocalSimulationChecker:
             # full LG applies at ExtAtom.)
             return ok
         report.stats.lg_checks += 1
-        if not rg.lg(mu, tgt_seg.acc, tgt_seg.mem, tgt_fl,
-                     src_seg.acc, src_seg.mem):
+        if not rg.lg(mu, t_acc, tgt_seg.mem, tgt_fl, s_acc,
+                     src_seg.mem):
             report.fail(
                 "LG violated at {!r}".format(src_seg.msg)
             )
@@ -380,7 +426,8 @@ class LocalSimulationChecker:
 
     # ----- continuations ----------------------------------------------------
 
-    def _continue(self, report, stack, src_seg, tgt_seg, depth):
+    def _continue(self, report, stack, src_seg, tgt_seg, s_acc, t_acc,
+                  depth):
         msg = src_seg.msg
         if isinstance(msg, RetMsg):
             return
@@ -410,8 +457,7 @@ class LocalSimulationChecker:
         if self.roach_motel and msg is ENT_ATOM:
             stack.append(
                 (src_seg.core, src_seg.mem, tgt_seg.core,
-                 tgt_seg.mem, src_seg.acc, tgt_seg.acc, depth + 1,
-                 False)
+                 tgt_seg.mem, s_acc, t_acc, depth + 1, False)
             )
             return
         stack.append(

@@ -10,6 +10,18 @@ footprint-directed rely moves) and discharges the Def. 3 obligations.
 Transitivity (Lem. 5) is what makes per-pass validation compose into
 whole-pipeline validation — checked here by also validating
 source-against-final-target directly.
+
+Every pair of one compilation starts from the same memory, µ, freelist
+and τ budget, so :func:`validate_compilation` gives all of them one
+segment memo (see :mod:`repro.simulation.local`): each intermediate
+stage is interpreted once, not once per pass it belongs to, and the
+source and x86 stages are not run again for the end-to-end check. The
+memo lives for one call; :func:`validate_pair` builds its own.
+
+An entry whose pointer parameter finds no shared global to point at is
+not run; the report lists it in ``skipped`` and the
+``entries_skipped`` counter counts it, so a pass that ran nothing does
+not read as validated.
 """
 
 import time
@@ -52,8 +64,10 @@ class PassValidation:
     """Validation outcome for one pass of one module.
 
     ``seconds`` is the real elapsed wall-clock of validating this pass
-    (measured around its :func:`validate_pair` call), the raw material
-    of the Fig. 13 table's time column.
+    (measured around its pair check), the raw material of the Fig. 13
+    table's time column. Within :func:`validate_compilation` a segment
+    already run by an earlier pass is read from the shared memo, so
+    this is the time of the work first done in this pass.
     """
 
     def __init__(self, pass_name, report, seconds=0.0):
@@ -73,7 +87,19 @@ class PassValidation:
 
 def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
                   shared, lockstep=False, max_tau=5000):
-    """Validate one adjacent stage pair on the given entries."""
+    """Validate one adjacent stage pair on the given entries.
+
+    An entry whose pointer parameter finds no shared global to point
+    at is not run; the report lists it in ``skipped``.
+    """
+    return _validate_pair(src_stage, tgt_stage, entries_with_args,
+                          initial_mem, shared, {}, lockstep, max_tau)
+
+
+def _validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
+                   shared, segments, lockstep=False, max_tau=5000):
+    """:func:`validate_pair` reading and filling the segment memo
+    ``segments``."""
     mu = Mu.identity(shared)
     checker = LocalSimulationChecker(
         src_stage.lang,
@@ -84,11 +110,13 @@ def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
         lockstep=lockstep,
         max_tau=max_tau,
     )
+    checker.segments = segments
     report = SimulationReport()
     flist = FreeList.for_thread(0)
     for entry, args in entries_with_args:
         resolved = resolve_args(args, shared)
         if resolved is None:
+            report.skip(entry)
             continue
         checker.check_entry(
             entry, resolved, initial_mem, initial_mem, flist, flist,
@@ -119,10 +147,14 @@ def validate_compilation(result, initial_mem, shared, entries=None,
     if include_end_to_end:
         pairs.append(("end-to-end", result.source, result.target))
     validations = []
+    # One segment memo for every pair: each stage but the first and
+    # last is the target of one pass and the source of the next, and
+    # all pairs start from the same memory and freelist.
+    segments = {}
     with obs.span("validate", passes=len(result.stages) - 1):
         for pass_name, src_stage, tgt_stage in pairs:
             v = _validate_one(pass_name, src_stage, tgt_stage, entries,
-                              initial_mem, shared, lockstep)
+                              initial_mem, shared, lockstep, segments)
             validations.append(v)
             if on_pass is not None:
                 on_pass(v)
@@ -130,12 +162,13 @@ def validate_compilation(result, initial_mem, shared, entries=None,
 
 
 def _validate_one(pass_name, src_stage, tgt_stage, entries, initial_mem,
-                  shared, lockstep):
+                  shared, lockstep, segments):
     """Validate one pass inside a span, with real elapsed timing."""
     with obs.span("validate.pass", pass_name=pass_name) as sp:
         start = time.perf_counter()
-        report = validate_pair(src_stage, tgt_stage, entries,
-                               initial_mem, shared, lockstep=lockstep)
+        report = _validate_pair(src_stage, tgt_stage, entries,
+                                initial_mem, shared, segments,
+                                lockstep=lockstep)
         elapsed = time.perf_counter() - start
         sp.set(ok=report.ok, segments=report.stats.segments)
     if obs.enabled:
@@ -156,6 +189,8 @@ def _record_validation(pass_name, report):
     obs.inc("validate.obligations.messages", st.messages_matched)
     obs.inc("validate.co_exec_steps", st.src_steps + st.tgt_steps)
     obs.inc("validate.segments", st.segments)
+    obs.inc("validate.segments_run", st.segments_run)
+    obs.inc("validate.entries_skipped", st.entries_skipped)
     if not report.ok:
         obs.inc("validate.failed_passes")
         obs.event(

@@ -183,13 +183,15 @@ class TestValidate:
         out = Stdout()
         monkeypatch.setattr(sys, "stdout", out)
         before = []
-        real = validate.validate_pair
+        # validate_compilation checks each pair through _validate_pair
+        # (validate_pair's body, with the compilation's segment memo).
+        real = validate._validate_pair
 
         def spy(*args, **kwargs):
             before.append(out.flushed)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(validate, "validate_pair", spy)
+        monkeypatch.setattr(validate, "_validate_pair", spy)
         assert main(["validate", client_file, "--lock"]) == 0
         lines = out.getvalue().splitlines(True)
         assert len(lines) == len(before) >= 13

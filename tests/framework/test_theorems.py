@@ -71,6 +71,21 @@ class TestCorrect(object):
         assert ok
         assert "inc" in reports
 
+    def test_reachclose_counts_entries_it_cannot_run(self):
+        # No shared global for ``p`` to point at: f is not checked.
+        ptr = ClientSystem(
+            ["int h() { return 1; } void f(int *p) { *p = 1; }"],
+            ["h"],
+        )
+        obs.reset()
+        obs.configure(metrics=True)
+        try:
+            ok, reports = check_reachclose_all(ptr)
+            assert ok and sorted(reports) == ["h"]
+            assert obs.counter_value("reachclose.entries_skipped") == 1
+        finally:
+            obs.reset()
+
 
 class TestGCorrect:
     def test_theorem14(self, system):

@@ -92,6 +92,21 @@ class TestExitCodes:
         assert out == ""
         assert err == "repro: error: --minimize needs --witness-out\n"
 
+    def test_zero_on_vacuous_validation(self, tmp_path, capsys):
+        # A pointer parameter with no shared global to point at: the
+        # entry is not run, so no pass reads ok, and none failed.
+        path = tmp_path / "ptr.c"
+        path.write_text("void f(int *p) { *p = 1; print(*p); }\n")
+        assert main(["validate", str(path), "-O"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16
+        for line in lines:
+            name, status = line.split(None, 1)
+            assert status == (
+                "vacuous: f not run (pointer parameter, no shared global)"
+            ), line
+        assert lines[-1].startswith("end-to-end ")
+
     def test_zero_on_run(self, safe_file, capsys):
         assert main(["run", safe_file]) == 0
         capsys.readouterr()

@@ -60,6 +60,18 @@ class TestAcceptsCorrectCompilation:
         # One move: g at the first print, read by the next segment.
         assert first.report.stats.rely_moves == 1
 
+    def test_entry_without_pointer_target_is_skipped(self):
+        # No shared global for p to point at: f is not run, and the
+        # report says so instead of reading as validated.
+        result, mem, shared = compiled(
+            "void f(int *p) { *p = 1; print(*p); }"
+        )
+        for v in validate_compilation(result, mem, shared):
+            assert v.ok
+            assert v.report.skipped == ["f"]
+            assert v.report.stats.entries_skipped == 1
+            assert v.report.stats.segments == 0
+
 
 class TestReordering:
     """Example (2.2): the accumulated FPmatch admits swapped stores;
