@@ -3,7 +3,7 @@
 //
 //   python -m repro drf examples/counter.c --threads inc,inc,inc --lock \
 //       --jobs 2 --trace run.jsonl --ledger run.json
-//   python -m repro profile run.jsonl
+//   python -m repro inspect run.jsonl
 //
 // Three threads increment a shared counter under the lock object, so
 // the program is race-free but its interleaving space is large enough

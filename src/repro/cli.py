@@ -19,14 +19,11 @@ Commands:
 * ``replay FILE --witness W`` — re-execute a witness against the
   program and verify its verdict reproduces (``--minimize`` /
   ``--witness-out`` shrink and re-save it);
-* ``inspect ARTIFACT`` — render a witness as a per-thread timeline,
-  a run manifest as a fact sheet, or a ``--trace`` JSONL file as the
-  report ``profile`` prints (see :mod:`repro.obs.explain`);
-* ``profile FILE`` — render a trace or a run manifest exactly as
-  ``inspect`` does: for a trace, where a metered run's wall-clock went
-  (per-shard phase breakdown, utilization timelines, top spans by
-  self-time, event tallies, the wire-cost table and the final metrics;
-  see :mod:`repro.obs.profile`);
+* ``inspect ARTIFACT`` — render any artifact the tool writes: a
+  witness as a per-thread timeline, a run manifest as a fact sheet, a
+  heartbeat as a status block, a fuzz findings log or checkpoint, or a
+  ``--trace`` JSONL file as a profile of where a metered run's
+  wall-clock went (see :mod:`repro.obs.explain`);
 * ``fuzz --seed S --count N [--out DIR] [--jobs N]`` — run a
   persistent differential fuzzing campaign (see :mod:`repro.fuzz`):
   seeded generators, each family decided by the framework's checkers
@@ -34,24 +31,20 @@ Commands:
   content-hash-deduplicated corpus, auto-minimized replayable witnesses
   for every race, and an atomically checkpointed resume that survives
   ``kill -9``;
-* ``status FILE [--watch]`` — render a live heartbeat file written by
-  a running ``run``/``drf``/``npdrf`` with ``--status`` (see
-  :mod:`repro.obs.status`);
 * ``compare A B [--fail-on-regression]`` — diff two run manifests
   written with ``--ledger`` (see :mod:`repro.obs.ledger`).
 
 Every command that reads a MiniC file, and ``fuzz``, accepts
 ``--metrics`` (print a metrics summary table) and ``--trace FILE``
-(write a JSON-lines span trace); the
-``REPRO_METRICS`` / ``REPRO_TRACE`` environment variables switch the
-same machinery on without flags.
-``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) additionally writes the
-run record: a versioned manifest — resolved config, content hash of
-the input + pass pipeline, phase wall times, peak RSS, final metrics,
-behaviour fingerprint, verdict and exit status — that ``repro
-inspect`` and ``repro profile`` render and ``repro compare`` diffs.
-The exploration commands also take ``--status FILE`` (or
-``REPRO_STATUS=FILE``) for a ~1s-interval heartbeat snapshot.
+(write a JSON-lines span trace).
+``--ledger FILE`` additionally writes the run record: a versioned
+manifest — resolved config, content hash of the input + pass pipeline,
+phase wall times, peak RSS, final metrics, behaviour fingerprint,
+verdict and exit status — that ``repro inspect`` renders and ``repro
+compare`` diffs. The exploration commands and ``fuzz`` also take
+``--status FILE`` for a ~1s-interval heartbeat snapshot (``watch repro
+inspect FILE`` follows it). A record path that cannot be written is a
+usage error before the command runs.
 
 ``run``, ``drf`` and ``npdrf`` accept ``--por/--no-por`` to control the
 footprint-directed partial-order reduction (default: the ``REPRO_POR``
@@ -479,58 +472,14 @@ def cmd_fuzz(args):
     return 1 if stats.unexpected else 0
 
 
-def _print_artifact(verb, path, **kw):
+def cmd_inspect(args):
     from repro.obs.explain import inspect_path
 
     try:
-        text = inspect_path(path, **kw)
+        text = inspect_path(args.artifact)
     except (OSError, ValueError, KeyError, CaptureError) as exc:
-        raise UsageError("cannot {} {}: {}".format(verb, path, exc))
+        raise UsageError("cannot inspect {}: {}".format(args.artifact, exc))
     print(text)
-    return 0
-
-
-def cmd_inspect(args):
-    return _print_artifact("inspect", args.artifact)
-
-
-def cmd_profile(args):
-    return _print_artifact(
-        "profile", args.trace_file, kinds=("trace", "run-manifest"),
-        top=args.top,
-    )
-
-
-def _render_status_file(path, doc):
-    try:
-        return live_status.render_status(doc)
-    except ValueError as exc:
-        raise UsageError(
-            "cannot render status file {!r}: {}".format(path, exc)
-        )
-
-
-def cmd_status(args):
-    import time as _time
-
-    doc = live_status.load(args.file)
-    if doc is None:
-        raise UsageError(
-            "cannot read status file {!r} (no heartbeat yet, or not "
-            "a JSON document)".format(args.file)
-        )
-    print(_render_status_file(args.file, doc))
-    if not args.watch:
-        return 0
-    try:
-        while doc is None or doc.get("phase") != "done":
-            _time.sleep(max(args.interval, 0.05))
-            doc = live_status.load(args.file)
-            if doc is not None:
-                print()
-                print(_render_status_file(args.file, doc))
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -583,19 +532,17 @@ def _parser_tree():
     def obs_flags(p):
         p.add_argument(
             "--metrics", action="store_true",
-            help="collect metrics and print a summary table "
-            "(also REPRO_METRICS=1)",
+            help="collect metrics and print a summary table",
         )
         p.add_argument(
             "--trace", metavar="FILE",
-            help="write a JSON-lines span trace to FILE "
-            "(also REPRO_TRACE=FILE)",
+            help="write a JSON-lines span trace to FILE",
         )
         p.add_argument(
             "--ledger", metavar="FILE",
             help="write a versioned run manifest (config, content "
-            "hash, phase times, metrics, verdict) to FILE "
-            "(also REPRO_LEDGER=FILE); diff with 'repro compare'",
+            "hash, phase times, metrics, verdict) to FILE; diff "
+            "with 'repro compare'",
         )
 
     def common(p, tristate=False):
@@ -634,9 +581,9 @@ def _parser_tree():
         p.add_argument(
             "--status", metavar="FILE",
             help="rewrite a live heartbeat JSON snapshot to FILE "
-            "about once per second (also REPRO_STATUS=FILE; "
-            "interval via REPRO_STATUS_INTERVAL); watch with "
-            "'repro status FILE'",
+            "about once per second (interval via "
+            "REPRO_STATUS_INTERVAL); follow with 'watch repro "
+            "inspect FILE'",
         )
 
     p = sub.add_parser("compile", help="run the pipeline")
@@ -828,43 +775,6 @@ def _parser_tree():
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser(
-        "profile",
-        help="render a trace or run manifest: where a metered run's "
-        "wall-clock went",
-    )
-    # NB: dest must not be "trace" — main() treats args.trace as the
-    # *output* trace to open for writing, which would truncate the
-    # very file we are here to read.
-    p.add_argument(
-        "trace_file", metavar="FILE",
-        help="--trace JSONL file (per-worker .w* sibling files are "
-        "picked up automatically) or --ledger run manifest",
-    )
-    p.add_argument(
-        "--top", type=_non_negative(int), default=12, metavar="N",
-        help="rows in the top-spans-by-self-time table (default 12)",
-    )
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "status",
-        help="render a live heartbeat file from a --status run",
-    )
-    p.add_argument(
-        "file", help="heartbeat JSON file a running command rewrites"
-    )
-    p.add_argument(
-        "--watch", action="store_true",
-        help="keep re-rendering until the run reports phase=done "
-        "(Ctrl-C to stop)",
-    )
-    p.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="re-render cadence with --watch (default 1.0)",
-    )
-    p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser(
         "compare",
         help="diff two run manifests written with --ledger",
     )
@@ -885,45 +795,60 @@ def _parser_tree():
     return parser, tuple(jobs_actions)
 
 
-def main(argv=None):
-    args = make_parser().parse_args(argv)
+def _unwritable(path):
+    """Why no record can be written at ``path``, or ``None``. The
+    ledger and heartbeat replace ``path`` through a temp file beside
+    it, so its directory must exist and be writable."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(directory):
+        return "no such directory {!r}".format(directory)
+    if not os.access(directory, os.W_OK):
+        return "directory {!r} is not writable".format(directory)
+    return None
+
+
+def _open_records(args, argv):
+    """Switch on the records the flags ask for: the metrics registry
+    (``--metrics``, or ``--ledger``, whose manifest carries the final
+    metrics), the span trace, the heartbeat and the run ledger. Every
+    path is checked before any is opened, so an unwritable one fails
+    the command before it runs instead of losing the record after."""
+    for flag in ("--trace", "--ledger", "--status"):
+        path = getattr(args, flag[2:], None)
+        why = path and _unwritable(path)
+        if why:
+            raise UsageError("cannot write {!r}: {}".format(path, why),
+                             flag=flag)
     try:
-        # Flags layer on top of the REPRO_METRICS / REPRO_TRACE env vars.
-        obs.configure_from_env()
         obs.configure(
-            metrics=getattr(args, "metrics", False),
+            metrics=getattr(args, "metrics", False)
+            or bool(getattr(args, "ledger", None)),
             trace=getattr(args, "trace", None),
         )
     except OSError as exc:
-        print("repro: cannot open trace file: {}".format(exc),
-              file=sys.stderr)
-        return 2
-    # Live layer: heartbeat and run ledger. Flags layer on the env vars
-    # the same way the obs sinks do.
-    live_status.configure_from_env()
+        raise UsageError(
+            "cannot write {!r}: {}".format(args.trace, exc.strerror),
+            flag="--trace",
+        )
     if getattr(args, "status", None):
         live_status.configure(args.status)
-    ledger.configure_from_env(
-        args.command, argv=sys.argv[1:] if argv is None else list(argv)
-    )
     if getattr(args, "ledger", None):
         ledger.configure(
             args.ledger, args.command,
             argv=sys.argv[1:] if argv is None else list(argv),
         )
-    if ledger.active is not None:
-        # The manifest's metrics section needs the registry, whether
-        # or not --metrics was passed.
-        obs.configure(metrics=True)
-    # --ledger implies the registry but not the stdout table; only an
-    # explicit --metrics (or REPRO_METRICS) prints the summary.
-    show_summary = getattr(args, "metrics", False) or os.environ.get(
-        obs.ENV_METRICS, ""
-    ).strip().lower() in ("1", "true", "yes", "on")
+
+
+def main(argv=None):
+    args = make_parser().parse_args(argv)
     code = 2
     try:
+        _open_records(args, argv)
         result = args.func(args)
-        if show_summary and obs.metrics_enabled():
+        # --ledger implies the registry but not the stdout table.
+        if getattr(args, "metrics", False) and obs.metrics_enabled():
             print()
             print(obs.render_summary())
         code = result

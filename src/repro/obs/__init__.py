@@ -10,10 +10,9 @@ validation, the compiler pipeline) report through. Its contract:
   call site. :func:`span` returns the shared
   :data:`~repro.obs.trace.NULL_SPAN` singleton when disabled.
 * **One switch, two backends.** :func:`configure` turns on a process-
-  wide :class:`~repro.obs.metrics.MetricsRegistry` (``--metrics`` /
-  ``REPRO_METRICS=1``) and/or a JSON-lines
-  :class:`~repro.obs.trace.Tracer` (``--trace FILE`` /
-  ``REPRO_TRACE=FILE``). Spans feed both: every closed span is written
+  wide :class:`~repro.obs.metrics.MetricsRegistry` (``--metrics``)
+  and/or a JSON-lines :class:`~repro.obs.trace.Tracer` (``--trace
+  FILE``). Spans feed both: every closed span is written
   to the trace and its duration observed into the
   ``span.<name>.seconds`` histogram, which is how per-phase profiling
   appears in the metrics table.
@@ -26,15 +25,14 @@ validation, the compiler pipeline) report through. Its contract:
   :func:`shutdown`, so a hot loop cannot flood stderr.
 * **A live layer on top.** Two sibling modules reuse this
   switchboard for *during-* and *after-the-run* introspection:
-  :mod:`~repro.obs.status` (``--status`` / ``REPRO_STATUS``) has the
-  exploration loops atomically rewrite a small heartbeat JSON every
-  interval — progress, rolling states/s, per-shard liveness — read
-  back by ``repro status FILE``; :mod:`~repro.obs.ledger`
-  (``--ledger`` / ``REPRO_LEDGER``) writes the run record, a
-  versioned manifest (resolved config, content hash, phase times,
-  peak RSS, the final metrics, verdict, behaviour fingerprint) that
-  ``repro inspect`` and ``repro profile`` render and ``repro compare``
-  diffs.
+  :mod:`~repro.obs.status` (``--status``) has the exploration loops
+  atomically rewrite a small heartbeat JSON every interval —
+  progress, rolling states/s, per-shard liveness — read back by
+  ``repro inspect FILE``; :mod:`~repro.obs.ledger` (``--ledger``)
+  writes the run record, a versioned manifest (resolved config,
+  content hash, phase times, peak RSS, the final metrics, verdict,
+  behaviour fingerprint) that ``repro inspect`` renders and ``repro
+  compare`` diffs.
 
 Typical instrumentation::
 
@@ -48,7 +46,6 @@ Typical instrumentation::
                 obs.inc("explore.states_visited", graph.state_count())
 """
 
-import os
 import sys
 import time
 
@@ -58,7 +55,6 @@ from repro.obs.trace import NULL_SPAN, Tracer, read_trace
 __all__ = [
     "enabled",
     "configure",
-    "configure_from_env",
     "shutdown",
     "reset",
     "metrics_enabled",
@@ -94,12 +90,6 @@ tracer = None
 #: (``<path>.w<wid>``) for its forked workers.
 trace_path = None
 
-#: Env-var toggles honoured by :func:`configure_from_env` (and the CLI).
-ENV_METRICS = "REPRO_METRICS"
-ENV_TRACE = "REPRO_TRACE"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
 #: Per-message occurrence counts backing the warn rate limiter.
 _warn_counts = {}
 
@@ -131,14 +121,6 @@ def configure(metrics=False, trace=None, trace_base_attrs=None):
             )
             trace_path = str(trace)
     _refresh_enabled()
-
-
-def configure_from_env(environ=None):
-    """Apply ``REPRO_METRICS`` / ``REPRO_TRACE`` from the environment."""
-    environ = os.environ if environ is None else environ
-    metrics = environ.get(ENV_METRICS, "").strip().lower() in _TRUTHY
-    trace = environ.get(ENV_TRACE) or None
-    configure(metrics=metrics, trace=trace)
 
 
 def _flush_warn_summary():

@@ -12,14 +12,15 @@ spans/events/metrics, written by ``--trace``), **run manifests**
   thread did (``τ``, an event, a context switch, the abort) with the
   step footprint alongside and every address involved in the racy
   conflict marked with ``*``;
-* a trace renders through :func:`repro.obs.profile.render_profile`,
-  the one trace renderer ``repro profile`` prints too — spans by
-  self-time, event and warning tallies, per-shard phases and the final
-  metrics snapshot when one was appended;
+* a trace renders through :func:`repro.obs.profile.render_profile`
+  — spans by self-time, event and warning tallies, per-shard phases
+  and the final metrics snapshot when one was appended;
 * a run manifest becomes a compact fact sheet — command, verdict,
   wall/phase times, peak RSS, states/s, resolved config, content hash
   and the final metrics (counters, gauges and histogram summaries);
-* a heartbeat renders through the same view ``repro status`` uses;
+* a heartbeat renders through :func:`repro.obs.status.render_status`
+  — phase, progress against the budget, rates and the per-shard
+  table (``watch repro inspect FILE`` follows a live run);
 * a fuzz campaign's **findings log** becomes a per-finding table
   (kind, generator, input hash, expected?, witness path) and its
   **checkpoint** a one-glance progress line — the ``repro fuzz``
@@ -348,13 +349,8 @@ def sniff_artifact(path):
     return None
 
 
-def inspect_path(path, kinds=None, top=12):
-    """Render whichever artifact lives at ``path``.
-
-    ``kinds`` restricts the accepted artifact kinds (``repro profile``
-    takes traces and run manifests only); ``top`` is the number of
-    spans the trace report ranks.
-    """
+def inspect_path(path):
+    """Render whichever artifact lives at ``path``."""
     from repro.obs import ledger
     from repro.obs.profile import load_profile, render_profile
     from repro.semantics.witness import load_witness
@@ -365,12 +361,8 @@ def inspect_path(path, kinds=None, top=12):
             "not a witness, run manifest, heartbeat, fuzz artifact or "
             "trace: no line parses as a JSON object"
         )
-    if kinds is not None and kind not in kinds:
-        raise ValueError(
-            "a {}, not a {}".format(kind, " or ".join(kinds))
-        )
     if kind == "trace":
-        return render_profile(load_profile(path), top=top)
+        return render_profile(load_profile(path))
     if kind == "witness":
         return render_witness(load_witness(path))
     if kind == "run-manifest":

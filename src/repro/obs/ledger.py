@@ -1,14 +1,13 @@
 """Run ledger: a versioned manifest of what a CLI run actually did.
 
-``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) makes every ``repro``
-command write one ``run.json`` manifest on exit: the fully *resolved*
+``--ledger FILE`` makes every ``repro`` command write one
+``run.json`` manifest on exit: the fully *resolved*
 configuration (POR/jobs/wire gates — what actually ran, not
 what was typed), the hash seed, a content hash of the input program
 plus the pass pipeline, per-phase wall times, the peak resident set
 size, the final metrics, the behaviour fingerprint, the verdict and
-the exit status. It is the one run record: ``repro inspect`` and
-``repro profile`` render it, and :func:`load_manifest` checks every
-field they read.
+the exit status. It is the one run record: ``repro inspect`` renders
+it, and :func:`load_manifest` checks every field it reads.
 
 Two consumers motivate the shape:
 
@@ -41,9 +40,6 @@ from repro.obs.status import check_number_map, check_numbers, write_atomic
 
 #: Manifest schema version.
 VERSION = 1
-
-#: Env-var toggle honoured by the CLI.
-ENV_LEDGER = "REPRO_LEDGER"
 
 #: The active ledger, or ``None``.
 active = None
@@ -217,14 +213,6 @@ def _explore_seconds(phases):
 def configure(path, command, argv=None):
     global active
     active = RunLedger(path, command, argv=argv)
-    return active
-
-
-def configure_from_env(command, argv=None, environ=None):
-    environ = os.environ if environ is None else environ
-    path = environ.get(ENV_LEDGER)
-    if path and active is None:
-        configure(path, command, argv=argv)
     return active
 
 

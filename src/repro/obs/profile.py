@@ -1,9 +1,8 @@
 """Render a ``--trace`` file: what a run did and where its time went.
 
-This is the one renderer of a trace: ``repro inspect TRACE`` and
-``repro profile TRACE`` both print :func:`render_profile` of
-:func:`load_profile`. It reads the artifacts a metered run leaves
-behind —
+This is the one renderer of a trace: ``repro inspect TRACE`` prints
+:func:`render_profile` of :func:`load_profile`. It reads the
+artifacts a metered run leaves behind —
 
 * the main ``--trace`` JSONL file,
 * the per-worker sibling files a parallel run writes next to it
@@ -51,6 +50,9 @@ _RAMP = ("·", "░", "▒", "▓", "█")
 
 #: Buckets in a utilization bar.
 _TIMELINE_WIDTH = 48
+
+#: Rows in the top-spans-by-self-time table.
+_TOP_SPANS = 12
 
 #: The worker-side phases, in display order. Other ``*_seconds``
 #: keys of a phase event (an old trace's ``compile_seconds``) are
@@ -375,7 +377,7 @@ def _num(value):
     return str(value)
 
 
-def render_profile(profile, top=12):
+def render_profile(profile):
     """The full plain-text report of a :func:`load_profile` dict."""
     from repro.framework.report import format_table
     from repro.obs.render import render_metrics
@@ -472,7 +474,7 @@ def render_profile(profile, top=12):
         lines.append("top spans by self-time:")
         ranked = sorted(
             agg.items(), key=lambda kv: kv[1][1], reverse=True
-        )[:top]
+        )[:_TOP_SPANS]
         lines.append(
             format_table(
                 [

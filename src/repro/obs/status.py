@@ -1,14 +1,14 @@
 """Heartbeat status: a live, atomically-rewritten run snapshot.
 
 A long exploration is a black box until it exits: the metrics registry
-and the trace only materialize on shutdown. ``--status FILE`` (or
-``REPRO_STATUS=FILE``) makes the exploration loops rewrite a *small*
-JSON document roughly once per second — states explored, frontier
-depth, rolling and overall states/s, the current phase, budget consumed
-against ``max_states``, an ETA to budget exhaustion, and a census of
-the intern tables — so ``repro status FILE`` (or any ``cat``/``jq``)
-answers "is it stuck, and will it blow its budget?" *while the run is
-going* instead of post-mortem.
+and the trace only materialize on shutdown. ``--status FILE`` makes
+the exploration loops rewrite a *small* JSON document roughly once
+per second — states explored, frontier depth, rolling and overall
+states/s, the current phase, budget consumed against ``max_states``,
+an ETA to budget exhaustion, and a census of the intern tables — so
+``repro inspect FILE`` (or any ``cat``/``jq``) answers "is it stuck,
+and will it blow its budget?" *while the run is going* instead of
+post-mortem.
 
 Design constraints, in order:
 
@@ -32,9 +32,9 @@ Design constraints, in order:
   is visible in seconds (:func:`merge_shards`).
 
 The module-level singleton mirrors :mod:`repro.obs`: :func:`configure`
-/ :func:`configure_from_env` install :data:`writer`, :func:`reset`
-drops it, and instrumented code binds ``hb = status.writer`` once per
-run so the disabled path is one ``is not None`` test.
+installs :data:`writer`, :func:`reset` drops it, and instrumented
+code binds ``hb = status.writer`` once per run so the disabled path
+is one ``is not None`` test.
 """
 
 import json
@@ -46,8 +46,8 @@ from collections import deque
 #: Heartbeat document schema version.
 VERSION = 1
 
-#: Env-var toggles honoured by :func:`configure_from_env` and the CLI.
-ENV_STATUS = "REPRO_STATUS"
+#: Env var setting the seconds between beats (no flag twin: tests and
+#: smoke runs use it for fast beats).
 ENV_STATUS_INTERVAL = "REPRO_STATUS_INTERVAL"
 
 #: Default seconds between beats.
@@ -270,15 +270,6 @@ def configure(path, interval=None, wid=None):
     return writer
 
 
-def configure_from_env(environ=None):
-    """Honour ``REPRO_STATUS`` / ``REPRO_STATUS_INTERVAL``."""
-    environ = os.environ if environ is None else environ
-    path = environ.get(ENV_STATUS)
-    if path and writer is None:
-        configure(path, interval=interval_from_env(environ))
-    return writer
-
-
 def interval_from_env(environ=None):
     environ = os.environ if environ is None else environ
     raw = environ.get(ENV_STATUS_INTERVAL)
@@ -389,7 +380,9 @@ _NUMBER_FIELDS = (
     "budget_used", "eta_budget_seconds", "rolling_states_per_second",
     "overall_states_per_second", "interval_seconds",
 )
-_SHARD_NUMBER_FIELDS = ("states", "frontier", "age_seconds")
+_SHARD_NUMBER_FIELDS = (
+    "wid", "states", "frontier", "beats", "age_seconds",
+)
 
 
 def check_numbers(doc, fields, prefix=""):
@@ -435,7 +428,7 @@ def check_heartbeat(doc):
 
 
 def render_status(doc, now=None):
-    """The heartbeat as a plain-text block (``repro status FILE``).
+    """The heartbeat as a plain-text block (``repro inspect FILE``).
 
     Raises ``ValueError`` (see :func:`check_heartbeat`) on a document
     that parses but is not a heartbeat.

@@ -411,7 +411,7 @@ class _Worker:
         Without a heartbeat this is a plain ``get()``. With one, the
         wait wakes once per beat interval to stamp ``phase: idle`` —
         an idle shard and a dead shard must look different to
-        ``repro status``.
+        ``repro inspect``.
         """
         if hb is None:
             return inbox.get()

@@ -137,15 +137,6 @@ class TestManifestWriting:
         assert doc["states_per_second"] > 0
         assert doc["seeds"]["python"]
 
-    def test_env_var_configures_ledger(self, tmp_path, monkeypatch,
-                                       capsys):
-        src = tmp_path / "p.c"
-        src.write_text(QUICKSTART)
-        out = tmp_path / "env-run.json"
-        monkeypatch.setenv(ledger.ENV_LEDGER, str(out))
-        assert main(["run", str(src)]) == 0
-        assert load_manifest(str(out))["command"] == "run"
-
     def test_load_manifest_rejects_other_json(self, tmp_path):
         other = tmp_path / "not.json"
         other.write_text(json.dumps({"type": "heartbeat"}))

@@ -1,4 +1,4 @@
-"""The trace report ``repro profile`` and ``repro inspect`` print.
+"""The trace report ``repro inspect`` prints for a ``--trace`` file.
 
 Unit tests build synthetic trace files (deterministic timings), so the
 assertions can be exact; the CLI integration test drives a real
@@ -163,8 +163,8 @@ def test_worker_trace_path_ordering(tmp_path):
     assert [p.rsplit(".w", 1)[-1] for p in paths] == ["0", "2", "10"]
 
 
-class TestProfileCLI:
-    def test_profile_of_real_parallel_run(self, tmp_path, capsys):
+class TestInspectTraceCLI:
+    def test_inspect_of_real_parallel_run(self, tmp_path, capsys):
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         trace = tmp_path / "run.jsonl"
@@ -176,11 +176,11 @@ class TestProfileCLI:
             ]
         ) == 1  # racy: the finding exit code
         capsys.readouterr()
-        assert main(["profile", str(trace)]) == 0
+        assert main(["inspect", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "per-shard phase breakdown" in out
         assert "wire cost" in out
-        # Reading the inputs must not clobber them (the profile
+        # Reading the inputs must not clobber them (the inspect
         # subcommand's positional is not an output trace).
         assert trace.stat().st_size > 0
 
@@ -198,7 +198,7 @@ class TestProfileCLI:
             ]
         )
         capsys.readouterr()
-        assert main(["profile", str(trace)]) == 0
+        assert main(["inspect", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "Compile" not in out
         assert "Expand" in out
@@ -233,17 +233,17 @@ class TestProfileCLI:
                 if rec.get("type") in ("span", "event"):
                     assert rec["attrs"]["wid"] == wid, rec
 
-    def test_profile_missing_trace_is_usage_error(self, tmp_path):
-        assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
+    def test_inspect_missing_trace_is_usage_error(self, tmp_path):
+        assert main(["inspect", str(tmp_path / "nope.jsonl")]) == 2
 
 
 
-class TestOneRenderer:
-    """``inspect`` and ``profile`` print the same report."""
+class TestInspectReport:
+    """``inspect`` renders a trace as the profile report and a run
+    manifest as its fact sheet."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_inspect_and_profile_agree_on_a_trace(self, tmp_path, capsys,
-                                                  jobs):
+    def test_inspect_renders_a_trace(self, tmp_path, capsys, jobs):
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         trace = tmp_path / "run.jsonl"
@@ -252,15 +252,12 @@ class TestOneRenderer:
         capsys.readouterr()
         assert main(["inspect", str(trace)]) == 0
         inspected = capsys.readouterr().out
-        assert main(["profile", str(trace)]) == 0
-        assert capsys.readouterr().out == inspected
         assert "top spans by self-time" in inspected
         assert "final metrics:" in inspected
         if jobs == "2":
             assert "per-shard phase breakdown" in inspected
 
-    def test_inspect_and_profile_agree_on_a_manifest(self, tmp_path,
-                                                     capsys):
+    def test_inspect_renders_a_manifest(self, tmp_path, capsys):
         src = tmp_path / "racy.c"
         src.write_text(RACY)
         run = tmp_path / "run.json"
@@ -268,20 +265,6 @@ class TestOneRenderer:
               str(run)])
         capsys.readouterr()
         assert main(["inspect", str(run)]) == 0
-        inspected = capsys.readouterr().out
-        assert main(["profile", str(run)]) == 0
-        assert capsys.readouterr().out == inspected
-        assert inspected.startswith("run manifest: command=drf")
-
-    def test_profile_rejects_other_artifacts(self, tmp_path, capsys):
-        src = tmp_path / "racy.c"
-        src.write_text(RACY)
-        witness = tmp_path / "w.json"
-        main(["drf", str(src), "--threads", "t1,t2", "--witness-out",
-              str(witness)])
-        capsys.readouterr()
-        assert main(["profile", str(witness)]) == 2
-        assert capsys.readouterr().err == (
-            "repro: error: cannot profile {}: a witness, not a trace or "
-            "run-manifest\n".format(witness)
+        assert capsys.readouterr().out.startswith(
+            "run manifest: command=drf"
         )
