@@ -20,10 +20,10 @@ Commands:
   program and verify its verdict reproduces (``--minimize`` /
   ``--witness-out`` shrink and re-save it);
 * ``inspect ARTIFACT`` — render any artifact the tool writes: a
-  witness as a per-thread timeline, a run manifest as a fact sheet, a
-  heartbeat as a status block, a fuzz findings log or checkpoint, or a
-  ``--trace`` JSONL file as a profile of where a metered run's
-  wall-clock went (see :mod:`repro.obs.explain`);
+  witness as a per-thread timeline, a run ledger (running or final)
+  as a fact sheet, a fuzz findings log or checkpoint, or a ``--trace``
+  JSONL file as a profile of where a metered run's wall-clock went
+  (see :mod:`repro.obs.explain`);
 * ``fuzz --seed S --count N [--out DIR] [--jobs N]`` — run a
   persistent differential fuzzing campaign (see :mod:`repro.fuzz`):
   seeded generators, each family decided by the framework's checkers
@@ -37,14 +37,16 @@ Commands:
 Every command that reads a MiniC file, and ``fuzz``, accepts
 ``--metrics`` (print a metrics summary table) and ``--trace FILE``
 (write a JSON-lines span trace).
-``--ledger FILE`` additionally writes the run record: a versioned
-manifest — resolved config, content hash of the input + pass pipeline,
-phase wall times, peak RSS, final metrics, behaviour fingerprint,
-verdict and exit status — that ``repro inspect`` renders and ``repro
-compare`` diffs. The exploration commands and ``fuzz`` also take
-``--status FILE`` for a ~1s-interval heartbeat snapshot (``watch repro
-inspect FILE`` follows it). A record path that cannot be written is a
-usage error before the command runs.
+``--ledger FILE`` additionally keeps the run record. While the run
+goes, the file is rewritten about once per second with the run's
+progress (``"status": "running"``; ``watch repro inspect FILE``
+follows it); on exit it becomes a versioned manifest — resolved
+config, content hash of the input + pass pipeline, phase wall times,
+peak RSS, final metrics, behaviour fingerprint, verdict, exit status
+and the last progress block — that ``repro inspect`` renders and
+``repro compare`` diffs (see :mod:`repro.obs.ledger`). A record path
+that cannot be written, or one given to both ``--trace`` and
+``--ledger``, is a usage error before the command runs.
 
 ``run``, ``drf`` and ``npdrf`` accept ``--por/--no-por`` to control the
 footprint-directed partial-order reduction (default: the ``REPRO_POR``
@@ -62,10 +64,9 @@ worker that died, which ends the run within seconds) or an
 inconclusive verdict (an exploration that exceeded ``--max-states``,
 or a ``run`` whose behaviour enumeration hit its node cap);
 **130** — interrupted (Ctrl-C / SIGINT), the conventional 128+signal
-code, after the run ledger and heartbeat have been finalized and any
-forked workers reaped. Scripts can therefore distinguish "the tool
-found a race" from "the tool broke" — previously both surfaced as
-non-zero.
+code, after the run ledger has been finalized and any forked workers
+reaped. Scripts can therefore distinguish "the tool found a race" from
+"the tool broke" — previously both surfaced as non-zero.
 """
 
 import argparse
@@ -78,7 +79,6 @@ from repro.common.errors import ParseError, TypeCheckError
 from repro.lang.module import link_program
 from repro.langs.minic import compile_unit, link_units
 from repro.obs import ledger
-from repro.obs import status as live_status
 from repro.semantics import (
     ExplorationLimit,
     GlobalContext,
@@ -115,12 +115,22 @@ class UsageError(Exception):
 def _non_negative(kind):
     """An argparse ``type=`` that reads a ``kind`` (``int`` or
     ``float``) bound and rejects a negative one as a usage error."""
+    return _at_least(0, kind)
+
+
+def _at_least(low, kind=int):
+    """An argparse ``type=`` that reads a ``kind`` bound and rejects
+    one below ``low`` as a usage error."""
 
     def parse(text):
         value = kind(text)
-        if value < 0:
+        if value < low:
             raise argparse.ArgumentTypeError(
-                "must be non-negative, got {}".format(text)
+                "must be {}, got {}".format(
+                    "non-negative" if low == 0
+                    else "at least {}".format(low),
+                    text,
+                )
             )
         return value
 
@@ -293,12 +303,11 @@ def cmd_validate(args):
     module, genv = _build(args.file, args.lock)
     result = compile_minic(module, optimize=args.optimize)
     mem = genv.memory()
-    cap = max(args.max_failures, 0)
 
     def show(v):
         # Each pass's lines go out as soon as it is validated.
         print("{:14s} {}".format(v.pass_name, _pass_status(v)))
-        shown = v.report.failures[:cap]
+        shown = v.report.failures[:args.max_failures]
         for failure in shown:
             print("    ", failure)
         extra = len(v.report.failures) - len(shown)
@@ -423,7 +432,7 @@ def cmd_replay(args):
 def cmd_fuzz(args):
     from repro.fuzz.campaign import CampaignConfig, run_campaign
     from repro.fuzz.corpus import Corpus, CorpusError
-    from repro.fuzz.generators import GeneratorError, KINDS
+    from repro.fuzz.generators import GeneratorError
 
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
@@ -487,7 +496,11 @@ def cmd_compare(args):
     docs = []
     for path in (args.a, args.b):
         try:
-            docs.append(ledger.load_manifest(path))
+            doc = ledger.load_manifest(path)
+            if doc.get("status") == "running":
+                raise ValueError("the run has not finished "
+                                 "(status: running)")
+            docs.append(doc)
         except (OSError, ValueError) as exc:
             raise UsageError(
                 "cannot load run manifest {}: {}".format(path, exc)
@@ -540,9 +553,12 @@ def _parser_tree():
         )
         p.add_argument(
             "--ledger", metavar="FILE",
-            help="write a versioned run manifest (config, content "
-            "hash, phase times, metrics, verdict) to FILE; diff "
-            "with 'repro compare'",
+            help="keep the run record in FILE: its progress while the "
+            "run goes (rewritten about once per second, interval via "
+            "REPRO_STATUS_INTERVAL; follow with 'watch repro inspect "
+            "FILE'), then a versioned manifest (config, content hash, "
+            "phase times, metrics, verdict); diff with 'repro "
+            "compare'",
         )
 
     def common(p, tristate=False):
@@ -577,15 +593,6 @@ def _parser_tree():
             )
         obs_flags(p)
 
-    def live_flags(p):
-        p.add_argument(
-            "--status", metavar="FILE",
-            help="rewrite a live heartbeat JSON snapshot to FILE "
-            "about once per second (interval via "
-            "REPRO_STATUS_INTERVAL); follow with 'watch repro "
-            "inspect FILE'",
-        )
-
     p = sub.add_parser("compile", help="run the pipeline")
     common(p)
     p.add_argument(
@@ -604,7 +611,7 @@ def _parser_tree():
 
     def jobs_flag(p):
         jobs_actions.append(p.add_argument(
-            "-j", "--jobs", type=int, default=1,
+            "-j", "--jobs", type=_at_least(1), default=1,
             metavar="N",
             help="shard the exploration across N forked worker "
             "processes (default: REPRO_JOBS env setting or 1 = "
@@ -615,7 +622,6 @@ def _parser_tree():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    live_flags(p)
     p.add_argument(
         "--threads", default="main",
         help="comma-separated thread entry functions",
@@ -631,7 +637,8 @@ def _parser_tree():
     p = sub.add_parser("validate", help="translation-validate all passes")
     common(p)
     p.add_argument(
-        "--max-failures", type=int, default=3, metavar="N",
+        "--max-failures", type=_non_negative(int), default=3,
+        metavar="N",
         help="print at most N failures per pass (default 3)",
     )
     p.set_defaults(func=cmd_validate)
@@ -645,7 +652,6 @@ def _parser_tree():
         common(p)
         por_flag(p)
         jobs_flag(p)
-        live_flags(p)
         p.add_argument("--threads", default="main")
         p.add_argument(
             "--max-states", type=_non_negative(int), default=400000
@@ -684,7 +690,6 @@ def _parser_tree():
     )
     obs_flags(p)
     jobs_flag(p)
-    live_flags(p)
     p.add_argument(
         "--out", default="fuzz-corpus", metavar="DIR",
         help="campaign directory: programs/, witnesses/, "
@@ -764,13 +769,12 @@ def _parser_tree():
 
     p = sub.add_parser(
         "inspect",
-        help="render a witness, trace, run manifest, heartbeat or "
-        "fuzz artifact",
+        help="render a witness, trace, run ledger or fuzz artifact",
     )
     p.add_argument(
         "artifact",
-        help="witness, run manifest, heartbeat or fuzz JSON, or a "
-        "--trace JSONL file, to render",
+        help="witness, run ledger or fuzz JSON, or a --trace JSONL "
+        "file, to render",
     )
     p.set_defaults(func=cmd_inspect)
 
@@ -781,7 +785,8 @@ def _parser_tree():
     p.add_argument("a", help="baseline run manifest (run.json)")
     p.add_argument("b", help="candidate run manifest")
     p.add_argument(
-        "--tolerance", type=float, default=0.4, metavar="T",
+        "--tolerance", type=_non_negative(float), default=0.4,
+        metavar="T",
         help="relative slowdown on a directed metric counted as a "
         "regression (default 0.4)",
     )
@@ -797,8 +802,8 @@ def _parser_tree():
 
 def _unwritable(path):
     """Why no record can be written at ``path``, or ``None``. The
-    ledger and heartbeat replace ``path`` through a temp file beside
-    it, so its directory must exist and be writable."""
+    ledger replaces ``path`` through a temp file beside it, so its
+    directory must exist and be writable."""
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         return "is a directory"
@@ -812,31 +817,38 @@ def _unwritable(path):
 def _open_records(args, argv):
     """Switch on the records the flags ask for: the metrics registry
     (``--metrics``, or ``--ledger``, whose manifest carries the final
-    metrics), the span trace, the heartbeat and the run ledger. Every
-    path is checked before any is opened, so an unwritable one fails
-    the command before it runs instead of losing the record after."""
-    for flag in ("--trace", "--ledger", "--status"):
-        path = getattr(args, flag[2:], None)
+    metrics), the span trace and the run ledger. Every path is checked
+    before any is opened, so an unwritable one, or one path for both
+    records, fails the command before it runs instead of losing a
+    record after."""
+    trace = getattr(args, "trace", None)
+    run_ledger = getattr(args, "ledger", None)
+    for flag, path in (("--trace", trace), ("--ledger", run_ledger)):
         why = path and _unwritable(path)
         if why:
             raise UsageError("cannot write {!r}: {}".format(path, why),
                              flag=flag)
+    if trace and run_ledger and \
+            os.path.realpath(trace) == os.path.realpath(run_ledger):
+        raise UsageError(
+            "cannot write {!r}: it is the --trace file too".format(
+                run_ledger
+            ),
+            flag="--ledger",
+        )
     try:
         obs.configure(
-            metrics=getattr(args, "metrics", False)
-            or bool(getattr(args, "ledger", None)),
-            trace=getattr(args, "trace", None),
+            metrics=getattr(args, "metrics", False) or bool(run_ledger),
+            trace=trace,
         )
     except OSError as exc:
         raise UsageError(
-            "cannot write {!r}: {}".format(args.trace, exc.strerror),
+            "cannot write {!r}: {}".format(trace, exc.strerror),
             flag="--trace",
         )
-    if getattr(args, "status", None):
-        live_status.configure(args.status)
-    if getattr(args, "ledger", None):
+    if run_ledger:
         ledger.configure(
-            args.ledger, args.command,
+            run_ledger, args.command,
             argv=sys.argv[1:] if argv is None else list(argv),
         )
 
@@ -882,8 +894,8 @@ def main(argv=None):
         return 2
     except KeyboardInterrupt:
         # The conventional 128+SIGINT code, with a one-line note
-        # instead of a traceback. The ledger/status finalizers below
-        # still run and stamp the 130, and any parallel coordinator's
+        # instead of a traceback. The ledger finalizer below still
+        # runs and stamps the 130, and any parallel coordinator's
         # ``finally`` has already reaped its forked workers on the way
         # up — Ctrl-C must leak neither artifacts nor processes.
         print("repro: interrupted", file=sys.stderr)
@@ -901,22 +913,14 @@ def main(argv=None):
         )
         return 2
     finally:
-        # Manifest and final heartbeat go first: the ledger reads the
-        # metrics snapshot obs.shutdown() is about to drop, and both
-        # must record the exit status. Neither may mask the command's
-        # own outcome.
+        # The manifest goes first: it reads the metrics snapshot
+        # obs.shutdown() is about to drop, and records the exit status.
+        # It may not mask the command's own outcome.
         try:
             ledger.finalize(code, obs.snapshot())
         except Exception as exc:
             print(
                 "repro: ledger write failed: {}".format(exc),
-                file=sys.stderr,
-            )
-        try:
-            live_status.finalize(exit_status=code)
-        except Exception as exc:
-            print(
-                "repro: status write failed: {}".format(exc),
                 file=sys.stderr,
             )
         obs.shutdown()

@@ -27,10 +27,10 @@ observability-layer lookups on the hot path); :func:`stats` and
 :func:`totals` expose them, and the explorer publishes per-run deltas
 through ``repro.obs`` as the aggregate ``intern.hits`` /
 ``intern.misses`` counters plus per-table ``intern.table.<name>.*``
-metrics (the suite benchmark reads the frame table's); the heartbeat
-samples each table's size. ``peak_size`` survives wholesale clears —
-it records the largest population a table ever held, so occupancy is
-reported honestly across evictions.
+metrics (the suite benchmark reads the frame table's); the run
+ledger's progress block samples each table's size. ``peak_size``
+survives wholesale clears — it records the largest population a table
+ever held, so occupancy is reported honestly across evictions.
 Callers that manipulate ``table`` directly for speed (the inlined
 intern paths of frames and footprints) must maintain ``clears`` and
 ``peak_size`` at their own clear/insert sites.

@@ -11,9 +11,10 @@ their own message handling. This is the only module that imports
   spawned: the string-hash seed is inherited, which the explorer's
   ``hash(world) % jobs`` sharding relies on, and so is everything the
   parent set up before forking (static tables, shared counters).
-* **Child setup.** A child resets the fork-inherited obs and heartbeat
-  state (the parent's sinks must not be written from two processes),
-  then writes its own ``FILE.w<wid>`` heartbeat shard, and gets a
+* **Child setup.** A child resets the fork-inherited obs and run
+  ledger state (the parent's sinks must not be written from two
+  processes), then writes its own ``FILE.w<wid>`` progress shard next
+  to the parent's ``--ledger FILE``, and gets a
   private metrics registry when the parent meters and a
   ``<trace>.w<wid>`` trace file (every record stamped with ``wid``)
   when the parent traces to a path.
@@ -29,8 +30,8 @@ their own message handling. This is the only module that imports
   message. After :meth:`Pool.halt`, a worker that neither says bye
   nor shows progress for :data:`HALT_GRACE` seconds is terminated and
   reported the same way.
-* **The heartbeat merge and the reap.** :meth:`Pool.beat` folds the
-  shard heartbeats into the main status file; :meth:`Pool.close`
+* **The progress merge and the reap.** :meth:`Pool.beat` folds the
+  shard files into the run ledger's progress block; :meth:`Pool.close`
   (also the context-manager exit, so it runs on Ctrl-C too) sends
   :data:`HALT` to every worker, joins them for at most
   :data:`REAP_GRACE` seconds while still reading their byes,
@@ -46,7 +47,7 @@ import traceback
 from queue import Empty
 
 from repro import obs
-from repro.obs import status as _status
+from repro.obs import ledger as _ledger
 
 #: Liveness-check cadence, seconds.
 POLL = 1.0
@@ -88,13 +89,11 @@ def _configure_worker_obs(wid, cfg):
     disabled so the worker stays metered, and warn once.
     """
     obs.reset()
-    _status.reset()
-    status_path = cfg.get("status_path")
-    if status_path:
-        _status.configure(
-            _status.shard_path(status_path, wid),
-            interval=cfg.get("status_interval"),
-            wid=wid,
+    _ledger.reset()
+    ledger_path = cfg.get("ledger_path")
+    if ledger_path:
+        _ledger.configure_shard(
+            ledger_path, wid, cfg.get("progress_interval")
         )
     trace_path = cfg.get("trace_path")
     if trace_path:
@@ -140,7 +139,7 @@ def _drain_inbox(inbox, deadline):
 
 def _child_main(pool, wid, target, args):
     _configure_worker_obs(wid, pool.child_cfg)
-    hb = _status.writer
+    hb = _ledger.writer
     if hb is not None:
         hb.force(states=0, frontier=0, phase=pool.phase)
     try:
@@ -154,7 +153,7 @@ def _child_main(pool, wid, target, args):
     metrics = obs.dump()
     if metrics is not None:
         stats["metrics"] = metrics
-    _status.finalize()
+    _ledger.finalize()
     # The coordinator queue is NOT cancelled: the bye has to arrive,
     # and a clean exit is how the pool knows it did.
     pool.coord.put(("bye", wid, stats))
@@ -178,7 +177,7 @@ class Pool:
     *args)``; the target reads ``pool.inboxes[wid]`` until it sees
     :data:`HALT`, writes to ``pool.coord``, and returns its stats dict.
 
-    ``phase`` labels the merged heartbeat. ``peers`` says that workers
+    ``phase`` labels the merged progress block. ``peers`` says that workers
     write to each other's inboxes (the explorer's batches), so an
     exiting worker must drain its own. ``progress`` is an optional
     zero-argument callable whose value changes while workers make
@@ -195,15 +194,15 @@ class Pool:
         self.progress = progress
         self.inboxes = [mp_ctx.Queue() for _ in range(jobs)]
         self.coord = mp_ctx.Queue()
-        hb = _status.writer
+        hb = _ledger.writer
         # What a child needs to know about the parent's obs sinks
         # (file-like trace sinks cannot be suffixed; their workers run
         # untraced).
         self.child_cfg = {
             "metrics": obs.metrics_enabled(),
             "trace_path": obs.trace_path,
-            "status_path": hb.path if hb is not None else None,
-            "status_interval": hb.interval if hb is not None else None,
+            "ledger_path": hb.path if hb is not None else None,
+            "progress_interval": hb.interval if hb is not None else None,
         }
         self.byes = {}
         self.procs = []
@@ -234,11 +233,11 @@ class Pool:
         self.close()
 
     def beat(self, phase=None, force=False):
-        """Merge the shard heartbeats into the main status file (when
-        one is configured and a beat is due, or ``force``)."""
-        hb = _status.writer
+        """Merge the shard files into the run ledger's progress block
+        (when a ledger is open and a beat is due, or ``force``)."""
+        hb = _ledger.writer
         if hb is not None and (force or hb.due()):
-            _status.merge_shards(
+            _ledger.merge_shards(
                 hb, self.jobs,
                 alive={w: p.is_alive() for w, p in enumerate(self.procs)},
                 phase=phase or self.phase,
@@ -314,7 +313,7 @@ class Pool:
         found dead or wedged (see the module docstring) counts as
         having said bye and is reported as one ``err`` message.
         """
-        hb = _status.writer
+        hb = _ledger.writer
         wait = POLL if hb is None else min(POLL, max(hb.interval, 0.05))
         next_check = time.monotonic() + POLL
         while len(self.byes) < self.jobs:
@@ -339,7 +338,7 @@ class Pool:
     def close(self):
         """Reap every worker: halt, a bounded join that keeps reading
         byes, terminate survivors, close the queues, merge the final
-        heartbeat."""
+        progress block."""
         # Imported here: at module level it would pull ``subprocess``
         # and friends into every process that imports the explorer.
         from multiprocessing.connection import wait

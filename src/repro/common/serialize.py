@@ -825,7 +825,7 @@ def wrap_document(kind, payload):
 
     ``kind`` self-describes the artifact (``repro inspect`` sniffs it),
     mirroring the witness artifact's schema discipline. The caller owns
-    the atomic write (:func:`repro.obs.status.write_atomic`).
+    the atomic write (:func:`repro.obs.ledger.write_atomic`).
     """
     return {
         "type": str(kind),

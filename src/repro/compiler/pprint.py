@@ -12,7 +12,6 @@ from repro.langs.ir import mach as mh
 from repro.langs.ir import rtl
 from repro.langs.minic import ast as mc
 from repro.langs.minic.ast import MiniCModule
-from repro.langs.x86 import ast as x86
 from repro.langs.x86.ast import X86Function
 
 

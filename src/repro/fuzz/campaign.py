@@ -32,7 +32,7 @@ round/wall-clock budget) into replayable witness artifacts that
 
 Execution scales across the fork pool of :mod:`repro.common.pool`
 (``jobs > 1``), the one the parallel explorer uses: workers are
-metered, traced and heartbeat-sharded like explorer shards, and
+metered, traced and progress-sharded like explorer shards, and
 regenerate their inputs deterministically from ``(kind, seed,
 index)`` — nothing but small task/result tuples crosses the queues.
 Only the coordinator touches the corpus directory, so no file needs
@@ -55,7 +55,6 @@ from repro.framework.build import ClientSystem
 from repro.lang.module import GlobalEnv, ModuleDecl, Program
 from repro.langs.cimp import CIMP, parse_module as parse_cimp
 from repro.obs import ledger
-from repro.obs import status as _status
 from repro.semantics import (
     ExplorationLimit,
     Explorations,
@@ -344,7 +343,7 @@ def execute_input(inp, cfg):
 def _pool_worker(pool, wid, cfg):
     """One forked executor: regenerate, execute, ship the result."""
     inbox = pool.inboxes[wid]
-    hb = _status.writer
+    hb = ledger.writer
     executed = 0
     while True:
         task = inbox.get()
@@ -460,7 +459,7 @@ def run_campaign(cfg):
         if cfg.duration is None
         else time.monotonic() + cfg.duration
     )
-    hb = _status.writer
+    hb = ledger.writer
     if hb is not None:
         hb.update(phase="fuzz", budget=cfg.count, jobs=cfg.jobs)
         hb.force(states=len(done), frontier=len(pending))

@@ -13,7 +13,7 @@ losing the disk:
   document; ``repro inspect`` renders it).
 * ``checkpoint.json`` — the resume point, wrapped in
   :mod:`repro.common.serialize`'s persistent document envelope and
-  rewritten atomically (:func:`repro.obs.status.write_atomic`) after
+  rewritten atomically (:func:`repro.obs.ledger.write_atomic`) after
   every completed input: a campaign killed with ``kill -9`` mid-run
   loses at most the inputs that were in flight, and a resume skips
   everything in the checkpoint's ``done`` map by content hash.
@@ -33,7 +33,7 @@ from repro.common.serialize import (
     wrap_document,
 )
 from repro.fuzz.generators import GENERATOR_VERSION
-from repro.obs.status import write_atomic
+from repro.obs.ledger import write_atomic
 
 #: Document kinds (the ``type`` key ``repro inspect`` sniffs).
 CHECKPOINT_KIND = "fuzz-checkpoint"

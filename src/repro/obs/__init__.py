@@ -23,16 +23,15 @@ validation, the compiler pipeline) report through. Its contract:
   Identical messages are printed only the first time; repeats are
   counted and a per-message suppression summary is printed on
   :func:`shutdown`, so a hot loop cannot flood stderr.
-* **A live layer on top.** Two sibling modules reuse this
-  switchboard for *during-* and *after-the-run* introspection:
-  :mod:`~repro.obs.status` (``--status``) has the exploration loops
-  atomically rewrite a small heartbeat JSON every interval —
-  progress, rolling states/s, per-shard liveness — read back by
-  ``repro inspect FILE``; :mod:`~repro.obs.ledger` (``--ledger``)
-  writes the run record, a versioned manifest (resolved config,
-  content hash, phase times, peak RSS, the final metrics, verdict,
-  behaviour fingerprint) that ``repro inspect`` renders and ``repro
-  compare`` diffs.
+* **One run record on top.** :mod:`~repro.obs.ledger` (``--ledger``)
+  reuses this switchboard for *during-* and *after-the-run*
+  introspection: while the run goes, the exploration loops atomically
+  rewrite the record's progress block every interval — progress,
+  rolling states/s, per-shard liveness — read back by ``repro inspect
+  FILE``; on exit the record becomes a versioned manifest (resolved
+  config, content hash, phase times, peak RSS, the final metrics,
+  verdict, behaviour fingerprint) that ``repro inspect`` renders and
+  ``repro compare`` diffs.
 
 Typical instrumentation::
 

@@ -3,8 +3,8 @@
 Four artifact families come out of the tool — **witness** files (one
 JSON object: a replayable schedule plus its verdict, written by ``drf
 --witness-out`` / ``repro replay``), **trace** files (JSON lines of
-spans/events/metrics, written by ``--trace``), **run manifests**
-(``--ledger``), and **heartbeat** snapshots (``--status``).
+spans/events/metrics, written by ``--trace``), **run ledgers**
+(``--ledger``), and the **fuzz** campaign's files.
 ``repro inspect FILE`` sniffs which one it was handed and renders it:
 
 * a witness becomes a per-thread timeline — one column per thread,
@@ -15,12 +15,13 @@ spans/events/metrics, written by ``--trace``), **run manifests**
 * a trace renders through :func:`repro.obs.profile.render_profile`
   — spans by self-time, event and warning tallies, per-shard phases
   and the final metrics snapshot when one was appended;
-* a run manifest becomes a compact fact sheet — command, verdict,
-  wall/phase times, peak RSS, states/s, resolved config, content hash
-  and the final metrics (counters, gauges and histogram summaries);
-* a heartbeat renders through :func:`repro.obs.status.render_status`
-  — phase, progress against the budget, rates and the per-shard
-  table (``watch repro inspect FILE`` follows a live run);
+* a run ledger becomes a compact fact sheet — command, verdict,
+  wall/phase times, peak RSS, states/s, resolved config, content hash,
+  the progress block (phase, progress against the budget, rates,
+  intern tables and the per-shard table, with a warning when a
+  running record's last beat is stale; ``watch repro inspect FILE``
+  follows a live run) and the final metrics (counters, gauges and
+  histogram summaries);
 * a fuzz campaign's **findings log** becomes a per-finding table
   (kind, generator, input hash, expected?, witness path) and its
   **checkpoint** a one-glance progress line — the ``repro fuzz``
@@ -31,6 +32,12 @@ never re-executes anything (that is ``repro replay``'s job).
 """
 
 import json
+import time
+
+#: While the run goes, a beat older than ``max(STALE_FACTOR *
+#: interval, STALE_FLOOR)`` seconds is rendered with a stale warning.
+STALE_FACTOR = 3.0
+STALE_FLOOR = 5.0
 
 
 def racy_addrs(race):
@@ -158,24 +165,128 @@ def render_witness(record):
     return "\n".join(lines)
 
 
-def render_manifest_summary(doc):
-    """A run manifest as a compact plain-text fact sheet."""
+def _rate(value):
+    return "-" if value is None else "{:,.1f}".format(value)
+
+
+def _render_progress(progress, running, now=None):
+    """A run ledger's ``progress`` block as plain-text lines.
+
+    While the run goes (``running``), the age of the last beat is
+    shown, and a beat older than ``max(STALE_FACTOR * interval,
+    STALE_FLOOR)`` seconds is flagged: the run may be stuck, swapped
+    out or dead.
+    """
+    from repro.framework.report import format_table
+    from repro.obs.ledger import DEFAULT_INTERVAL
+
+    head = "progress: phase={}  pid={}  uptime {:.1f}s  beat #{}".format(
+        progress.get("phase", "?"),
+        progress.get("pid", "?"),
+        progress.get("uptime_seconds", 0.0) or 0.0,
+        progress.get("beats", 0),
+    )
+    lines = [head]
+    if running:
+        if now is None:
+            now = time.time()
+        age = max(0.0, now - (progress.get("time") or now))
+        interval = progress.get("interval_seconds") or DEFAULT_INTERVAL
+        lines[0] += " ({:.1f}s ago)".format(age)
+        if age > max(STALE_FACTOR * interval, STALE_FLOOR):
+            lines.append(
+                "WARNING: last beat is {:.1f}s old (interval {:.1f}s) "
+                "— the run may be stuck, swapped out, or dead".format(
+                    age, interval
+                )
+            )
+    states = progress.get("states", 0) or 0
+    explored = "explored: {:,} state(s), frontier {:,}".format(
+        states, progress.get("frontier", 0) or 0
+    )
+    budget = progress.get("budget")
+    if budget:
+        explored += ", budget {:,}/{:,} ({:.1%})".format(
+            states, budget, progress.get("budget_used", 0.0) or 0.0,
+        )
+        eta = progress.get("eta_budget_seconds")
+        if eta is not None:
+            explored += ", budget exhausted in ~{:.0f}s".format(eta)
+    lines.append(explored)
+    lines.append(
+        "rate: {} states/s rolling, {} overall".format(
+            _rate(progress.get("rolling_states_per_second")),
+            _rate(progress.get("overall_states_per_second")),
+        )
+    )
+    interned = progress.get("intern")
+    if interned:
+        lines.append(
+            "intern tables: "
+            + "  ".join(
+                "{}={:,}".format(name, size)
+                for name, size in sorted(interned.items())
+            )
+        )
+    shards = progress.get("shards")
+    if shards:
+        rows = []
+        for row in shards:
+            shard_age = row.get("age_seconds")
+            alive = row.get("alive")
+            rows.append(
+                (
+                    "w{}".format(row.get("wid")),
+                    "{:,}".format(row.get("states", 0) or 0),
+                    "{:,}".format(row.get("frontier", 0) or 0),
+                    row.get("phase") or "-",
+                    str(row.get("beats", 0)),
+                    "-" if shard_age is None
+                    else "{:.1f}s".format(shard_age),
+                    "-" if alive is None else ("yes" if alive else "NO"),
+                )
+            )
+        lines.append("")
+        lines.append(
+            format_table(
+                rows,
+                headers=(
+                    "Shard", "States", "Frontier", "Phase", "Beats",
+                    "Beat age", "Alive",
+                ),
+            )
+        )
+    return lines
+
+
+def render_manifest_summary(doc, now=None):
+    """A run ledger, running or final, as a compact plain-text fact
+    sheet (``now`` dates a running record's last beat)."""
     from repro.framework.report import format_table
 
-    lines = [
-        "run manifest: command={}  verdict={}  exit={}".format(
-            doc.get("command", "?"),
-            doc.get("verdict", "?"),
-            doc.get("exit_status"),
-        ),
-        "started {}  finished {}  wall {:.3f}s{}".format(
-            doc.get("started_at", "?"),
-            doc.get("finished_at", "?"),
-            doc.get("wall_seconds") or 0.0,
-            "" if doc.get("peak_rss_mib") is None
-            else "  peak RSS {:.1f} MiB".format(doc["peak_rss_mib"]),
-        ),
-    ]
+    running = doc.get("status") == "running"
+    if running:
+        lines = [
+            "run manifest: command={}  status=running".format(
+                doc.get("command", "?")
+            ),
+            "started {}".format(doc.get("started_at", "?")),
+        ]
+    else:
+        lines = [
+            "run manifest: command={}  verdict={}  exit={}".format(
+                doc.get("command", "?"),
+                doc.get("verdict", "?"),
+                doc.get("exit_status"),
+            ),
+            "started {}  finished {}  wall {:.3f}s{}".format(
+                doc.get("started_at", "?"),
+                doc.get("finished_at", "?"),
+                doc.get("wall_seconds") or 0.0,
+                "" if doc.get("peak_rss_mib") is None
+                else "  peak RSS {:.1f} MiB".format(doc["peak_rss_mib"]),
+            ),
+        ]
     if doc.get("argv"):
         lines.append("argv: " + " ".join(str(a) for a in doc["argv"]))
     if doc.get("content_hash"):
@@ -191,6 +302,10 @@ def render_manifest_summary(doc):
                 "" if not rate else "  ({:,.1f} states/s)".format(rate),
             )
         )
+    progress = doc.get("progress")
+    if progress:
+        lines.append("")
+        lines.extend(_render_progress(progress, running, now))
     config = doc.get("config") or {}
     if config:
         lines.append("")
@@ -315,8 +430,7 @@ def render_checkpoint_summary(doc):
 
 #: Whole-file JSON ``"type"`` values the sniffer recognises.
 _DOC_TYPES = (
-    "witness", "run-manifest", "heartbeat", "fuzz-findings",
-    "fuzz-checkpoint",
+    "witness", "run-manifest", "fuzz-findings", "fuzz-checkpoint",
 )
 
 
@@ -358,8 +472,8 @@ def inspect_path(path):
     kind = sniff_artifact(path)
     if kind is None:
         raise ValueError(
-            "not a witness, run manifest, heartbeat, fuzz artifact or "
-            "trace: no line parses as a JSON object"
+            "not a witness, run manifest, fuzz artifact or trace: no "
+            "line parses as a JSON object"
         )
     if kind == "trace":
         return render_profile(load_profile(path))
@@ -369,10 +483,6 @@ def inspect_path(path):
         return render_manifest_summary(ledger.load_manifest(path))
     with open(path) as handle:
         doc = json.load(handle)
-    if kind == "heartbeat":
-        from repro.obs.status import render_status
-
-        return render_status(doc)
     if kind == "fuzz-findings":
         return render_findings_summary(doc)
     return render_checkpoint_summary(doc)

@@ -41,7 +41,6 @@ re-executed.
 """
 
 import glob
-import os
 
 from repro.obs.trace import read_trace
 

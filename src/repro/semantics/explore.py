@@ -53,13 +53,13 @@ from repro.common.astbase import Record
 from repro.common.memory import STATS as MEM_STATS
 from repro.lang import closure as _closure
 from repro.lang.messages import EventMsg
-from repro.obs import status as _status
+from repro.obs import ledger as _ledger
 from repro.semantics.engine import SW
 from repro.semantics.keyspace import KeySpace
 from repro.semantics.por import AmpleReducer, default_reduce
 
-#: States expanded between heartbeat clock checks. The heartbeat's own
-#: time gate decides whether to write; the stride just keeps the
+#: States expanded between progress-writer clock checks. The writer's
+#: own time gate decides whether to write; the stride just keeps the
 #: monotonic-clock read off the per-state path (one int decrement and
 #: compare per state when a writer is active, nothing when not).
 _HB_STRIDE = 64
@@ -206,7 +206,7 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     # hottest path, so the disabled cost is one truthiness test per
     # expanded state.
     track = obs.enabled
-    hb = _status.writer
+    hb = _ledger.writer
     if hb is not None:
         hb.update(
             phase="explore",
@@ -272,7 +272,7 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
                     steps_avoided=reducer.steps_avoided,
                 )
     if hb is not None:
-        # Forced final beat: even sub-second runs leave a status file
+        # Forced final beat: even sub-second runs leave a progress block
         # whose state count matches the finished graph.
         hb.force(states=graph.state_count(), frontier=0)
     return graph
@@ -360,7 +360,7 @@ def _explore_full(ctx, semantics, max_states, strict, observer):
     live_of = ks.live
     cur_mask = (1 << ks.cur_bits) - 1
     track = obs.enabled
-    hb = _status.writer
+    hb = _ledger.writer
     # -1 sentinel decrements forever without hitting 0 when no writer
     # is configured: the disabled cost is one int op per state.
     hb_left = _HB_STRIDE if hb is not None else -1
@@ -424,7 +424,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
     stack = []
     stack_hwm = 0
     halted = False
-    hb = _status.writer
+    hb = _ledger.writer
     hb_left = _HB_STRIDE if hb is not None else -1
 
     for root in graph.initial:

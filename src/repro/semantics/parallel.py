@@ -70,7 +70,7 @@ Differences from the sequential explorer, by design:
   truncated *itself* (the sequential explorer marks the parent), so
   ``cut`` behaviours still appear at the boundary.
 * **Observability composes across the fork.** The worker lifecycle
-  (fork, per-worker obs and heartbeat shards, liveness, reaping) is
+  (fork, per-worker obs and progress shards, liveness, reaping) is
   :mod:`repro.common.pool`'s, shared with the fuzz campaign. Workers
   meter their own phases (``parallel.worker.{expand,encode,decode,
   idle,wall}_seconds`` histograms), wire costs (``parallel.wire.*``
@@ -108,7 +108,7 @@ from queue import Empty
 from repro import obs
 from repro.common import pool as _pool
 from repro.common.pool import available
-from repro.obs import status as _status
+from repro.obs import ledger as _ledger
 from repro.common.serialize import (
     ChannelDecoder,
     ChannelEncoder,
@@ -139,7 +139,7 @@ _BATCH_SIZE = 128
 #: Expansion records per flush to the coordinator.
 _REC_BATCH = 256
 
-#: Worker-loop iterations between heartbeat clock checks (mirrors
+#: Worker-loop iterations between progress-writer clock checks (mirrors
 #: ``explore._HB_STRIDE``).
 _HB_STRIDE = 64
 
@@ -406,10 +406,10 @@ class _Worker:
             self.halted = True
 
     def _idle_get(self, inbox, hb):
-        """Blocking receive that keeps the shard heartbeat alive.
+        """Blocking receive that keeps the shard's progress file alive.
 
-        Without a heartbeat this is a plain ``get()``. With one, the
-        wait wakes once per beat interval to stamp ``phase: idle`` —
+        Without a progress writer this is a plain ``get()``. With one,
+        the wait wakes once per beat interval to stamp ``phase: idle`` —
         an idle shard and a dead shard must look different to
         ``repro inspect``.
         """
@@ -430,7 +430,7 @@ class _Worker:
     def run(self):
         inbox = self.inboxes[self.wid]
         timed = self.timed
-        hb = _status.writer
+        hb = _ledger.writer
         if hb is not None:
             hb.update(phase="expand", jobs=self.jobs)
         hb_left = _HB_STRIDE if hb is not None else -1
@@ -740,10 +740,10 @@ def _worker_main(pool, wid, ctx, semantics, cfg, counter):
             wall_seconds=stats["wall_seconds"],
             **worker.phases()
         )
-    # Final shard beat before the bye: the merged status must show this
-    # worker's full state count, not a stale beat.
-    if _status.writer is not None:
-        _status.writer.force(
+    # Final shard beat before the bye: the merged progress must show
+    # this worker's full state count, not a stale beat.
+    if _ledger.writer is not None:
+        _ledger.writer.force(
             states=len(worker.recorded), frontier=0
         )
     return stats
@@ -876,7 +876,7 @@ def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
     stats = [pool.byes.get(wid) or {} for wid in range(jobs)]
     _publish(jobs, coord_sent, stats, graph, merge_seconds,
              static_count)
-    hb = _status.writer
+    hb = _ledger.writer
     if hb is not None:
         # Final merge: every shard's last (forced) beat, then the
         # merged graph's true state count.

@@ -1,17 +1,15 @@
-"""Campaign tests touch process-global obs/status/ledger state."""
+"""Campaign tests touch process-global obs/ledger state."""
 
 import pytest
 
 from repro import obs
-from repro.obs import ledger, status
+from repro.obs import ledger
 
 
 @pytest.fixture(autouse=True)
 def _reset_globals():
     obs.reset()
-    status.reset()
     ledger.reset()
     yield
     obs.reset()
-    status.reset()
     ledger.reset()

@@ -21,7 +21,7 @@ from repro.cli import main
 from repro.fuzz import campaign as campaign_mod
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.corpus import Corpus, CorpusError
-from repro.obs import status as status_mod
+from repro.obs import ledger
 from repro.semantics.parallel import available as fork_available
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -333,7 +333,7 @@ def test_full_disk_during_a_checkpoint_write(tmp_path, capsys,
                 return _FullDisk(handle)
         return handle
 
-    monkeypatch.setattr(status_mod, "open", open_on_a_full_disk,
+    monkeypatch.setattr(ledger, "open", open_on_a_full_disk,
                         raising=False)
     argv = ["fuzz", "--out", out, "--seed", "3", "--count", "6",
             "--kinds", "minic-lock", "--jobs", "2"]

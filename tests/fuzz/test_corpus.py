@@ -71,7 +71,7 @@ class TestFindingsLog:
     def test_foreign_type_rejected(self, corpus, tmp_path):
         corpus.ensure_dirs()
         with open(corpus.findings_path, "w") as handle:
-            json.dump({"type": "heartbeat"}, handle)
+            json.dump({"type": "run-manifest"}, handle)
         with pytest.raises(CorpusError, match="not a findings log"):
             corpus.load_findings()
 

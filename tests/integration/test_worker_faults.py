@@ -4,7 +4,7 @@ Both forking commands, ``run --jobs 2`` (the sharded explorer) and
 ``fuzz --jobs 2`` (the campaign), must notice the dead worker, exit 2
 with one ``repro: internal error:`` line within 10 s of the kill, and
 leave no process of their process group behind — with or without a
-``--status`` heartbeat.
+``--ledger`` run record, whose workers write progress shards.
 """
 
 import os
@@ -16,7 +16,7 @@ import time
 import pytest
 
 import repro
-from repro.obs import status
+from repro.obs import ledger
 from repro.semantics.parallel import available
 
 from tests.semantics.test_parallel_status import SLOW_LOCK_CLIENT
@@ -55,7 +55,7 @@ def _worker_pids(proc, hb):
         return _children(proc.pid)
     pids = []
     for wid in (0, 1):
-        doc = status.load(status.shard_path(hb, wid))
+        doc = ledger.load(ledger.shard_path(hb, wid))
         if doc and "pid" in doc:
             pids.append(doc["pid"])
     return pids
@@ -64,7 +64,7 @@ def _worker_pids(proc, hb):
 def _kill_a_worker(argv, hb):
     env = dict(os.environ, PYTHONPATH=_SRC, REPRO_STATUS_INTERVAL="0.05")
     if hb is not None:
-        argv = argv + ["--status", str(hb)]
+        argv = argv + ["--ledger", str(hb)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro"] + argv,
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -101,21 +101,21 @@ def _kill_a_worker(argv, hb):
         os.killpg(pgid, 0)
 
 
-@pytest.mark.parametrize("with_status", [True, False])
-def test_killed_explorer_worker_fails_the_run(tmp_path, with_status):
+@pytest.mark.parametrize("with_ledger", [True, False])
+def test_killed_explorer_worker_fails_the_run(tmp_path, with_ledger):
     program = tmp_path / "slow.c"
     program.write_text(SLOW_LOCK_CLIENT)
     _kill_a_worker(
         ["run", str(program), "--lock", "--threads", "t1,t2",
          "--jobs", "2", "--max-states", "2000000"],
-        tmp_path / "hb.json" if with_status else None,
+        tmp_path / "run.json" if with_ledger else None,
     )
 
 
-@pytest.mark.parametrize("with_status", [True, False])
-def test_killed_fuzz_worker_fails_the_campaign(tmp_path, with_status):
+@pytest.mark.parametrize("with_ledger", [True, False])
+def test_killed_fuzz_worker_fails_the_campaign(tmp_path, with_ledger):
     _kill_a_worker(
         ["fuzz", "--out", str(tmp_path / "corpus"), "--seed", "3",
          "--count", "3000", "--kinds", "minic-lock", "--jobs", "2"],
-        tmp_path / "hb.json" if with_status else None,
+        tmp_path / "run.json" if with_ledger else None,
     )

@@ -92,7 +92,7 @@ class TestExitCodes:
         assert out == ""
         assert err == "repro: error: --minimize needs --witness-out\n"
 
-    @pytest.mark.parametrize("flag", ["--trace", "--ledger", "--status"])
+    @pytest.mark.parametrize("flag", ["--trace", "--ledger"])
     def test_two_on_unwritable_record_path_before_the_run(
         self, safe_file, tmp_path, capsys, flag
     ):
@@ -107,7 +107,7 @@ class TestExitCodes:
         )
         assert not missing.exists()
 
-    @pytest.mark.parametrize("flag", ["--trace", "--ledger", "--status"])
+    @pytest.mark.parametrize("flag", ["--trace", "--ledger"])
     def test_two_on_directory_record_path_before_the_run(
         self, safe_file, tmp_path, capsys, flag
     ):
@@ -118,6 +118,20 @@ class TestExitCodes:
             "repro drf: error: argument {}: cannot write {!r}: is a "
             "directory\n".format(flag, str(tmp_path))
         )
+
+    def test_two_on_one_path_for_trace_and_ledger(self, racy_file,
+                                                  tmp_path, capsys):
+        # The manifest would overwrite the trace: refuse before the run.
+        path = tmp_path / "record.json"
+        assert main(["drf", racy_file, "--threads", "t1,t2", "--trace",
+                     str(path), "--ledger", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "repro drf: error: argument --ledger: cannot write {!r}: it "
+            "is the --trace file too\n".format(str(path))
+        )
+        assert not path.exists()
 
     def test_zero_on_vacuous_validation(self, tmp_path, capsys):
         # A pointer parameter with no shared global to point at: the
@@ -223,6 +237,9 @@ class TestExitCodes:
         ["fuzz", "--out", "{dir}", "--minimize-rounds", "-1"],
         ["fuzz", "--out", "{dir}", "--minimize-seconds", "-0.5"],
         ["fuzz", "--out", "{dir}", "--duration", "-1"],
+        ["compare", "{racy}", "{racy}", "--fail-on-regression",
+         "--tolerance", "-0.5"],
+        ["validate", "{racy}", "--max-failures", "-1"],
     ], ids=lambda argv: "{}{}".format(argv[0], argv[-2]))
     def test_negative_bound_is_a_usage_error(self, racy_file, tmp_path,
                                              capsys, argv):
@@ -237,6 +254,28 @@ class TestExitCodes:
         assert errors == [
             "repro {}: error: argument {}: must be non-negative, got {}"
             .format(argv[0], argv[-2], argv[-1])
+        ], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["drf", "{racy}", "--jobs", "0"],
+        ["drf", "{racy}", "--jobs", "-3"],
+        ["fuzz", "--out", "{dir}", "--jobs", "0"],
+        ["fuzz", "--out", "{dir}", "--jobs", "-3"],
+    ], ids=lambda argv: "{}{}".format(argv[0], argv[-1]))
+    def test_jobs_below_one_is_a_usage_error(self, racy_file, tmp_path,
+                                             capsys, argv):
+        out = tmp_path / "corpus"
+        argv = [a.format(racy=racy_file, dir=out) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert errors == [
+            "repro {}: error: argument -j/--jobs: must be at least 1, "
+            "got {}".format(argv[0], argv[-1])
         ], err
         assert not out.exists()
 
@@ -366,28 +405,31 @@ MANIFEST_READERS = [
 ]
 
 
-def _heartbeat_with(**fields):
-    """A heartbeat document carrying ``fields``."""
-    return json.dumps(dict({"type": "heartbeat", "version": 1},
-                           **fields))
+def _running_with(**progress):
+    """A running ledger whose progress block carries ``progress``."""
+    return _manifest_with(status="running", progress=progress)
 
 
 #: Documents that parse but are wrong, with the field the one-line
 #: error must name (``None``: the document is not an object at all).
 WRONG_DOCUMENTS = [
-    pytest.param("st.json", _heartbeat_with(shards=[1, 2]),
-                 ["inspect", "{f}"], "shards", id="heartbeat-shards"),
-    pytest.param("st.json", _heartbeat_with(states="x"),
-                 ["inspect", "{f}"], "states",
-                 id="heartbeat-states-not-a-number"),
-    pytest.param("st.json",
-                 _heartbeat_with(shards=[{"wid": 0, "beats": "x"}]),
-                 ["inspect", "{f}"], "shards[].beats",
-                 id="heartbeat-shard-beats-not-a-number"),
-    pytest.param("st.json",
-                 _heartbeat_with(shards=[{"wid": "w0", "beats": 1}]),
-                 ["inspect", "{f}"], "shards[].wid",
-                 id="heartbeat-shard-wid-not-a-number"),
+    pytest.param("run.json", _running_with(shards=[1, 2]),
+                 ["inspect", "{f}"], "progress.shards",
+                 id="progress-shards"),
+    pytest.param("run.json", _running_with(states="x"),
+                 ["inspect", "{f}"], "progress.states",
+                 id="progress-states-not-a-number"),
+    pytest.param("run.json",
+                 _running_with(shards=[{"wid": 0, "beats": "x"}]),
+                 ["inspect", "{f}"], "progress.shards[].beats",
+                 id="progress-shard-beats-not-a-number"),
+    pytest.param("run.json",
+                 _running_with(shards=[{"wid": "w0", "beats": 1}]),
+                 ["inspect", "{f}"], "progress.shards[].wid",
+                 id="progress-shard-wid-not-a-number"),
+    pytest.param("run.json", _manifest_with(progress=[1]),
+                 ["inspect", "{f}"], "progress",
+                 id="progress-not-an-object"),
     pytest.param("checkpoint.json", _checkpoint_with("x"), FUZZ_RESUME,
                  "payload.done", id="fuzz-checkpoint-done"),
     pytest.param("findings.json", "[1, 2]", FUZZ_RESUME, None,

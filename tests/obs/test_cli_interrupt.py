@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro
-from repro.obs import status
+from repro.obs import ledger
 
 from tests.helpers import EXAMPLES_DIR
 
@@ -81,19 +81,18 @@ def _interrupt(proc, ledger_path):
 
 
 def test_sequential_drf(tmp_path):
-    hb = tmp_path / "hb.json"
     run = tmp_path / "run.json"
     proc = _start(
         ["drf", os.path.join(EXAMPLES_DIR, "counter.c"), "--lock",
-         "--threads", "inc,inc,inc,inc", "--no-por", "--status", str(hb),
-         "--ledger", str(run)],
+         "--threads", "inc,inc,inc,inc", "--no-por", "--ledger",
+         str(run)],
         REPRO_STATUS_INTERVAL="0.05",
     )
 
     def exploring():
-        doc = status.load(str(hb))
-        return bool(doc and doc.get("phase") == "explore"
-                    and doc.get("states"))
+        progress = (ledger.load(str(run)) or {}).get("progress") or {}
+        return bool(progress.get("phase") == "explore"
+                    and progress.get("states"))
 
     _wait_for(proc, exploring)
     _interrupt(proc, run)

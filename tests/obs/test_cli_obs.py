@@ -245,6 +245,8 @@ class TestLedgerMetrics:
         ("run", "--metrics-" "out"), ("inspect", "--metrics-" "in"),
         ("drf", "--metrics-" "format"), ("inspect", "--metrics-" "format"),
         ("drf", "--heap-" "profile"), ("inspect", "--" "top"),
+        ("run", "--sta" "tus"), ("drf", "--sta" "tus"),
+        ("npdrf", "--sta" "tus"), ("fuzz", "--sta" "tus"),
     ])
     def test_retired_metrics_file_flags_rejected(
         self, quickstart_file, tmp_path, command, flag, capsys
@@ -273,6 +275,15 @@ class TestLedgerMetrics:
         assert "inspect" in out
         assert "pro" "file" not in out
         assert "sta" "tus" not in out
+
+    @pytest.mark.parametrize("command", ["run", "drf", "npdrf", "fuzz"])
+    def test_help_lists_no_retired_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--ledger" in out
+        assert "--sta" "tus" not in out
 
     @pytest.mark.parametrize("name", [
         "REPRO_" "METRICS", "REPRO_" "TRACE", "REPRO_" "LEDGER",

@@ -185,18 +185,20 @@ class TestSniffAndInspect:
         assert "5,028" in text and "1,778.9 states/s" in text
         assert "por" in text and "explore" in text
 
-    def test_sniff_and_render_heartbeat(self, tmp_path):
-        path = tmp_path / "st.json"
+    def test_sniff_and_render_running_ledger(self, tmp_path):
+        path = tmp_path / "run.json"
         path.write_text(json.dumps({
-            "type": "heartbeat", "version": 1, "pid": 7,
-            "time": 0.0, "uptime_seconds": 2.0,
-            "interval_seconds": 1.0, "beats": 3, "states": 99,
-            "frontier": 4, "rolling_states_per_second": 50.0,
-            "overall_states_per_second": 49.5, "phase": "done",
+            "type": "run-manifest", "version": 1, "command": "drf",
+            "status": "running", "progress": {
+                "pid": 7, "time": 0.0, "uptime_seconds": 2.0,
+                "interval_seconds": 1.0, "beats": 3, "states": 99,
+                "frontier": 4, "rolling_states_per_second": 50.0,
+                "overall_states_per_second": 49.5, "phase": "explore",
+            },
         }))
-        assert sniff_artifact(str(path)) == "heartbeat"
+        assert sniff_artifact(str(path)) == "run-manifest"
         text = inspect_path(str(path))
-        assert "phase=done" in text
+        assert "status=running" in text and "phase=explore" in text
         assert "99 state(s)" in text
 
     def test_sniff_and_render_fuzz_findings(self, tmp_path):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import ledger, status
+from repro.obs import ledger
 from repro.obs.ledger import (
     compare_manifests,
     content_hash,
@@ -15,15 +15,6 @@ from repro.obs.ledger import (
     phase_seconds,
     ratio_delta,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_ledger():
-    ledger.reset()
-    status.reset()
-    yield
-    ledger.reset()
-    status.reset()
 
 
 class TestRatioDelta:
@@ -139,7 +130,7 @@ class TestManifestWriting:
 
     def test_load_manifest_rejects_other_json(self, tmp_path):
         other = tmp_path / "not.json"
-        other.write_text(json.dumps({"type": "heartbeat"}))
+        other.write_text(json.dumps({"type": "fuzz-findings"}))
         with pytest.raises(ValueError):
             load_manifest(str(other))
 
@@ -266,6 +257,26 @@ class TestCliCompare:
             ["compare", manifest, str(tmp_path / "missing.json")]
         ) == 2
         assert "cannot load run manifest" in capsys.readouterr().err
+
+    def test_running_ledger_is_refused(self, manifest, tmp_path,
+                                       capsys):
+        doc = load_manifest(manifest)
+        doc["status"] = "running"
+        running = tmp_path / "running.json"
+        running.write_text(json.dumps(doc))
+        assert main(["compare", manifest, str(running)]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: cannot load run manifest {}: the run has "
+            "not finished (status: running)\n".format(running)
+        )
+
+    def test_final_manifest_keeps_the_closing_progress_block(
+        self, manifest
+    ):
+        doc = load_manifest(manifest)
+        assert doc["status"] == "done"
+        assert doc["progress"]["phase"] == "done"
+        assert doc["progress"]["states"] == doc["states"]
 
     @staticmethod
     def _doctor(manifest, tmp_path):

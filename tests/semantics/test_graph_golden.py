@@ -10,8 +10,9 @@ a state, an edge or a verdict shows up here. The MiniC suite programs
 and ``counter.c`` are pinned at every stage of both compiler pipelines,
 so each IR interpreter (C#minor to Mach) has graphs of its own. The
 3-thread source counter
-and the x86-TSO cases are explored a second time with a heartbeat
-written at every stride of the loop; they must give the same digests,
+and the x86-TSO cases are explored a second time with the run ledger's
+progress rewritten at every stride of the loop; they must give the same
+digests,
 so telemetry cannot perturb exploration.
 
 The digests must not depend on hash order; CI runs this file under a
@@ -29,7 +30,7 @@ import sys
 import pytest
 
 from repro.framework.build import ClientSystem, lock_counter_system
-from repro.obs import status
+from repro.obs import ledger
 from repro.semantics import (
     GlobalContext,
     NonPreemptiveSemantics,
@@ -198,18 +199,18 @@ def test_graph_matches_golden_digest(name):
 
 @pytest.mark.parametrize("mode", LOCK3_MODES)
 def test_heartbeat_does_not_perturb_the_graph(mode, tmp_path):
-    # Interval 0: every stride of the loop writes a heartbeat.
-    status.configure(str(tmp_path / "st.json"), interval=0.0)
+    # Interval 0: every stride of the loop rewrites the run ledger.
+    ledger.configure(str(tmp_path / "run.json"), "explore", interval=0.0)
     try:
         graph = _explore(
             _lock3_program("source"), mode, LOCK3_MAX_STATES
         )
     finally:
-        status.reset()
+        ledger.reset()
     assert graph_digest(graph) == _load_golden()[
         "lock-counter-3-source/{}".format(mode)
     ]
-    assert (tmp_path / "st.json").exists()
+    assert (tmp_path / "run.json").exists()
 
 
 #: Golden cases with several strides of states under each semantics and
@@ -223,12 +224,12 @@ HEARTBEAT_CASES = [
 
 @pytest.mark.parametrize("name", HEARTBEAT_CASES)
 def test_heartbeat_does_not_perturb_small_graphs(name, tmp_path):
-    status.configure(str(tmp_path / "st.json"), interval=0.0)
+    ledger.configure(str(tmp_path / "run.json"), "explore", interval=0.0)
     try:
         graph = CASES[name]()
-        beat = status.load(str(tmp_path / "st.json"))
+        beat = ledger.load(str(tmp_path / "run.json"))["progress"]
     finally:
-        status.reset()
+        ledger.reset()
     assert graph.state_count() > 2 * _HB_STRIDE
     assert beat["states"] == graph.state_count()
     assert graph_digest(graph) == _load_golden()[name]

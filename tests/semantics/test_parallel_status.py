@@ -1,9 +1,10 @@
-"""Heartbeat fork-safety under the parallel explorer.
+"""The run ledger's progress under the parallel explorer.
 
 The properties that matter: every worker writes its own shard file
 (the fork-inherited parent writer never clobbers the main document),
 a concurrent poller never sees a torn JSON document at any
-parallelism, and the final merged heartbeat accounts for every shard.
+parallelism, and the final merged progress block accounts for every
+shard.
 """
 
 import glob
@@ -14,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.framework.build import lock_counter_system
-from repro.obs import status
+from repro.obs import ledger
 from repro.semantics import GlobalContext, PreemptiveSemantics, explore
 from repro.semantics.parallel import available
 
@@ -28,14 +29,14 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _reset():
     obs.reset()
-    status.reset()
+    ledger.reset()
     yield
     obs.reset()
-    status.reset()
+    ledger.reset()
 
 
 class _Poller:
-    """Reads the status file in a tight loop, counting torn reads."""
+    """Reads the record in a tight loop, counting torn reads."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -69,8 +70,8 @@ class _Poller:
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_no_torn_reads_and_full_shard_coverage(tmp_path, jobs):
-    st = tmp_path / "st.json"
-    status.configure(st, interval=0.01)
+    st = tmp_path / "run.json"
+    ledger.configure(st, "explore", interval=0.01)
     program = lock_counter_system(2).source_program()
     ctx = GlobalContext(program)
     with _Poller(st) as poller:
@@ -80,8 +81,9 @@ def test_no_torn_reads_and_full_shard_coverage(tmp_path, jobs):
         )
     assert poller.failures == 0
     assert poller.reads > 0
+    assert {doc["status"] for doc in poller.docs} == {"running"}
 
-    final = json.loads(st.read_text())
+    final = json.loads(st.read_text())["progress"]
     assert final["states"] == graph.state_count()
     if jobs > 1:
         # The coordinator's final merge accounts for every worker.
@@ -93,20 +95,21 @@ def test_no_torn_reads_and_full_shard_coverage(tmp_path, jobs):
         assert sum(
             row["states"] for row in final["shards"]
         ) == graph.state_count()
-        # Every worker wrote (and left) its own shard heartbeat.
+        # Every worker wrote (and left) its own shard file: a bare
+        # progress block.
         shard_files = glob.glob(str(st) + ".w*")
         assert len(shard_files) == jobs
         for path in shard_files:
             doc = json.loads(open(path).read())
-            assert doc["type"] == "heartbeat"
             assert "wid" in doc
+            assert "type" not in doc and "progress" not in doc
 
 
 def test_workers_do_not_write_the_main_file(tmp_path):
     """Shard docs carry wids; the main file is only ever the parent's
     (its pid) — the fork-inherited writer was reset in the child."""
-    st = tmp_path / "st.json"
-    status.configure(st, interval=0.01)
+    st = tmp_path / "run.json"
+    ledger.configure(st, "explore", interval=0.01)
     program, _m, _g, _s = minic_program([SUITE["loops"]], ["main"])
     explore(
         GlobalContext(program), PreemptiveSemantics(), reduce=False,
@@ -114,7 +117,7 @@ def test_workers_do_not_write_the_main_file(tmp_path):
     )
     import os
 
-    main_doc = json.loads(st.read_text())
+    main_doc = json.loads(st.read_text())["progress"]
     assert main_doc["pid"] == os.getpid()
     assert "wid" not in main_doc
     for path in glob.glob(str(st) + ".w*"):
@@ -161,13 +164,13 @@ def test_sigint_exits_130_and_reaps_forked_workers(tmp_path):
     ))
     program = tmp_path / "slow.c"
     program.write_text(SLOW_LOCK_CLIENT)
-    hb = tmp_path / "hb.json"
+    hb = tmp_path / "run.json"
     env = dict(os.environ, PYTHONPATH=src_dir,
                REPRO_STATUS_INTERVAL="0.05")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", str(program),
          "--lock", "--threads", "t1,t2", "--jobs", "2",
-         "--max-states", "2000000", "--status", str(hb)],
+         "--max-states", "2000000", "--ledger", str(hb)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     worker_pids = []
@@ -181,7 +184,7 @@ def test_sigint_exits_130_and_reaps_forked_workers(tmp_path):
                 )
             worker_pids = []
             for wid in (0, 1):
-                doc = status.load(status.shard_path(hb, wid))
+                doc = ledger.load(ledger.shard_path(hb, wid))
                 if doc and "pid" in doc:
                     worker_pids.append(doc["pid"])
             time.sleep(0.02)
@@ -201,9 +204,9 @@ def test_sigint_exits_130_and_reaps_forked_workers(tmp_path):
             any(_pid_alive(pid) for pid in worker_pids):
         time.sleep(0.05)
     assert not any(_pid_alive(pid) for pid in worker_pids)
-    # The heartbeat finalizer still stamped the interrupt.
+    # The ledger finalizer still stamped the interrupt.
     final = json.loads(hb.read_text())
-    assert final["phase"] == "done"
+    assert final["progress"]["phase"] == "done"
     assert final["exit_status"] == 130
 
 
@@ -225,13 +228,13 @@ def test_fuzz_sigint_exits_130_and_keeps_a_resumable_checkpoint(
         os.path.abspath(repro.__file__)
     ))
     out = tmp_path / "corpus"
-    hb = tmp_path / "hb.json"
+    hb = tmp_path / "run.json"
     env = dict(os.environ, PYTHONPATH=src_dir,
                REPRO_STATUS_INTERVAL="0.05")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "fuzz", "--out", str(out),
          "--seed", "7", "--count", "3000", "--kinds", "minic-lock",
-         "--jobs", "2", "--status", str(hb)],
+         "--jobs", "2", "--ledger", str(hb)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     corpus = Corpus(str(out))
@@ -247,7 +250,7 @@ def test_fuzz_sigint_exits_130_and_keeps_a_resumable_checkpoint(
             assert time.monotonic() < deadline, "no progress to interrupt"
             worker_pids = []
             for wid in (0, 1):
-                doc = status.load(status.shard_path(hb, wid))
+                doc = ledger.load(ledger.shard_path(hb, wid))
                 if doc and "pid" in doc:
                     worker_pids.append(doc["pid"])
             state = corpus.load_checkpoint() \
@@ -273,8 +276,8 @@ def test_fuzz_sigint_exits_130_and_keeps_a_resumable_checkpoint(
 
 
 def test_reduced_mode_parallel_also_beats(tmp_path):
-    st = tmp_path / "st.json"
-    status.configure(st, interval=0.01)
+    st = tmp_path / "run.json"
+    ledger.configure(st, "explore", interval=0.01)
     program = lock_counter_system(2).source_program()
     with _Poller(st) as poller:
         graph = explore(
@@ -282,6 +285,6 @@ def test_reduced_mode_parallel_also_beats(tmp_path):
             reduce=True, jobs=2, max_states=100000,
         )
     assert poller.failures == 0
-    final = json.loads(st.read_text())
+    final = json.loads(st.read_text())["progress"]
     assert final["states"] == graph.state_count()
     assert {row["wid"] for row in final["shards"]} == {0, 1}
